@@ -132,15 +132,13 @@ class EstimateReport:
 
 
 def apply_indicator(indicator, X):
-    """Evaluate an indicator on each row, accepting scalar-only callables."""
+    """Evaluate a batch indicator, which maps (n, d) rows to (n,) outcomes."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    try:
-        vals = np.asarray(indicator(X))
-        if vals.shape == (X.shape[0],):
-            return vals.astype(int)
-    except Exception:
-        pass
-    return np.array([int(indicator(row)) for row in X])
+    vals = np.asarray(indicator(X))
+    if vals.shape != (X.shape[0],):
+        raise ValueError("indicator returned shape %s for %d rows; want (%d,)"
+                         % (vals.shape, X.shape[0], X.shape[0]))
+    return vals.astype(int)
 
 
 def crude_equiv_n(p_hat, stderr):

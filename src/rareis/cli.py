@@ -133,22 +133,19 @@ def _dompoints_csv(state):
     return buf.getvalue()
 
 
-def _load_model(path):
+def _load_scenario(model_path, scenario_config, analytic, analytic_params):
+    """Model, plus indicator and mask in its (possibly standardized) coordinates."""
     try:
-        with open(path) as fh:
-            return tgmm.model_from_json(fh.read())
+        with open(model_path) as fh:
+            model = tgmm.model_from_json(fh.read())
     except (OSError, ValueError, KeyError) as err:
-        _fail(EXIT_INPUT, "cannot load model %s: %s" % (path, err))
-
-
-def _build_indicator(model, scenario_config, analytic, analytic_params):
-    """Indicator and mask in the model's (possibly standardized) coordinates."""
+        _fail(EXIT_INPUT, "cannot load model %s: %s" % (model_path, err))
     if (scenario_config is None) == (analytic is None):
         _fail(EXIT_INPUT, "exactly one of --scenario-config/--analytic is required")
     if analytic is not None:
         try:
             params = json.loads(analytic_params) if analytic_params else {}
-            ind, truth_fn, mask = scenario.analytic_scenario(analytic, params)
+            base, _, mask = scenario.analytic_scenario(analytic, params)
         except (ValueError, KeyError) as err:
             _fail(EXIT_INPUT, "bad analytic scenario: %s" % err)
     else:
@@ -157,19 +154,42 @@ def _build_indicator(model, scenario_config, analytic, analytic_params):
                 cfg = scenario.AVConfig.from_json(fh.read())
         except (OSError, ValueError, TypeError) as err:
             _fail(EXIT_INPUT, "cannot load scenario config: %s" % err)
-        ind, truth_fn, mask = (scenario.lane_change_indicator(cfg), None,
-                               scenario.lane_change_mask())
-    std = model.standardizer
-    if std is not None:
-        base = ind
-        def ind(z):  # noqa: F811 - standardized-coordinate adapter
-            Z = np.atleast_2d(np.asarray(z, dtype=float))
-            out = accel.apply_indicator(base, std.invert(Z))
-            return out if np.asarray(z).ndim > 1 else int(out[0])
+        base, mask = scenario.lane_change_indicator(cfg), scenario.lane_change_mask()
     if mask.dim != model.dim:
         _fail(EXIT_INPUT, "scenario dimension %d does not match model dimension %d"
               % (mask.dim, model.dim))
-    return ind, truth_fn, mask
+    std = model.standardizer
+
+    def ind(z):  # original coordinates; a point the scenario rejects is exit 2
+        try:
+            return base(z if std is None else std.invert(z))
+        except ValueError as err:
+            _fail(EXIT_INPUT, str(err))
+    return model, ind, mask
+
+
+def _scenario_options(procedure):
+    """Options of run, crude and bench; procedure adds the IS-construction ones."""
+    opts = [click.argument("model_path", type=click.Path()),
+            click.option("--scenario-config", type=click.Path(), default=None),
+            click.option("--analytic", default=None,
+                         help="Analytic scenario kind: halfspace, orthant, mixture-tail."),
+            click.option("--analytic-params", default=None,
+                         help="JSON scenario parameters."),
+            click.option("--n", default=10000, show_default=True)]
+    if procedure:
+        opts += [click.option("--n-per-iter", default=500, show_default=True),
+                 click.option("--max-iter", default=4, show_default=True),
+                 click.option("--max-frontier", default=12, show_default=True),
+                 click.option("--rho", default=0.0, show_default=True)]
+    opts += [click.option("--seed", default=0, show_default=True),
+             click.option("--workers", default=1, show_default=True)]
+
+    def apply(f):
+        for opt in reversed(opts):
+            f = opt(f)
+        return f
+    return apply
 
 
 @click.group()
@@ -254,18 +274,7 @@ def _run_pipeline(model, ind, mask, n, seed, workers, n_per_iter, max_iter,
 
 
 @main.command("run")
-@click.argument("model_path", type=click.Path())
-@click.option("--scenario-config", type=click.Path(), default=None)
-@click.option("--analytic", default=None,
-              help="Analytic scenario kind: halfspace, orthant, mixture-tail.")
-@click.option("--analytic-params", default=None, help="JSON scenario parameters.")
-@click.option("--n", default=10000, show_default=True)
-@click.option("--n-per-iter", default=500, show_default=True)
-@click.option("--max-iter", default=4, show_default=True)
-@click.option("--max-frontier", default=12, show_default=True)
-@click.option("--rho", default=0.0, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@_scenario_options(procedure=True)
 @click.option("--bound-n", default=0, show_default=True,
               help="Extra samples for frontier probability bounds (0 = skip).")
 @click.option("--out", "out_dir", default=".", show_default=True)
@@ -276,9 +285,8 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
     t0 = time.time()
     if n < 100:
         _fail(EXIT_INPUT, "--n must be >= 100")
-    model = _load_model(model_path)
-    ind, _, mask = _build_indicator(model, scenario_config, analytic,
-                                    analytic_params)
+    model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
+                                      analytic_params)
     try:
         state, q, report, values = _run_pipeline(
             model, ind, mask, n, seed, workers, n_per_iter, max_iter,
@@ -318,13 +326,7 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
 
 
 @main.command("crude")
-@click.argument("model_path", type=click.Path())
-@click.option("--scenario-config", type=click.Path(), default=None)
-@click.option("--analytic", default=None)
-@click.option("--analytic-params", default=None)
-@click.option("--n", default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@_scenario_options(procedure=False)
 @click.option("--out", "out_dir", default=".", show_default=True)
 def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
               workers, out_dir):
@@ -332,9 +334,8 @@ def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
     t0 = time.time()
     if n < 1:
         _fail(EXIT_INPUT, "--n must be >= 1")
-    model = _load_model(model_path)
-    ind, _, mask = _build_indicator(model, scenario_config, analytic,
-                                    analytic_params)
+    model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
+                                      analytic_params)
     try:
         report, values = accel.crude_mc(ind, model, n, seed=seed,
                                         workers=workers, return_values=True)
@@ -353,25 +354,14 @@ def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
 
 
 @main.command("bench")
-@click.argument("model_path", type=click.Path())
-@click.option("--scenario-config", type=click.Path(), default=None)
-@click.option("--analytic", default=None)
-@click.option("--analytic-params", default=None)
-@click.option("--n", default=10000, show_default=True)
-@click.option("--n-per-iter", default=500, show_default=True)
-@click.option("--max-iter", default=4, show_default=True)
-@click.option("--max-frontier", default=12, show_default=True)
-@click.option("--rho", default=0.0, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@_scenario_options(procedure=True)
 def cmd_bench(model_path, scenario_config, analytic, analytic_params, n,
               n_per_iter, max_iter, max_frontier, rho, seed, workers):
     """Both estimators at equal n; prints a CSV efficiency table."""
     if n < 100:
         _fail(EXIT_INPUT, "--n must be >= 100")
-    model = _load_model(model_path)
-    ind, _, mask = _build_indicator(model, scenario_config, analytic,
-                                    analytic_params)
+    model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
+                                      analytic_params)
     try:
         _, _, is_report, _ = _run_pipeline(model, ind, mask, n, seed, workers,
                                            n_per_iter, max_iter, max_frontier,

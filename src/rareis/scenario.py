@@ -74,40 +74,55 @@ def ttc_from_range_rate(range_, range_rate):
     return -range_ / range_rate
 
 
-def simulate(event, cfg=AVConfig()):
-    """Deterministic crash/safe outcome for one lane-change initial condition.
+def simulate_batch(v, ttc, range_, cfg=AVConfig()):
+    """Deterministic crash (1) / safe (0) outcomes for equal-length event arrays.
 
-    Lead vehicle holds speed v; the follower starts range behind, closing at
-    range/ttc, under ACC with an AEB override that engages reaction_delay
-    after instantaneous TTC first drops below the trigger.
+    Lead vehicles hold speed v; each follower starts range_ behind, closing at
+    range_/ttc, under ACC with an AEB override that engages reaction_delay
+    after instantaneous TTC first drops below the trigger.  All rows step
+    together; a row leaves the active set once its gap reaches crash_range.
     """
-    v_lead = event.v
-    gap = event.range
-    v_f = v_lead + event.range / event.ttc
-    cfg_dt = cfg.dt
-    n_steps = int(round(cfg.horizon / cfg_dt))
-    aeb_at = None
+    v_lead, ttc, gap = (np.array(a, dtype=float, ndmin=1) for a in (v, ttc, range_))
+    if np.any(ttc <= 0) or np.any(gap <= 0):
+        raise ValueError("range and ttc must be positive (closing events only)")
+    out = np.zeros(gap.size, dtype=int)
+    rows = np.arange(gap.size)
+    aeb_at = np.full(gap.size, np.inf)  # inf until the AEB trigger fires
     t = 0.0
-    for step in range(n_steps):
-        if gap <= cfg.crash_range:
-            return 1
+    with np.errstate(all="ignore"):  # non-finite states raise below
+        v_f = v_lead + gap / ttc
         range_rate = v_lead - v_f
-        if range_rate < 0:
-            ttc_inst = -gap / range_rate
-            if ttc_inst < cfg.aeb_ttc_trigger and aeb_at is None:
-                aeb_at = t + cfg.reaction_delay
-        accel = (cfg.acc_spacing_gain
-                 * (gap - v_f * cfg.acc_time_gap - STANDSTILL_MARGIN)
-                 + cfg.acc_speed_gain * range_rate)
-        accel = min(max(accel, -cfg.max_decel), 2.0)
-        if aeb_at is not None and t >= aeb_at:
-            accel = -cfg.aeb_decel
-        v_f = max(v_f + accel * cfg_dt, 0.0)
-        gap += (v_lead - v_f) * cfg_dt
-        t += cfg_dt
-        if not np.isfinite(gap) or not np.isfinite(v_f):
-            raise RuntimeError("non-finite simulator state at step %d" % step)
-    return 1 if gap <= cfg.crash_range else 0
+        for step in range(int(round(cfg.horizon / cfg.dt))):
+            crashed = gap <= cfg.crash_range
+            if np.count_nonzero(crashed):
+                out[rows[crashed]] = 1
+                keep = ~crashed
+                rows, v_lead, v_f, gap, aeb_at, range_rate = (a[keep] for a in (
+                    rows, v_lead, v_f, gap, aeb_at, range_rate))
+                if rows.size == 0:
+                    return out
+            fire = ((range_rate < 0) & (-gap / range_rate < cfg.aeb_ttc_trigger)
+                    & (aeb_at == np.inf))
+            aeb_at[fire] = t + cfg.reaction_delay
+            accel = (cfg.acc_spacing_gain
+                     * (gap - v_f * cfg.acc_time_gap - STANDSTILL_MARGIN)
+                     + cfg.acc_speed_gain * range_rate)
+            accel = np.minimum(np.maximum(accel, -cfg.max_decel), 2.0)
+            accel[t >= aeb_at] = -cfg.aeb_decel
+            v_f = np.maximum(v_f + accel * cfg.dt, 0.0)
+            range_rate = v_lead - v_f
+            gap += range_rate * cfg.dt
+            t += cfg.dt
+            # a non-finite v_f makes gap non-finite in the same step
+            if np.count_nonzero(np.isfinite(gap)) < gap.size:
+                raise RuntimeError("non-finite simulator state at step %d" % step)
+    out[rows[gap <= cfg.crash_range]] = 1
+    return out
+
+
+def simulate(event, cfg=AVConfig()):
+    """Crash/safe outcome for one lane-change event: a 1-row simulate_batch."""
+    return int(simulate_batch(event.v, event.ttc, event.range, cfg)[0])
 
 
 def event_to_model(event):
@@ -126,11 +141,12 @@ def lane_change_mask():
 
 
 def lane_change_indicator(cfg=AVConfig()):
-    """Crash indicator over model coordinates (v, 1/ttc, 1/range)."""
+    """Batch crash indicator over model coordinates (v, 1/ttc, 1/range)."""
     def indicator(x):
         X = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.array([simulate(model_to_event(row), cfg) for row in X])
-        return out if np.asarray(x).ndim > 1 else int(out[0])
+        if np.any(X[:, 1:] <= 0):
+            raise ValueError("1/ttc and 1/range must be positive (closing events only)")
+        return simulate_batch(X[:, 0], 1.0 / X[:, 1], 1.0 / X[:, 2], cfg)
     return indicator
 
 
@@ -204,9 +220,7 @@ def analytic_scenario(kind, params):
             raise ValueError("halfspace weights must be nonnegative (monotone set)")
 
         def indicator(x):
-            X = np.atleast_2d(np.asarray(x, dtype=float))
-            out = (X @ w >= gamma).astype(int)
-            return out if np.asarray(x).ndim > 1 else int(out[0])
+            return (np.atleast_2d(x) @ w >= gamma).astype(int)
 
         def truth_fn(gmm):
             if gmm.support.is_unbounded():
@@ -217,14 +231,12 @@ def analytic_scenario(kind, params):
             up = np.where(np.isfinite(gmm.support.upper), gmm.support.upper, 12.0)
             return _grid_truth(gmm, indicator, lo, up)
 
-        return indicator, truth_fn, DirectionMask(np.where(w > 0, 1.0, 1.0))
+        return indicator, truth_fn, DirectionMask(np.ones(w.size))
     if kind == "orthant":
         corner = np.asarray(params["corner"], dtype=float)
 
         def indicator(x):
-            X = np.atleast_2d(np.asarray(x, dtype=float))
-            out = np.all(X >= corner, axis=1).astype(int)
-            return out if np.asarray(x).ndim > 1 else int(out[0])
+            return np.all(np.atleast_2d(x) >= corner, axis=1).astype(int)
 
         def truth_fn(gmm):
             total = 0.0

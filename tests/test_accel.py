@@ -191,6 +191,24 @@ class TestCrudeEquivN:
         assert crude_equiv_n(0.5, 0.0) == 0
 
 
+class TestApplyIndicator:
+    def test_wrong_shape_rejected(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError, match=r"\(4, 1\)"):
+            accel.apply_indicator(lambda X: np.zeros((4, 1)), X)
+
+    def test_indicator_errors_propagate_without_row_reruns(self):
+        calls = []
+
+        def failing(X):
+            calls.append(X.shape)
+            raise RuntimeError("bad row")
+
+        with pytest.raises(RuntimeError, match="bad row"):
+            accel.apply_indicator(failing, np.zeros((5, 2)))
+        assert calls == [(5, 2)]
+
+
 class TestRunProcedure:
     def test_zero_iterations_returns_base(self, rng):
         gmm = gauss1d()

@@ -202,6 +202,23 @@ class TestRun:
                                  "--analytic-params", '{"gamma": 3.0}'])
         assert r.exit_code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["run", "crude", "bench"])
+    def test_indicator_input_error_exit_2(self, runner, tmp_path, command):
+        """Proposals with 1/ttc <= 0 end in exit 2 with a message."""
+        gmm = TruncatedGMM([1.0], [GaussComponent([20.0, 0.0, 0.2],
+                                                  np.diag([4.0, 0.01, 0.01]))],
+                           Rect.unbounded(3))
+        model = tmp_path / "model.json"
+        model.write_text(tgmm.model_to_json(gmm))
+        cfg = tmp_path / "av.json"
+        cfg.write_text("{}")
+        r = runner.invoke(main, [command, str(model), "--scenario-config",
+                                 str(cfg), "--n", "100"])
+        assert r.exit_code == cli.EXIT_INPUT
+        assert isinstance(r.exception, SystemExit)
+        assert "error: 1/ttc and 1/range must be positive" in r.output
+        assert "Traceback" not in r.output
+
     def test_non_monotone_exit_4(self, runner, model_1d, monkeypatch):
         def boom(*a, **kw):
             raise NonMonotoneOutcomeError(np.array([0.5]), np.array([1.0]))

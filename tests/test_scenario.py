@@ -1,14 +1,57 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from rareis.frontier import DirectionMask
 from rareis.gauss import GaussComponent, Rect
-from rareis.scenario import (AVConfig, LaneChangeEvent, analytic_scenario,
-                             check_monotone, event_to_model,
+from rareis.scenario import (STANDSTILL_MARGIN, AVConfig, LaneChangeEvent,
+                             analytic_scenario, check_monotone, event_to_model,
                              lane_change_indicator, lane_change_mask,
-                             model_to_event, simulate, ttc_from_range_rate)
+                             model_to_event, simulate, simulate_batch,
+                             ttc_from_range_rate)
 from rareis.tgmm import TruncatedGMM
+
+
+def _reference_simulate(v_lead, ttc, gap, cfg):
+    """The per-event loop that simulate_batch vectorizes, kept as its oracle.
+
+    cfg fields are read once and min/max are written as comparisons, which
+    changes no float operation and keeps the oracle fast enough for tier 1.
+    """
+    dt, crash, trigger = cfg.dt, cfg.crash_range, cfg.aeb_ttc_trigger
+    spacing, time_gap, speed = (cfg.acc_spacing_gain, cfg.acc_time_gap,
+                                cfg.acc_speed_gain)
+    delay, max_decel, aeb_decel = (cfg.reaction_delay, cfg.max_decel,
+                                   cfg.aeb_decel)
+    v_f = v_lead + gap / ttc
+    aeb_at = None
+    t = 0.0
+    for step in range(int(round(cfg.horizon / dt))):
+        if gap <= crash:
+            return 1
+        range_rate = v_lead - v_f
+        if range_rate < 0:
+            ttc_inst = -gap / range_rate
+            if ttc_inst < trigger and aeb_at is None:
+                aeb_at = t + delay
+        accel = (spacing * (gap - v_f * time_gap - STANDSTILL_MARGIN)
+                 + speed * range_rate)
+        if accel < -max_decel:
+            accel = -max_decel
+        elif accel > 2.0:
+            accel = 2.0
+        if aeb_at is not None and t >= aeb_at:
+            accel = -aeb_decel
+        v_f = v_f + accel * dt
+        if v_f < 0.0:
+            v_f = 0.0
+        gap += (v_lead - v_f) * dt
+        t += dt
+        if not (math.isfinite(gap) and math.isfinite(v_f)):
+            raise RuntimeError("non-finite simulator state at step %d" % step)
+    return 1 if gap <= crash else 0
 
 
 class TestTtc:
@@ -76,14 +119,11 @@ class TestSimulate:
         rng = np.random.default_rng(99)
         fine = AVConfig(dt=0.005)
         coarse = AVConfig()
-        flips = 0
-        crashes = 0
-        for _ in range(200):
-            e = LaneChangeEvent(v=rng.uniform(3, 30), ttc=rng.uniform(0.3, 4),
-                                range=rng.uniform(2, 60))
-            a = simulate(e, coarse)
-            crashes += a
-            flips += int(a != simulate(e, fine))
+        events = np.array([(rng.uniform(3, 30), rng.uniform(0.3, 4),
+                            rng.uniform(2, 60)) for _ in range(200)])
+        a = simulate_batch(*events.T, coarse)
+        crashes = int(a.sum())
+        flips = int(np.sum(a != simulate_batch(*events.T, fine)))
         assert 20 < crashes < 180  # the sweep straddles the crash boundary
         assert flips <= 2
 
@@ -94,6 +134,51 @@ class TestSimulate:
         expected = np.array([o for _, o in self.CASES])
         assert np.array_equal(ind(X), expected)
         assert ind(X[0]) == expected[0]
+
+    def test_indicator_rejects_nonpositive_reciprocals(self):
+        ind = lane_change_indicator()
+        for bad in ([20.0, 0.0, 0.1], [20.0, 0.5, -0.1]):
+            with pytest.raises(ValueError):
+                ind(np.array([[20.0, 0.5, 0.1], bad]))
+
+
+class TestSimulateBatch:
+    @pytest.mark.parametrize("cfg", [AVConfig(), AVConfig(crash_range=3.0),
+                                     AVConfig(dt=0.005)],
+                             ids=["default", "crash_range_3", "dt_0.005"])
+    def test_matches_per_event_loop(self, cfg):
+        rng = np.random.default_rng(2026)
+        n = 2000
+        v, ttc, range_ = (rng.uniform(3, 30, n), rng.uniform(0.3, 2.0, n),
+                          rng.uniform(1, 40, n))
+        expected = np.array([_reference_simulate(*e, cfg) for e in
+                             zip(v.tolist(), ttc.tolist(), range_.tolist())])
+        got = simulate_batch(v, ttc, range_, cfg)
+        assert got.shape == (n,)
+        assert 0.2 * n < expected.sum() < 0.8 * n  # straddles the boundary
+        assert np.count_nonzero(got != expected) == 0
+
+    def test_edge_rows(self):
+        cfg = AVConfig(crash_range=0.5)
+        # crash at step 0, never closes, crash after braking, safe
+        events = [(10.0, 1.0, 0.4), (20.0, 1e9, 100.0), (8.0, 0.5, 5.0),
+                  (25.0, 5.0, 50.0)]
+        got = simulate_batch(*np.array(events).T, cfg)
+        assert got.tolist() == [1, 0, 1, 0]
+        assert got.tolist() == [_reference_simulate(*e, cfg) for e in events]
+        assert [simulate(LaneChangeEvent(*e), cfg) for e in events] == [1, 0, 1, 0]
+
+    def test_nonpositive_ttc_or_range_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_batch([10.0, 10.0], [1.0, 0.0], [5.0, 5.0])
+        with pytest.raises(ValueError):
+            simulate_batch([10.0, 10.0], [1.0, -2.0], [5.0, 5.0])
+        with pytest.raises(ValueError):
+            simulate_batch([10.0], [1.0], [0.0])
+
+    def test_non_finite_state_raises(self):
+        with pytest.raises(RuntimeError):
+            simulate_batch([10.0, 10.0], [1.0, 1e-300], [5.0, 1e300])
 
 
 class TestAVConfig:
