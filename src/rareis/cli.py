@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__, accel, dompoints, frontier as fr, scenario, tgmm
-from .frontier import DirectionMask, NonMonotoneOutcomeError
+from .frontier import DirectionMask, NonMonotoneOutcomeError, PieceBlowupError
 from .gauss import Rect
 from .dompoints import SolverError
 from .tgmm import DyingComponentError
@@ -303,7 +303,7 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
             report.bounds = (p_lo, p_up)
     except NonMonotoneOutcomeError as err:
         _fail(EXIT_MONOTONE, str(err))
-    except SolverError as err:
+    except (SolverError, PieceBlowupError) as err:
         _fail(EXIT_SOLVER, str(err))
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "report.json"), report.to_json())
@@ -370,7 +370,7 @@ def cmd_bench(model_path, scenario_config, analytic, analytic_params, n,
                                       workers=workers)
     except NonMonotoneOutcomeError as err:
         _fail(EXIT_MONOTONE, str(err))
-    except SolverError as err:
+    except (SolverError, PieceBlowupError) as err:
         _fail(EXIT_SOLVER, str(err))
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

@@ -9,7 +9,6 @@ ordinary GMM M-step.
 import json
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gauss import (GaussComponent, Rect, log_density, rect_prob,
                     sample_truncated, trunc_moments)
@@ -92,6 +91,14 @@ def _component_log_dens(y, m):
     return np.column_stack(cols)
 
 
+def _logsumexp_rows(a):
+    """log(sum(exp(a), axis=1)) for an (n, K) matrix, shifted by each row's max."""
+    top = a.max(axis=1)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(a - shift[:, None]).sum(axis=1))
+
+
 def gmm_log_density(x, m):
     """Log mixture density; -inf outside the support."""
     x = np.asarray(x, dtype=float)
@@ -101,22 +108,27 @@ def gmm_log_density(x, m):
     inside = m.support.contains(X)
     if np.any(inside):
         ld = _component_log_dens(X[inside], m)
-        out[inside] = logsumexp(ld + np.log(m.weights), axis=1)
+        out[inside] = _logsumexp_rows(ld + np.log(m.weights))
     return float(out[0]) if single else out
 
 
-def responsibilities(y, m):
-    """Posterior component memberships, one row per observation."""
+def responsibilities(y, m, return_totals=False):
+    """Posterior component memberships, one row per observation.
+
+    With return_totals, also the per-row log mixture densities, whose sum is
+    the log-likelihood of y.
+    """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if not np.all(m.support.contains(y)):
         bad = int(np.flatnonzero(~m.support.contains(y))[0])
         raise ValueError("row %d lies outside the support" % bad)
     ld = _component_log_dens(y, m) + np.log(m.weights)
-    tot = logsumexp(ld, axis=1)
+    tot = _logsumexp_rows(ld)
     if not np.all(np.isfinite(tot)):
         bad = int(np.flatnonzero(~np.isfinite(tot))[0])
         raise ValueError("row %d has zero density under every component" % bad)
-    return np.exp(ld - tot[:, None])
+    resp = np.exp(ld - tot[:, None])
+    return (resp, tot) if return_totals else resp
 
 
 def _spd_cholesky(cov):
@@ -133,13 +145,17 @@ def _spd_cholesky(cov):
     raise np.linalg.LinAlgError("covariance could not be regularized to SPD")
 
 
-def em_step(y, m):
-    """One EM update; returns a new TruncatedGMM."""
+def em_step(y, m, resp=None):
+    """One EM update; returns a new TruncatedGMM.
+
+    resp, when given, must be responsibilities(y, m); it spares the E-step.
+    """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n, d = y.shape
     if n < m.n_components:
         raise ValueError("need at least K observations")
-    resp = responsibilities(y, m)
+    if resp is None:
+        resp = responsibilities(y, m)
     nk = resp.sum(axis=0)
     new_w = nk / n
     for k, w in enumerate(new_w):
@@ -155,7 +171,7 @@ def em_step(y, m):
         else:
             zero = GaussComponent(np.zeros(d), c.cov)
             shifted = Rect(m.support.lower - c.mean, m.support.upper - c.mean)
-            m1, m2 = trunc_moments(zero, shifted)
+            m1, m2 = trunc_moments(zero, shifted, mass=m.norm_consts[k])
             mk = m1
             Hk = c.cov - m2
         mu = ybar - mk
@@ -208,13 +224,17 @@ def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3,
     for child in np.random.SeedSequence(init_seed).spawn(restarts):
         rng = np.random.default_rng(child)
         model = _init_model(y, K, support, rng, standardizer)
-        trace = [float(np.sum(gmm_log_density(y, model)))]
+        resp, tot = responsibilities(y, model, return_totals=True)
+        trace = [float(np.sum(tot))]
         converged = False
         for it in range(max_iter):
-            model = em_step(y, model)
-            ll = float(np.sum(gmm_log_density(y, model)))
-            if not np.isfinite(ll):
-                raise RuntimeError("non-finite log-likelihood at iteration %d" % (it + 1))
+            model = em_step(y, model, resp)
+            try:
+                resp, tot = responsibilities(y, model, return_totals=True)
+            except ValueError as err:
+                raise RuntimeError("non-finite log-likelihood at iteration %d: %s"
+                                   % (it + 1, err))
+            ll = float(np.sum(tot))
             prev = trace[-1]
             trace.append(ll)
             if abs(ll - prev) < tol * abs(ll):
@@ -224,7 +244,7 @@ def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3,
             report = FitReport(trace, converged, None)
             best = (model, report)
     model, report = best
-    report.bic = bic(model, y)
+    report.bic = bic(model, y, loglik=report.loglik_trace[-1])
     return model, report
 
 
@@ -232,11 +252,14 @@ def n_free_parameters(K, d):
     return (K - 1) + K * d + K * d * (d + 1) // 2
 
 
-def bic(m, y):
-    """Bayesian information criterion; truncation bounds are not counted."""
+def bic(m, y, loglik=None):
+    """Bayesian information criterion; truncation bounds are not counted.
+
+    loglik, when given, must be the log-likelihood of y under m.
+    """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n, d = y.shape
-    ll = float(np.sum(gmm_log_density(y, m)))
+    ll = float(np.sum(gmm_log_density(y, m))) if loglik is None else loglik
     return -2.0 * ll + n_free_parameters(m.n_components, d) * np.log(n)
 
 

@@ -118,6 +118,15 @@ class TestFit:
         r = runner.invoke(main, ["fit", str(path), "--k-list", "3"])
         assert r.exit_code == cli.EXIT_FIT
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_loglik_exit_3(self, runner, data_csv, monkeypatch):
+        far = TruncatedGMM([1.0], [GaussComponent([1e200, 0.0], np.eye(2))],
+                           Rect.unbounded(2))
+        monkeypatch.setattr(tgmm, "em_step", lambda y, m, resp=None: far)
+        r = runner.invoke(main, ["fit", data_csv, "--k-list", "1"])
+        assert r.exit_code == cli.EXIT_FIT
+        assert "non-finite log-likelihood" in r.output
+
 
 class TestRun:
     ARGS = ["--analytic", "mixture-tail", "--analytic-params",
@@ -232,6 +241,21 @@ class TestRun:
         monkeypatch.setattr(cli.accel, "run_procedure", boom)
         r = runner.invoke(main, ["run", model_1d] + self.ARGS)
         assert r.exit_code == cli.EXIT_SOLVER
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_piece_blowup_exit_5(self, runner, tmp_path, command):
+        # the default --max-frontier 12 at d = 5: 5^12 outer pieces
+        model = tmp_path / "model.json"
+        model.write_text(tgmm.model_to_json(TruncatedGMM(
+            [1.0], [GaussComponent(np.zeros(5), np.eye(5))], Rect.unbounded(5))))
+        params = json.dumps({"w": [5 ** -0.5] * 5, "gamma": 4.0})
+        extra = ["--out", str(tmp_path / "run")] if command == "run" else []
+        r = runner.invoke(main, [command, str(model), "--analytic", "halfspace",
+                                 "--analytic-params", params] + extra)
+        assert r.exit_code == cli.EXIT_SOLVER
+        assert isinstance(r.exception, SystemExit)
+        assert "error: d^|s0| = 5^12 exceeds 1e6" in r.output
+        assert "Traceback" not in r.output
 
 
 class TestCrude:

@@ -61,6 +61,24 @@ class TestResponsibilities:
         r = responsibilities(y, truncated_2comp_2d)
         assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_totals_are_the_log_density(self, rng, truncated_2comp_2d):
+        y = gmm_sample(500, truncated_2comp_2d, rng)
+        r, tot = responsibilities(y, truncated_2comp_2d, return_totals=True)
+        assert r.tobytes() == responsibilities(y, truncated_2comp_2d).tobytes()
+        assert np.allclose(tot, gmm_log_density(y, truncated_2comp_2d),
+                           rtol=0, atol=1e-12)
+
+
+def test_logsumexp_rows_matches_scipy(rng):
+    from scipy.special import logsumexp
+    a = rng.normal(0.0, 30.0, size=(1000, 3))
+    a[0] = -np.inf
+    a[1, 0] = -np.inf
+    got = tgmm._logsumexp_rows(a)
+    want = logsumexp(a, axis=1)
+    assert got[0] == -np.inf
+    assert np.allclose(got[1:], want[1:], rtol=1e-14, atol=0)
+
 
 class TestEmStep:
     def test_unbounded_k1_matches_sample_moments(self, rng):
@@ -106,6 +124,12 @@ class TestEmStep:
         assert m.components[0].mean[0] == pytest.approx(best[1], abs=0.02)
         assert np.sqrt(m.components[0].cov[0, 0]) == pytest.approx(best[2], abs=0.02)
 
+    def test_precomputed_responsibilities(self, rng, truncated_2comp_2d):
+        y = gmm_sample(400, truncated_2comp_2d, rng)
+        a = em_step(y, truncated_2comp_2d)
+        b = em_step(y, truncated_2comp_2d, responsibilities(y, truncated_2comp_2d))
+        assert model_to_json(a) == model_to_json(b)
+
     def test_dying_component_error(self, rng):
         comps = [GaussComponent([0.0], [[1.0]]), GaussComponent([500.0], [[1.0]])]
         m = TruncatedGMM([0.5, 0.5], comps, Rect.unbounded(1))
@@ -139,6 +163,21 @@ class TestFit:
             assert a.mean.tobytes() == b.mean.tobytes()
             assert a.cov.tobytes() == b.cov.tobytes()
 
+    def test_loglik_trace_and_bic_from_the_e_step(self, rng, truncated_2comp_2d):
+        y = gmm_sample(1000, truncated_2comp_2d, rng)
+        m, rep = fit(y, 2, truncated_2comp_2d.support, init_seed=1, restarts=1)
+        ll = float(np.sum(gmm_log_density(y, m)))
+        assert rep.loglik_trace[-1] == pytest.approx(ll, rel=1e-13)
+        assert rep.bic == pytest.approx(bic(m, y), rel=1e-13)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_loglik_raises(self, rng, monkeypatch):
+        # a component mean so far out that every row's density is 0
+        far = TruncatedGMM([1.0], [GaussComponent([1e200], [[1.0]])], Rect.unbounded(1))
+        monkeypatch.setattr(tgmm, "em_step", lambda y, m, resp=None: far)
+        with pytest.raises(RuntimeError, match="non-finite log-likelihood at iter"):
+            fit(rng.standard_normal((50, 1)), 1, Rect.unbounded(1), restarts=1)
+
     def test_sample_floor(self, rng):
         with pytest.raises(ValueError):
             fit(rng.standard_normal((15, 1)), 2, Rect.unbounded(1))
@@ -154,6 +193,7 @@ class TestBic:
         y = rng.standard_normal((500, 1))
         ll = np.sum(gmm_log_density(y, m))
         assert bic(m, y) == pytest.approx(-2 * ll + 2 * np.log(500))
+        assert bic(m, y, loglik=-100.0) == pytest.approx(200 + 2 * np.log(500))
 
     def test_sweep_selects_true_k(self, rng, truncated_2comp_2d):
         y = gmm_sample(20_000, truncated_2comp_2d, rng)
