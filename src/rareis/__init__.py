@@ -14,10 +14,9 @@ from .frontier import (DirectionMask, FrontierStore, NonMonotoneOutcomeError,
                        outer_pieces)
 from .dompoints import (DominatingPoint, OrthantPiece, SolverError,
                         inner_dominating, outer_dominating, solve_piece)
-from .accel import (EstimateReport, MixtureISDistribution, ProcedureState,
-                    bound_probabilities, build_is, crude_equiv_n, crude_mc,
-                    estimate, is_log_density, likelihood_ratio, run_procedure,
-                    sample_is)
+from .accel import (EstimateReport, ProcedureState, bound_probabilities,
+                    build_is, crude_equiv_n, crude_mc, estimate,
+                    likelihood_ratio, run_procedure, sample_is, thin_frontier)
 from .scenario import (AVConfig, LaneChangeEvent, analytic_scenario,
                        check_monotone, lane_change_indicator,
                        lane_change_mask, simulate, ttc_from_range_rate)

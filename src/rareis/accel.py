@@ -9,41 +9,20 @@ intervals and crude Monte Carlo comparisons.
 import json
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import dompoints, frontier as fr
-from .gauss import GaussComponent, Rect, log_density, rect_prob, sample_truncated
-from .tgmm import gmm_log_density, gmm_sample
-
-
-class MixtureISDistribution:
-    """Weighted mixture of mean-shifted base components, truncated to the support."""
-
-    def __init__(self, parts, base, rho):
-        if not parts:
-            raise ValueError("IS mixture needs at least one part")
-        total = sum(w for w, _, _ in parts)
-        self.parts = [(w / total, np.asarray(mean, dtype=float), int(idx))
-                      for w, mean, idx in parts]
-        self.base = base
-        self.rho = float(rho)
-        self._shifted = [GaussComponent(mean, base.components[idx].cov)
-                         for _, mean, idx in self.parts]
-        self._log_nc = np.array([np.log(rect_prob(c, base.support))
-                                 for c in self._shifted])
-        self._log_w = np.log(np.array([w for w, _, _ in self.parts]))
-        for _, mean, _ in self.parts:
-            if not base.support.contains(mean):
-                raise ValueError("IS part mean %s lies outside the support"
-                                 % mean.tolist())
-
-    @property
-    def n_parts(self):
-        return len(self.parts)
+# rect_prob stays bound here: bench/test_bench.py checks that the tracer
+# rebinds it at accel.rect_prob.
+from .gauss import GaussComponent, rect_prob  # noqa: F401
+from .tgmm import TruncatedGMM, gmm_log_density, gmm_sample
 
 
 def build_is(gmm, a_inner, a_outer, rho):
-    """rho-blend of the inner-set and outer-set mean-shifted mixtures."""
+    """rho-blend of the inner-set and outer-set mean-shifted mixtures.
+
+    The proposal is itself a TruncatedGMM: one part per dominating point,
+    the base component moved to that point and truncated to the base support.
+    """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     parts = []
@@ -59,28 +38,21 @@ def build_is(gmm, a_inner, a_outer, rho):
         for i, pts in enumerate(a_outer):
             for p in pts:
                 parts.append(((1.0 - rho) * gmm.weights[i] / len(pts), p, i))
-    return MixtureISDistribution(parts, gmm, rho)
-
-
-def is_log_density(x, q):
-    """Log density of the IS mixture; -inf outside the support."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    out = np.full(X.shape[0], -np.inf)
-    inside = q.base.support.contains(X)
-    if np.any(inside):
-        cols = [log_density(X[inside], c) - q._log_nc[j]
-                for j, c in enumerate(q._shifted)]
-        out[inside] = logsumexp(np.column_stack(cols) + q._log_w, axis=1)
-    return float(out[0]) if single else out
+    for _, mean, _ in parts:
+        if not gmm.support.contains(mean):
+            raise ValueError("IS part mean %s lies outside the support"
+                             % np.asarray(mean).tolist())
+    # Python sum, not a numpy reduction: the multinomial draws in sample_is
+    # depend on the last bits of these weights.
+    total = sum(w for w, _, _ in parts)
+    return TruncatedGMM([w / total for w, _, _ in parts],
+                        [GaussComponent(mean, gmm.components[i].cov)
+                         for _, mean, i in parts], gmm.support)
 
 
 def likelihood_ratio(x, gmm, q):
     """dF/dF* at x; exact for the truncated densities on both sides."""
-    num = gmm_log_density(x, gmm)
-    den = is_log_density(x, q)
-    ratio = np.exp(num - den)
+    ratio = np.exp(gmm_log_density(x, gmm) - gmm_log_density(x, q))
     if not np.all(np.isfinite(np.atleast_1d(ratio))):
         raise ValueError("non-finite likelihood ratio (support mismatch) at x=%s"
                          % np.asarray(x).tolist())
@@ -88,14 +60,8 @@ def likelihood_ratio(x, gmm, q):
 
 
 def sample_is(n, q, rng):
-    """n draws from the IS mixture, all inside the support."""
-    counts = rng.multinomial(n, [w for w, _, _ in q.parts])
-    blocks = []
-    for j, c in enumerate(q._shifted):
-        if counts[j] > 0:
-            blocks.append(sample_truncated(counts[j], c, q.base.support, rng))
-    out = np.concatenate(blocks, axis=0)
-    return out[rng.permutation(n)]
+    """n draws from the IS proposal q (any TruncatedGMM), all inside its support."""
+    return gmm_sample(n, q, rng)
 
 
 class EstimateReport:
@@ -154,20 +120,16 @@ def _chunk_sizes(n, workers):
     return [s for s in sizes if s > 0]
 
 
-def _estimate_values(indicator, gmm, q, n, seed, workers):
-    """Weighted indicator values I*L, sharded deterministically across workers."""
+def _sharded_draws(indicator, q, n, seed, workers):
+    """(X, hits) per seed shard of n draws from q, the shards run in turn.
+
+    The shard count fixes the random streams, so a different workers value
+    gives a different estimate.
+    """
     children = np.random.SeedSequence(seed).spawn(workers)
-    vals = []
     for size, child in zip(_chunk_sizes(n, workers), children):
-        rng = np.random.default_rng(child)
-        X = sample_is(size, q, rng)
-        hits = apply_indicator(indicator, X)
-        il = np.zeros(size)
-        if np.any(hits == 1):
-            idx = hits == 1
-            il[idx] = likelihood_ratio(X[idx], gmm, q)
-        vals.append(il)
-    return np.concatenate(vals)
+        X = sample_is(size, q, np.random.default_rng(child))
+        yield X, apply_indicator(indicator, X)
 
 
 def estimate(indicator, gmm, q, n, seed, workers=1, bounds=(0.0, 1.0),
@@ -175,7 +137,14 @@ def estimate(indicator, gmm, q, n, seed, workers=1, bounds=(0.0, 1.0),
     """Importance-sampling estimate of P(indicator = 1) under the base model."""
     if n < 100:
         raise ValueError("n must be >= 100")
-    il = _estimate_values(indicator, gmm, q, n, seed, workers)
+    vals = []
+    for X, hits in _sharded_draws(indicator, q, n, seed, workers):
+        il = np.zeros(X.shape[0])
+        idx = hits == 1
+        if np.any(idx):
+            il[idx] = likelihood_ratio(X[idx], gmm, q)
+        vals.append(il)
+    il = np.concatenate(vals)
     p_hat = float(il.mean())
     stderr = float(il.std(ddof=1) / np.sqrt(n))
     hits = il > 0
@@ -189,16 +158,11 @@ def estimate(indicator, gmm, q, n, seed, workers=1, bounds=(0.0, 1.0),
 
 def crude_mc(indicator, gmm, n, seed, workers=1, bounds=(0.0, 1.0),
              return_values=False):
-    """Plain Monte Carlo under the base model."""
+    """Plain Monte Carlo under the base model: IS with the base as proposal."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(workers)
-    vals = []
-    for size, child in zip(_chunk_sizes(n, workers), children):
-        rng = np.random.default_rng(child)
-        X = gmm_sample(size, gmm, rng)
-        vals.append(apply_indicator(indicator, X).astype(float))
-    hits = np.concatenate(vals)
+    hits = np.concatenate([h.astype(float) for _, h in
+                           _sharded_draws(indicator, gmm, n, seed, workers)])
     p_hat = float(hits.mean())
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
     report = EstimateReport(p_hat, stderr, n, 1.0 if p_hat > 0 else 0.0,
@@ -231,22 +195,25 @@ class ProcedureState:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _thin_s1(gmm, s1, signs, cap):
-    """Keep the rare frontier points with highest base density (most mass nearby)."""
-    if s1.shape[0] <= cap:
-        return s1
-    dens = gmm_log_density(s1 * signs, gmm)
-    order = np.argsort(-dens, kind="stable")[:cap]
-    return s1[np.sort(order)]
+def _top(score, cap):
+    """Row indices of the cap highest scores, ties to the earlier row, in row order."""
+    return np.sort(np.argsort(-score, kind="stable")[:cap])
 
 
-def _thin_s0(s0, cap):
-    """Keep the safe frontier points reaching farthest into the canonical cone."""
-    if s0.shape[0] <= cap:
-        return s0
-    score = s0.sum(axis=1)
-    order = np.argsort(-score, kind="stable")[:cap]
-    return s0[np.sort(order)]
+def thin_frontier(gmm, store, cap):
+    """The store with at most cap rare and cap safe frontier points.
+
+    Keeps the rare points with the highest base density (most mass nearby)
+    and the safe points reaching farthest into the canonical cone. Dropping
+    frontier points only loosens the inner and outer approximations, never
+    invalidates them.
+    """
+    s1, s0 = store.s1, store.s0
+    if s1.shape[0] > cap:
+        s1 = s1[_top(gmm_log_density(s1 * store.mask.signs, gmm), cap)]
+    if s0.shape[0] > cap:
+        s0 = s0[_top(s0.sum(axis=1), cap)]
+    return fr.FrontierStore(store.mask, s1, s0)
 
 
 def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
@@ -256,8 +223,7 @@ def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
 
     Thinning: Pareto fronts in d >= 3 routinely exceed any small cap after a
     single batch, so the frontier cap acts as a construction-time thinning
-    limit (dropping frontier points only loosens the approximations, never
-    invalidates them) rather than a hard stop.
+    limit (thin_frontier) rather than a hard stop.
     """
     signs = mask.signs
     store = fr.FrontierStore(mask)
@@ -278,11 +244,9 @@ def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
         for x, h in zip(X, hits):
             store = fr.insert(store, x, "rare" if h else "safe")
         calls += n_per_iter
-        s1 = _thin_s1(gmm, store.s1, signs, max_frontier)
-        s0 = _thin_s0(store.s0, max_frontier)
-        a_inner = dompoints.inner_dominating(gmm, s1, signs)
-        if s0.shape[0]:
-            thinned = fr.FrontierStore(mask, store.s1, s0)
+        thinned = thin_frontier(gmm, store, max_frontier)
+        a_inner = dompoints.inner_dominating(gmm, thinned.s1, signs)
+        if thinned.s0.shape[0]:
             corners, _ = fr.outer_pieces(thinned, cap=piece_cap)
             a_outer, _ = dompoints.outer_dominating(gmm, list(corners),
                                                     cap=piece_cap, signs=signs)

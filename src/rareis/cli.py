@@ -183,7 +183,11 @@ def _scenario_options(procedure):
                  click.option("--max-frontier", default=12, show_default=True),
                  click.option("--rho", default=0.0, show_default=True)]
     opts += [click.option("--seed", default=0, show_default=True),
-             click.option("--workers", default=1, show_default=True)]
+             click.option("--workers", default=1, show_default=True,
+                          help="Number of deterministic seed shards of the "
+                               "estimate's draws, run one after another in "
+                               "this process; a different value gives a "
+                               "different estimate stream.")]
 
     def apply(f):
         for opt in reversed(opts):
@@ -293,10 +297,7 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
             max_frontier, rho)
         if bound_n >= 100 and (state.frontier.s1.shape[0]
                                or state.frontier.s0.shape[0]):
-            thinned = fr.FrontierStore(
-                mask, accel._thin_s1(model, state.frontier.s1, mask.signs,
-                                     max_frontier),
-                accel._thin_s0(state.frontier.s0, max_frontier))
+            thinned = accel.thin_frontier(model, state.frontier, max_frontier)
             p_lo, p_up, _, _ = accel.bound_probabilities(model, thinned,
                                                          bound_n, seed + 2,
                                                          workers)

@@ -133,21 +133,13 @@ def _outer_safe_mask(store, Z):
 def bound_indicators(store):
     """Cheap inner/outer indicator functions with inner <= outer pointwise.
 
-    Both accept a single point or an (n, d) matrix and return {0,1} values.
+    Both map an (n, d) matrix to (n,) values in {0, 1}.
     """
-    def inner_fn(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        Z = np.atleast_2d(x) * store.mask.signs
-        out = _inner_mask(store, Z).astype(int)
-        return int(out[0]) if single else out
+    def inner_fn(X):
+        return _inner_mask(store, store.mask.canonicalize(X)).astype(int)
 
-    def outer_fn(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        Z = np.atleast_2d(x) * store.mask.signs
-        out = (~_outer_safe_mask(store, Z)).astype(int)
-        return int(out[0]) if single else out
+    def outer_fn(X):
+        return (~_outer_safe_mask(store, store.mask.canonicalize(X))).astype(int)
 
     return inner_fn, outer_fn
 

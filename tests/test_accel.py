@@ -4,8 +4,8 @@ from scipy.special import ndtr
 
 from rareis import accel, analytic_scenario
 from rareis.accel import (build_is, bound_probabilities, crude_equiv_n,
-                          crude_mc, estimate, is_log_density, likelihood_ratio,
-                          run_procedure, sample_is)
+                          crude_mc, estimate, likelihood_ratio, run_procedure,
+                          sample_is)
 from rareis.frontier import DirectionMask, FrontierStore, insert
 from rareis.gauss import GaussComponent, Rect, log_density, rect_prob
 from rareis.tgmm import TruncatedGMM, gmm_log_density
@@ -25,21 +25,21 @@ class TestBuildIs:
     def test_rho_zero_uses_outer_only(self):
         gmm = gauss1d()
         q = build_is(gmm, [[np.array([9.0])]], [[np.array([3.0])]], 0.0)
-        assert q.n_parts == 1
-        assert q.parts[0][1][0] == 3.0
+        assert q.n_components == 1
+        assert q.components[0].mean[0] == 3.0
 
     def test_unshifted_mean_equals_base(self, rng):
         gmm = gauss1d(0.5, 2.0)
         q = build_is(gmm, [[np.array([0.5])]], [[np.array([0.5])]], 0.5)
         x = rng.standard_normal((50, 1)) * 2
-        assert np.allclose(is_log_density(x, q), gmm_log_density(x, gmm), atol=1e-12)
+        assert np.allclose(gmm_log_density(x, q), gmm_log_density(x, gmm), atol=1e-12)
 
     def test_part_weight_arithmetic(self):
         gmm = two_comp()
         gmm.weights[:] = [0.3, 0.7]
         a_outer = [[np.zeros(2), np.ones(2)], [np.full(2, 2.0)]]
         q = build_is(gmm, [[], []], a_outer, 0.0)
-        weights = sorted(w for w, _, _ in q.parts)
+        weights = sorted(q.weights)
         assert np.allclose(weights, [0.15, 0.15, 0.7])
 
     def test_rho_one_with_empty_inner_errors(self):
@@ -62,13 +62,13 @@ class TestIsLogDensity:
         x = np.array([0.7])
         c = GaussComponent([1.0], [[1.0]])
         expected = log_density(x, c) - np.log(rect_prob(c, support))
-        assert is_log_density(x, q) == pytest.approx(expected, abs=1e-10)
+        assert gmm_log_density(x, q) == pytest.approx(expected, abs=1e-10)
 
     def test_outside_support(self):
         support = Rect([0.0], [np.inf])
         gmm = TruncatedGMM([1.0], [GaussComponent([0.5], [[1.0]])], support)
         q = build_is(gmm, [[]], [[np.array([1.0])]], 0.0)
-        assert is_log_density(np.array([-1.0]), q) == -np.inf
+        assert gmm_log_density(np.array([-1.0]), q) == -np.inf
 
     def test_three_part_hand_composition(self):
         gmm = gauss1d()
@@ -77,8 +77,8 @@ class TestIsLogDensity:
         x = 0.8
         direct = np.mean([np.exp(-0.5 * (x - m) ** 2) / np.sqrt(2 * np.pi)
                           for m in means])
-        assert is_log_density(np.array([x]), q) == pytest.approx(np.log(direct),
-                                                                 rel=1e-12)
+        assert gmm_log_density(np.array([x]), q) == pytest.approx(np.log(direct),
+                                                                  rel=1e-12)
 
 
 class TestLikelihoodRatio:
@@ -106,6 +106,39 @@ class TestLikelihoodRatio:
                            for m in means])
             got = likelihood_ratio(np.array([x]), gmm, q)
             assert got == pytest.approx(num / den, rel=1e-10)
+
+
+    def test_truncated_parts_with_component_covariances(self, rng):
+        # Each part keeps its own base component's covariance and its own
+        # normalizer on the bounded support; the oracle composes both
+        # mixtures from gauss primitives alone.
+        support = Rect([-1.0, -0.5], [3.0, 2.5])
+        base = [GaussComponent([0.0, 0.5], [[1.0, 0.4], [0.4, 0.8]]),
+                GaussComponent([1.5, 1.0], [[0.3, -0.1], [-0.1, 1.6]])]
+        weights = [0.35, 0.65]
+        gmm = TruncatedGMM(weights, base, support)
+        a_inner = [[np.array([1.0, 1.5])],
+                   [np.array([2.5, 0.0]), np.array([0.5, 2.0])]]
+        a_outer = [[np.array([-0.5, 2.0]), np.array([2.0, -0.2])],
+                   [np.array([2.8, 2.2]), np.array([0.0, 0.0]),
+                    np.array([1.0, 2.4])]]
+        rho = 0.3
+        q = build_is(gmm, a_inner, a_outer, rho)
+        assert q.n_components == 8
+
+        def trunc_dens(X, c):
+            return np.exp(log_density(X, c)) / rect_prob(c, support)
+
+        X = rng.uniform(support.lower, support.upper, size=(200, 2))
+        num = sum(w * trunc_dens(X, c) for w, c in zip(weights, base))
+        den = np.zeros(X.shape[0])
+        for share, sets in ((rho, a_inner), (1.0 - rho, a_outer)):
+            for w, c, pts in zip(weights, base, sets):
+                for p in pts:
+                    den += (share * w / len(pts)
+                            * trunc_dens(X, GaussComponent(p, c.cov)))
+        assert np.allclose(likelihood_ratio(X, gmm, q), num / den,
+                           rtol=1e-10, atol=0)
 
 
 def tail_setup(gamma=4.0):
@@ -216,7 +249,7 @@ class TestRunProcedure:
         state, q = run_procedure(ind, gmm, mask, max_iter=0, seed=0)
         assert state.simulator_calls == 0
         x = rng.standard_normal((30, 1))
-        assert np.allclose(is_log_density(x, q), gmm_log_density(x, gmm), atol=1e-12)
+        assert np.allclose(gmm_log_density(x, q), gmm_log_density(x, gmm), atol=1e-12)
 
     def test_1d_threshold_one_iteration(self):
         gmm = gauss1d()
@@ -254,6 +287,27 @@ class TestRunProcedure:
         rhos = [h["rho"] for h in state.history]
         assert rhos[0] == 0.0
         assert 0.5 in rhos
+
+
+class TestThinFrontier:
+    def test_under_cap_unchanged(self):
+        store = FrontierStore(DirectionMask([1.0, 1.0]), [[1.0, 2.0]], [[0.0, 0.0]])
+        thinned = accel.thin_frontier(two_comp(), store, 1)
+        assert np.array_equal(thinned.s1, store.s1)
+        assert np.array_equal(thinned.s0, store.s0)
+
+    def test_keeps_densest_rare_and_farthest_safe_in_row_order(self):
+        gmm = TruncatedGMM([1.0], [GaussComponent(np.zeros(2), np.eye(2))],
+                           Rect.unbounded(2))
+        mask = DirectionMask([1.0, -1.0])
+        s1 = [[3.0, 3.0], [0.5, 0.5], [1.0, 0.0], [4.0, 0.0]]
+        s0 = [[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 5.0]]
+        thinned = accel.thin_frontier(gmm, FrontierStore(mask, s1, s0), 2)
+        assert thinned.mask is mask
+        assert thinned.s1.tolist() == [[0.5, 0.5], [1.0, 0.0]]
+        # coordinate sums 1, 1, 2, 2: both 2s, then the earlier 1 at cap 3
+        thinned = accel.thin_frontier(gmm, FrontierStore(mask, s1, s0), 3)
+        assert thinned.s0.tolist() == [[0.0, 1.0], [1.0, 1.0], [-3.0, 5.0]]
 
 
 class TestBoundProbabilities:

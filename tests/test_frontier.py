@@ -190,12 +190,13 @@ class TestBoundIndicators:
     def test_empty_store_vacuous(self):
         inner_fn, outer_fn = bound_indicators(store2d())
         x = np.array([0.3, -1.0])
-        assert inner_fn(x) == 0 and outer_fn(x) == 1
+        assert inner_fn(x[None])[0] == 0 and outer_fn(x[None])[0] == 1
 
     def test_inner_rare_point(self):
         s = insert(store2d(), np.array([1.0, 1.0]), "rare")
         inner_fn, outer_fn = bound_indicators(s)
-        assert (inner_fn(np.array([2.0, 2.0])), outer_fn(np.array([2.0, 2.0]))) == (1, 1)
+        x = np.array([2.0, 2.0])
+        assert (inner_fn(x[None])[0], outer_fn(x[None])[0]) == (1, 1)
 
     def test_grid_agreement_with_set_formulas(self, rng):
         s = store2d()
