@@ -9,9 +9,8 @@ from .tgmm import (AffineStandardizer, DyingComponentError, FitReport,
                    gmm_sample, model_from_json, model_to_json,
                    responsibilities, standardize)
 from .frontier import (DirectionMask, FrontierStore, NonMonotoneOutcomeError,
-                       PieceBlowupError, Region, bound_indicators, classify,
-                       frontier_from_json, frontier_to_json, insert,
-                       outer_pieces)
+                       PieceBlowupError, bound_indicators, frontier_from_json,
+                       frontier_to_json, insert, outer_pieces)
 from .dompoints import (DominatingPoint, OrthantPiece, SolverError,
                         inner_dominating, outer_dominating, solve_piece)
 from .accel import (EstimateReport, ProcedureState, bound_probabilities,

@@ -217,13 +217,13 @@ def thin_frontier(gmm, store, cap):
 
 
 def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
-                  max_frontier=12, rho_policy=None, final_rho=0.0, seed=0,
-                  piece_cap=4096):
+                  max_frontier=12, final_rho=0.0, seed=0):
     """Iterative frontier learning and dominating-point IS construction.
 
     Thinning: Pareto fronts in d >= 3 routinely exceed any small cap after a
     single batch, so the frontier cap acts as a construction-time thinning
-    limit (thin_frontier) rather than a hard stop.
+    limit (thin_frontier) rather than a hard stop.  The proposal blends in
+    the inner part (rho = 0.5) once a rare point has been seen.
     """
     signs = mask.signs
     store = fr.FrontierStore(mask)
@@ -234,22 +234,18 @@ def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
     calls = 0
     it = 0
     for it in range(1, max_iter + 1):
-        if rho_policy is None:
-            rho = 0.0 if store.s1.shape[0] == 0 else 0.5
-        else:
-            rho = float(rho_policy)
+        rho = 0.0 if store.s1.shape[0] == 0 else 0.5
         q = build_is(gmm, a_inner, a_outer, rho)
         X = sample_is(n_per_iter, q, rng)
         hits = apply_indicator(indicator, X)
-        for x, h in zip(X, hits):
-            store = fr.insert(store, x, "rare" if h else "safe")
+        store = fr.insert(store, X, hits)
         calls += n_per_iter
         thinned = thin_frontier(gmm, store, max_frontier)
         a_inner = dompoints.inner_dominating(gmm, thinned.s1, signs)
         if thinned.s0.shape[0]:
-            corners, _ = fr.outer_pieces(thinned, cap=piece_cap)
+            corners, _ = fr.outer_pieces(thinned)
             a_outer, _ = dompoints.outer_dominating(gmm, list(corners),
-                                                    cap=piece_cap, signs=signs)
+                                                    signs=signs)
         history.append({
             "iteration": it,
             "rho": rho,

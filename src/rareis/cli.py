@@ -176,14 +176,20 @@ def _scenario_options(procedure):
                          help="Analytic scenario kind: halfspace, orthant, mixture-tail."),
             click.option("--analytic-params", default=None,
                          help="JSON scenario parameters."),
-            click.option("--n", default=10000, show_default=True)]
+            click.option("--n", default=10000, show_default=True,
+                         type=click.IntRange(min=100 if procedure else 1))]
     if procedure:
-        opts += [click.option("--n-per-iter", default=500, show_default=True),
+        opts += [click.option("--n-per-iter", default=500, show_default=True,
+                              type=click.IntRange(min=1)),
                  click.option("--max-iter", default=4, show_default=True),
-                 click.option("--max-frontier", default=12, show_default=True),
-                 click.option("--rho", default=0.0, show_default=True)]
-    opts += [click.option("--seed", default=0, show_default=True),
+                 click.option("--max-frontier", default=12, show_default=True,
+                              type=click.IntRange(min=1)),
+                 click.option("--rho", default=0.0, show_default=True,
+                              type=click.FloatRange(0.0, 1.0))]
+    opts += [click.option("--seed", default=0, show_default=True,
+                          type=click.IntRange(min=0)),
              click.option("--workers", default=1, show_default=True,
+                          type=click.IntRange(min=1),
                           help="Number of deterministic seed shards of the "
                                "estimate's draws, run one after another in "
                                "this process; a different value gives a "
@@ -213,7 +219,8 @@ def main():
               default="raw", show_default=True,
               help="lane-change expects v,ttc,range columns and fits "
                    "(v, 1/ttc, 1/range).")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--out", "out_dir", default=".", show_default=True)
 def cmd_fit(csv_path, k_list, support_spec, coords, seed, out_dir):
     """Standardize data, fit each K, write a BIC table and the best model."""
@@ -287,8 +294,6 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
             out_dir):
     """Run the iterative IS construction, then a final estimate."""
     t0 = time.time()
-    if n < 100:
-        _fail(EXIT_INPUT, "--n must be >= 100")
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
     try:
@@ -333,8 +338,6 @@ def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
               workers, out_dir):
     """Crude Monte Carlo baseline under the fitted model."""
     t0 = time.time()
-    if n < 1:
-        _fail(EXIT_INPUT, "--n must be >= 1")
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
     try:
@@ -359,8 +362,6 @@ def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
 def cmd_bench(model_path, scenario_config, analytic, analytic_params, n,
               n_per_iter, max_iter, max_frontier, rho, seed, workers):
     """Both estimators at equal n; prints a CSV efficiency table."""
-    if n < 100:
-        _fail(EXIT_INPUT, "--n must be >= 100")
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
     try:

@@ -43,10 +43,8 @@ class OrthantPiece:
 
 
 class DominatingPoint:
-    def __init__(self, point, component_index, piece, kkt_residual):
+    def __init__(self, point, kkt_residual):
         self.point = np.asarray(point, dtype=float)
-        self.component_index = int(component_index)
-        self.piece = piece
         self.kkt_residual = float(kkt_residual)
 
 
@@ -139,7 +137,7 @@ def solve_piece(c, piece, max_iter=None):
     res = _kkt_residual(H, c.mean, piece.lower, piece.upper, x)
     if res > 1e-6:
         raise SolverError("KKT residual %.3g exceeds 1e-6" % res, last_iterate=x)
-    return DominatingPoint(x, -1, piece, res)
+    return DominatingPoint(x, res)
 
 
 def canonical_corner_to_box(corner, signs, support):

@@ -9,7 +9,6 @@ so the set is non-decreasing internally.
 """
 
 import json
-from enum import Enum
 
 import numpy as np
 
@@ -27,12 +26,6 @@ class NonMonotoneOutcomeError(RuntimeError):
 
 class PieceBlowupError(RuntimeError):
     """Outer-piece enumeration d^{|s0|} exceeds the tractable limit."""
-
-
-class Region(Enum):
-    InnerRare = "inner_rare"
-    OuterSafe = "outer_safe"
-    Unknown = "unknown"
 
 
 class DirectionMask:
@@ -70,58 +63,64 @@ class FrontierStore:
         return self.mask.dim
 
 
-def _dominated_by_any(x, front):
-    # some frontier point <= x componentwise
-    return front.shape[0] > 0 and bool(np.any(np.all(front <= x, axis=1)))
+# Rows folded into the running frontier per step of _minimal; 128 was
+# fastest on the frontiers of the analytic and lane-change runs.
+_BLOCK = 128
 
 
-def _dominates_any(x, front):
-    return front.shape[0] > 0 and bool(np.any(np.all(front >= x, axis=1)))
+def _leq(A, B):
+    """(len(A), len(B)) matrix of A[i] <= B[j] in every coordinate."""
+    out = A[:, None, 0] <= B[None, :, 0]
+    for k in range(1, A.shape[1]):
+        out &= A[:, None, k] <= B[None, :, k]
+    return out
 
 
-def insert(store, x, label):
-    """Add a labeled observation, pruning so both frontiers stay minimal/maximal."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("inserted point must be finite")
-    z = store.mask.canonicalize(x)
-    if label == "rare":
-        if store.s0.shape[0]:
-            below = np.all(z <= store.s0, axis=1)
-            if np.any(below):
-                raise NonMonotoneOutcomeError(z, store.s0[np.argmax(below)])
-        if _dominated_by_any(z, store.s1):
-            return store
-        keep = ~np.all(store.s1 >= z, axis=1) if store.s1.shape[0] else np.zeros(0, bool)
-        s1 = np.vstack([store.s1[keep], z])
-        return FrontierStore(store.mask, s1, store.s0)
-    elif label == "safe":
-        if store.s1.shape[0]:
-            above = np.all(store.s1 <= z, axis=1)
-            if np.any(above):
-                raise NonMonotoneOutcomeError(store.s1[np.argmax(above)], z)
-        if _dominates_any(z, store.s0):
-            return store
-        keep = ~np.all(store.s0 <= z, axis=1) if store.s0.shape[0] else np.zeros(0, bool)
-        s0 = np.vstack([store.s0[keep], z])
-        return FrontierStore(store.mask, store.s1, s0)
-    raise ValueError("label must be 'rare' or 'safe'")
+def _minimal(P):
+    """Rows of P that no other row is <= componentwise, in row order.
+
+    Of equal rows only the first is kept.  P is folded into the frontier in
+    _BLOCK-row blocks.  A block row survives unless a frontier row is <= it,
+    or another block row is <= it and either differs from it or comes first.
+    A frontier row survives unless a block row is <= it and differs from it.
+    Frontier rows are never compared with each other again, so one fold
+    costs O(|frontier| x _BLOCK x d).
+    """
+    front = P[:0]
+    for start in range(0, P.shape[0], _BLOCK):
+        blk = P[start:start + _BLOCK]
+        fb = _leq(front, blk)
+        bb = _leq(blk, blk)
+        earlier = np.triu(np.ones(bb.shape, dtype=bool), 1)  # bb[j, i] with j < i
+        keep_blk = ~(fb.any(axis=0) | np.any(bb & (~bb.T | earlier), axis=0))
+        keep_front = ~np.any(_leq(blk, front) & ~fb.T, axis=0)
+        front = np.vstack([front[keep_front], blk[keep_blk]])
+    return front
 
 
-def classify(store, x):
-    """InnerRare / OuterSafe / Unknown for a single point (original coordinates)."""
-    z = store.mask.canonicalize(x)
-    if store.s1.shape[0] and np.any(np.all(z >= store.s1, axis=1)):
-        return Region.InnerRare
-    if store.s0.shape[0] and np.any(np.all(z < store.s0, axis=1)):
-        return Region.OuterSafe
-    return Region.Unknown
+def insert(store, X, hits):
+    """Add a batch of (n, d) draws with their (n,) 0/1 outcomes; returns a new store.
 
-
-def _inner_mask(store, Z):
-    if store.s1.shape[0] == 0:
-        return np.zeros(Z.shape[0], dtype=bool)
-    return np.any(np.all(Z[:, None, :] >= store.s1[None], axis=2), axis=1)
+    The rare frontier keeps the minimal points, the safe frontier the maximal
+    ones, the earlier of equal points in both.  Raises NonMonotoneOutcomeError
+    for the first rare point <= some safe point.
+    """
+    X = np.asarray(X, dtype=float)
+    hits = np.asarray(hits)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("inserted points must be finite")
+    if (X.ndim != 2 or hits.shape != (X.shape[0],)
+            or not np.all((hits == 0) | (hits == 1))):
+        raise ValueError("want (n, d) points and (n,) outcomes in {0, 1}; got "
+                         "shapes %s and %s" % (X.shape, hits.shape))
+    Z = store.mask.canonicalize(X)
+    s1 = _minimal(np.vstack([store.s1, Z[hits == 1]]))
+    s0 = -_minimal(-np.vstack([store.s0, Z[hits == 0]]))
+    conflict = _leq(s1, s0)
+    if np.any(conflict):
+        i, j = np.argwhere(conflict)[0]
+        raise NonMonotoneOutcomeError(s1[i], s0[j])
+    return FrontierStore(store.mask, s1, s0)
 
 
 def _outer_safe_mask(store, Z):
@@ -136,32 +135,12 @@ def bound_indicators(store):
     Both map an (n, d) matrix to (n,) values in {0, 1}.
     """
     def inner_fn(X):
-        return _inner_mask(store, store.mask.canonicalize(X)).astype(int)
+        return _leq(store.s1, store.mask.canonicalize(X)).any(axis=0).astype(int)
 
     def outer_fn(X):
         return (~_outer_safe_mask(store, store.mask.canonicalize(X))).astype(int)
 
     return inner_fn, outer_fn
-
-
-def _prune_corners(corners):
-    """Drop duplicate corners and corners whose orthant is contained in another's."""
-    if corners.shape[0] <= 1:
-        return corners
-    corners = np.unique(corners, axis=0)
-    n = corners.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        leq = np.all(corners <= corners[i], axis=1)
-        geq = np.all(corners >= corners[i], axis=1)
-        # strictly-smaller corner elsewhere means orthant i is contained
-        contained = leq & ~(leq & geq)
-        contained[i] = False
-        if np.any(contained & keep):
-            keep[i] = False
-    return corners[keep]
 
 
 def outer_pieces(store, cap=4096):
@@ -184,7 +163,7 @@ def outer_pieces(store, cap=4096):
         for i in range(d):
             rows = slice(i, expanded.shape[0], d)
             expanded[rows, i] = np.maximum(expanded[rows, i], b[i])
-        corners = _prune_corners(expanded)
+        corners = _minimal(np.unique(expanded, axis=0))
     truncated = False
     if corners.shape[0] > cap:
         # keep the pieces closest to the origin of the canonical coordinates:

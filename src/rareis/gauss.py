@@ -433,26 +433,12 @@ def _trunc_moments_zero(cov, a, b, mass=None):
     return m1, m2
 
 
-def _trunc_moments_1d(var, a, b):
-    s = np.sqrt(var)
-    za, zb = a / s, b / s
-    alpha = float(_interval_probs(za, zb))
-    if alpha < 1e-12:
-        raise DegenerateTruncationError("1-d truncation mass %.3g below 1e-12" % alpha)
-    pa = 0.0 if not np.isfinite(za) else np.exp(-0.5 * za * za) / np.sqrt(2 * np.pi)
-    pb = 0.0 if not np.isfinite(zb) else np.exp(-0.5 * zb * zb) / np.sqrt(2 * np.pi)
-    m1 = s * (pa - pb) / alpha
-    edge = (0.0 if pa == 0.0 else za * pa) - (0.0 if pb == 0.0 else zb * pb)
-    m2 = var * (1.0 + edge / alpha)
-    return np.array([m1]), np.array([[m2]])
-
-
 def trunc_moments(c, r, mass=None):
     """First moment and raw second moment of N(mean, cov) truncated to r.
 
-    Computed through the standard recursion expressing truncated-normal
-    moments via lower-dimensional rectangle probabilities; closed form at
-    d = 1.  mass, when given, must be rect_prob(c, r); it spares that
+    Computed through the Manjunath-Wilhelm recursion expressing
+    truncated-normal moments via lower-dimensional rectangle probabilities,
+    at every d.  mass, when given, must be rect_prob(c, r); it spares that
     integral.  Raises DegenerateTruncationError when the truncation mass is
     below 1e-12.
     """
@@ -462,10 +448,7 @@ def trunc_moments(c, r, mass=None):
         return c.mean.copy(), c.cov + np.outer(c.mean, c.mean)
     a = r.lower - c.mean
     b = r.upper - c.mean
-    if c.dim == 1:
-        m1z, m2z = _trunc_moments_1d(c.cov[0, 0], a[0], b[0])
-    else:
-        m1z, m2z = _trunc_moments_zero(c.cov, a, b, mass)
+    m1z, m2z = _trunc_moments_zero(c.cov, a, b, mass)
     m1 = c.mean + m1z
     m2 = m2z + np.outer(c.mean, m1z) + np.outer(m1z, c.mean) + np.outer(c.mean, c.mean)
     return m1, m2

@@ -320,8 +320,7 @@ class TestBoundProbabilities:
     def test_collapsed_1d_threshold(self):
         gmm = gauss1d()
         store = FrontierStore(DirectionMask([1.0]))
-        store = insert(store, np.array([2.0]), "rare")
-        store = insert(store, np.array([1.999]), "safe")
+        store = insert(store, np.array([[2.0], [1.999]]), [1, 0])
         p_lo, p_up, lo_rep, up_rep = bound_probabilities(gmm, store, 20_000, seed=1)
         joint = 3 * np.hypot(lo_rep.stderr, up_rep.stderr)
         assert p_up - p_lo < joint + 1e-4
@@ -334,9 +333,8 @@ class TestBoundProbabilities:
         ind, truth_fn, mask = analytic_scenario("halfspace",
                                                 {"w": w, "gamma": gamma})
         truth = truth_fn(gmm)
-        store = FrontierStore(mask)
-        for p in rng.uniform(0, 2.5, size=(60, 2)):
-            store = insert(store, p, "rare" if ind(p[None])[0] else "safe")
+        pts = rng.uniform(0, 2.5, size=(60, 2))
+        store = insert(FrontierStore(mask), pts, ind(pts))
         p_lo, p_up, lo_rep, up_rep = bound_probabilities(gmm, store, 20_000, seed=2)
         slack_lo = 3 * (lo_rep.stderr if lo_rep else 0.0)
         slack_up = 3 * (up_rep.stderr if up_rep else 0.0)

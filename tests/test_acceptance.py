@@ -186,15 +186,10 @@ def test_criterion_6_monotone_learner_exactness():
             w = rng.uniform(0.2, 1.0, d)
             thresh = float(rng.uniform(1.0, 3.0))
             pts = rng.uniform(0, 4, size=(int(rng.integers(1, 30)), d))
-            s = FrontierStore(DirectionMask(np.ones(d)))
-            rare, safe = [], []
-            for p in pts:
-                if p @ w >= thresh:
-                    rare.append(tuple(p))
-                    s = insert(s, p, "rare")
-                else:
-                    safe.append(tuple(p))
-                    s = insert(s, p, "safe")
+            hits = (pts @ w >= thresh).astype(int)
+            rare = [tuple(p) for p, h in zip(pts, hits) if h]
+            safe = [tuple(p) for p, h in zip(pts, hits) if not h]
+            s = insert(FrontierStore(DirectionMask(np.ones(d))), pts, hits)
             assert {tuple(r) for r in s.s1} == _brute_minima(rare)
             assert {tuple(r) for r in s.s0} == _brute_maxima(safe)
         for rep in range(10):
@@ -202,9 +197,8 @@ def test_criterion_6_monotone_learner_exactness():
             w = rng.uniform(0.3, 1.5, d)
             thresh = float(rng.uniform(2.0, 4.0))
             truth = lambda X: (np.atleast_2d(X) @ w >= thresh).astype(int)
-            s = FrontierStore(DirectionMask(np.ones(d)))
-            for p in rng.uniform(0, 4, size=(300, d)):
-                s = insert(s, p, "rare" if truth(p)[0] else "safe")
+            pts = rng.uniform(0, 4, size=(300, d))
+            s = insert(FrontierStore(DirectionMask(np.ones(d))), pts, truth(pts))
             inner_fn, outer_fn = bound_indicators(s)
             X = rng.uniform(0, 4, size=(10_000, d))
             t = truth(X)

@@ -306,6 +306,30 @@ class TestBench:
         assert r.exit_code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("run", "--workers", "0"), ("run", "--workers", "-1"),
+    ("run", "--n-per-iter", "0"), ("run", "--rho", "2"),
+    ("run", "--rho", "-0.1"), ("run", "--seed", "-1"),
+    ("run", "--max-frontier", "-3"), ("run", "--n", "99"),
+    ("crude", "--seed", "-1"), ("crude", "--workers", "0"),
+    ("crude", "--n", "0"), ("bench", "--seed", "-1"),
+    ("bench", "--workers", "0"), ("fit", "--seed", "-1"),
+])
+def test_out_of_range_option_exit_2(runner, model_1d, data_csv, tmp_path,
+                                    command, option, value):
+    if command == "fit":
+        args = ["fit", data_csv]
+    else:
+        args = [command, model_1d, "--analytic", "mixture-tail",
+                "--analytic-params", '{"gamma": 3.0}']
+    if command != "bench":
+        args += ["--out", str(tmp_path / "out")]
+    r = runner.invoke(main, args + [option, value])
+    assert r.exit_code == cli.EXIT_INPUT, r.output
+    assert "Traceback" not in r.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_standardized_model_round_trip(runner, data_csv, tmp_path):
     """fit + run: the indicator is evaluated in original coordinates even
     though the model lives in standardized ones."""

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rareis.frontier import (DirectionMask, FrontierStore,
-                             NonMonotoneOutcomeError, PieceBlowupError, Region,
-                             bound_indicators, classify, frontier_from_json,
+                             NonMonotoneOutcomeError, PieceBlowupError,
+                             bound_indicators, frontier_from_json,
                              frontier_to_json, insert, outer_pieces)
 
 
 def store2d():
     return FrontierStore(DirectionMask([1.0, 1.0]))
+
+
+def rows(*points):
+    return np.array(points, dtype=float)
 
 
 def brute_minima(points):
@@ -30,45 +34,121 @@ def brute_maxima(points):
     return set(out)
 
 
+def ordered_minima(points):
+    """First occurrence of each point that no other point is <=, in order."""
+    out = []
+    for i, p in enumerate(points):
+        if not any(all(a <= b for a, b in zip(q, p)) and (q != p or j < i)
+                   for j, q in enumerate(points) if j != i):
+            out.append(p)
+    return out
+
+
+def ordered_maxima(points):
+    neg = ordered_minima([tuple(-v for v in p) for p in points])
+    return [tuple(-v for v in p) for p in neg]
+
+
 class TestInsert:
     def test_dominated_rare_point_pruned(self):
-        s = store2d()
-        for p in [(1, 2), (2, 1), (2, 2)]:
-            s = insert(s, np.array(p, dtype=float), "rare")
+        s = insert(store2d(), rows((1, 2), (2, 1), (2, 2)), [1, 1, 1])
         assert {tuple(r) for r in s.s1} == {(1.0, 2.0), (2.0, 1.0)}
 
     def test_safe_insert(self):
-        s = insert(store2d(), np.zeros(2), "safe")
+        s = insert(store2d(), np.zeros((1, 2)), [0])
         assert {tuple(r) for r in s.s0} == {(0.0, 0.0)}
 
     def test_insert_is_persistent(self):
         s = store2d()
-        s2 = insert(s, np.array([1.0, 1.0]), "rare")
+        s2 = insert(s, rows((1, 1)), [1])
         assert s.s1.shape[0] == 0 and s2.s1.shape[0] == 1
 
     def test_mask_canonicalizes(self):
         s = FrontierStore(DirectionMask([-1.0, 1.0]))
-        s = insert(s, np.array([2.0, 3.0]), "rare")
+        s = insert(s, rows((2, 3)), [1])
         assert s.s1.tolist() == [[-2.0, 3.0]]
 
     def test_non_monotone_conflict(self):
-        s = insert(store2d(), np.array([1.0, 1.0]), "safe")
+        s = insert(store2d(), rows((1, 1)), [0])
         with pytest.raises(NonMonotoneOutcomeError):
-            insert(s, np.array([0.5, 0.5]), "rare")
-        s = insert(store2d(), np.array([1.0, 1.0]), "rare")
+            insert(s, rows((0.5, 0.5)), [1])
+        s = insert(store2d(), rows((1, 1)), [1])
         with pytest.raises(NonMonotoneOutcomeError):
-            insert(s, np.array([2.0, 2.0]), "safe")
+            insert(s, rows((2, 2)), [0])
+
+    def test_conflict_within_one_batch_names_the_pair(self):
+        with pytest.raises(NonMonotoneOutcomeError) as err:
+            insert(store2d(), rows((3, 3), (1, 1), (0, 2), (0.5, 4)), [0, 1, 1, 0])
+        assert err.value.rare_point.tolist() == [1.0, 1.0]
+        assert err.value.safe_point.tolist() == [3.0, 3.0]
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            insert(store2d(), np.array([np.inf, 0.0]), "rare")
+            insert(store2d(), rows((np.inf, 0.0)), [1])
+
+    @pytest.mark.parametrize("X, hits", [
+        (rows((1, 1), (2, 2)), [1]),
+        (rows((1, 1)), [[1]]),
+        (np.ones(2), [1, 1]),
+        (rows((1, 1)), [2]),
+    ], ids=["short-hits", "2-d-hits", "1-d-points", "outcome-2"])
+    def test_rejects_bad_shapes_and_outcomes(self, X, hits):
+        with pytest.raises(ValueError):
+            insert(store2d(), X, hits)
 
     def test_frontier_never_grows_on_dominated_insert(self):
         s = store2d()
-        s = insert(s, np.array([1.0, 1.0]), "rare")
+        s = insert(s, rows((1, 1)), [1])
         before = s.s1.shape[0]
-        s = insert(s, np.array([2.0, 2.0]), "rare")
+        s = insert(s, rows((2, 2)), [1])
         assert s.s1.shape[0] == before
+
+    def test_equal_points_keep_the_first(self):
+        s = insert(store2d(), rows((1, 2), (0, 3), (1, 2)), [1, 1, 1])
+        assert s.s1.tolist() == [[1.0, 2.0], [0.0, 3.0]]
+        s = insert(s, rows((0, 3), (1, 1)), [1, 1])
+        assert s.s1.tolist() == [[0.0, 3.0], [1.0, 1.0]]
+
+    def test_batch_larger_than_one_block(self, rng):
+        X = rng.integers(0, 12, size=(600, 3)).astype(float)
+        hits = (X.sum(axis=1) >= 16).astype(int)
+        s = insert(FrontierStore(DirectionMask(np.ones(3))), X, hits)
+        assert [tuple(r) for r in s.s1] == ordered_minima([tuple(x) for x in X[hits == 1]])
+        assert [tuple(r) for r in s.s0] == ordered_maxima([tuple(x) for x in X[hits == 0]])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_and_chunks_match_ordered_oracle(self, data):
+        d = data.draw(st.integers(1, 3))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                   min_size=d, max_size=d))
+        pts = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=d,
+                                          max_size=d), max_size=80))
+        X = np.array(pts, dtype=float).reshape(-1, d)
+        Z = X * signs
+        if data.draw(st.booleans()):
+            # monotone outcomes: rare iff the canonical sum reaches t
+            t = data.draw(st.integers(-8, 8))
+            hits = (Z.sum(axis=1) >= t).astype(int)
+        else:
+            hits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(pts),
+                                               max_size=len(pts))), dtype=int)
+        rare = [tuple(z) for z, h in zip(Z, hits) if h]
+        safe = [tuple(z) for z, h in zip(Z, hits) if not h]
+        conflict = any(all(a <= b for a, b in zip(r, q)) for r in rare for q in safe)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(pts)), max_size=5)))
+        for chunks in ([np.arange(len(pts))], np.split(np.arange(len(pts)), cuts)):
+            s = FrontierStore(DirectionMask(signs))
+            try:
+                for idx in chunks:
+                    s = insert(s, X[idx], hits[idx])
+            except NonMonotoneOutcomeError as err:
+                assert conflict
+                assert np.all(err.rare_point <= err.safe_point)
+                continue
+            assert not conflict
+            assert [tuple(r) for r in s.s1] == ordered_minima(rare)
+            assert [tuple(r) for r in s.s0] == ordered_maxima(safe)
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
                               st.booleans()), max_size=60))
@@ -76,8 +156,7 @@ class TestInsert:
     def test_matches_brute_force_scan(self, seq):
         # rare points drawn from the upper region, safe from the lower, so
         # outcomes are consistent with a monotone set x+y >= 7
-        s = store2d()
-        rare, safe = [], []
+        rare, safe, X, hits = [], [], [], []
         for a, b, is_rare in seq:
             if is_rare:
                 p = (float(a + 4), float(b + 4))
@@ -87,50 +166,56 @@ class TestInsert:
                 if a + b >= 7:
                     continue
                 safe.append(p)
-            s = insert(s, np.array(p), "rare" if is_rare else "safe")
+            X.append(p)
+            hits.append(int(is_rare))
+        s = insert(store2d(), np.array(X).reshape(-1, 2), hits)
         assert {tuple(r) for r in s.s1} == brute_minima(rare)
         assert {tuple(r) for r in s.s0} == brute_maxima(safe)
 
 
+def region(store, x):
+    """(inner, outer) bound indicators at one point: (1, 1) is inside the
+    inner set, (0, 0) outside the outer set, (0, 1) between them."""
+    inner_fn, outer_fn = bound_indicators(store)
+    return int(inner_fn(x[None])[0]), int(outer_fn(x[None])[0])
+
+
 class TestClassify:
     def test_inner_rare(self):
-        s = insert(store2d(), np.array([1.0, 1.0]), "rare")
-        assert classify(s, np.array([2.0, 2.0])) is Region.InnerRare
+        s = insert(store2d(), rows((1, 1)), [1])
+        assert region(s, np.array([2.0, 2.0]))[0] == 1
 
     def test_outer_safe(self):
-        s = insert(store2d(), np.array([3.0, 3.0]), "safe")
-        assert classify(s, np.array([2.0, 2.0])) is Region.OuterSafe
+        s = insert(store2d(), rows((3, 3)), [0])
+        assert region(s, np.array([2.0, 2.0]))[1] == 0
 
     def test_unknown_between_frontiers(self):
-        s = insert(store2d(), np.array([1.0, 3.0]), "rare")
-        s = insert(s, np.array([0.5, 2.0]), "safe")
+        s = insert(store2d(), rows((1, 3)), [1])
+        s = insert(s, rows((0.5, 2.0)), [0])
         # neither x >= (1,3) nor x strictly below (0.5,2)
-        assert classify(s, np.array([2.0, 1.0])) is Region.Unknown
+        assert region(s, np.array([2.0, 1.0])) == (0, 1)
 
     def test_boundary_of_safe_point_is_unknown(self):
         # the outer test is strict in every coordinate
-        s = insert(store2d(), np.array([3.0, 3.0]), "safe")
-        assert classify(s, np.array([3.0, 2.0])) is Region.Unknown
+        s = insert(store2d(), rows((3, 3)), [0])
+        assert region(s, np.array([3.0, 2.0])) == (0, 1)
 
     def test_classification_monotone(self, rng):
-        s = store2d()
-        for p in rng.uniform(2, 4, size=(5, 2)):
-            s = insert(s, p, "rare")
-        for p in rng.uniform(0, 2, size=(5, 2)):
-            s = insert(s, p, "safe")
+        s = insert(store2d(), rng.uniform(2, 4, size=(5, 2)), np.ones(5))
+        s = insert(s, rng.uniform(0, 2, size=(5, 2)), np.zeros(5))
         for _ in range(200):
             x = rng.uniform(0, 4, 2)
             y = x + rng.uniform(0, 1, 2)
-            if classify(s, x) is Region.InnerRare:
-                assert classify(s, y) is Region.InnerRare
-            if classify(s, y) is Region.OuterSafe:
-                assert classify(s, x) is Region.OuterSafe
+            if region(s, x)[0] == 1:
+                assert region(s, y)[0] == 1
+            if region(s, y)[1] == 0:
+                assert region(s, x)[1] == 0
 
 
 class TestOuterPieces:
     def test_single_safe_point_d3(self):
         s = FrontierStore(DirectionMask([1.0, 1.0, 1.0]))
-        s = insert(s, np.array([1.0, 2.0, 3.0]), "safe")
+        s = insert(s, rows((1, 2, 3)), [0])
         corners, truncated = outer_pieces(s)
         got = {tuple(c) for c in corners}
         inf = -np.inf
@@ -139,27 +224,26 @@ class TestOuterPieces:
 
     def test_duplicate_safe_points_idempotent(self):
         s = FrontierStore(DirectionMask([1.0, 1.0]))
-        s1 = insert(s, np.array([1.0, 2.0]), "safe")
-        s2 = insert(s1, np.array([1.0, 2.0]), "safe")
+        s1 = insert(s, rows((1, 2)), [0])
+        s2 = insert(s1, rows((1, 2)), [0])
         a, _ = outer_pieces(s1)
         b, _ = outer_pieces(s2)
         assert a.tolist() == b.tolist()
 
     def test_two_point_enumeration(self):
         s = FrontierStore(DirectionMask([1.0, 1.0]))
-        s = insert(s, np.array([1.0, 2.0]), "safe")
-        s = insert(s, np.array([2.0, 1.0]), "safe")
+        s = insert(s, rows((1, 2), (2, 1)), [0, 0])
         corners, _ = outer_pieces(s)
         inf = -np.inf
         assert {tuple(c) for c in corners} == {(2.0, inf), (inf, 2.0), (1.0, 1.0)}
 
-    def test_union_equals_outer_indicator_on_grid(self, rng):
-        s = FrontierStore(DirectionMask([1.0, 1.0]))
-        for p in rng.uniform(0, 3, size=(6, 2)):
-            s = insert(s, p, "safe")
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_union_equals_outer_indicator_on_grid(self, rng, d):
+        s = FrontierStore(DirectionMask(np.ones(d)))
+        s = insert(s, rng.uniform(0, 3, size=(6, d)), np.zeros(6))
         corners, _ = outer_pieces(s)
         _, outer_fn = bound_indicators(s)
-        X = rng.uniform(-1, 4, size=(10_000, 2))
+        X = rng.uniform(-1, 4, size=(10_000, d))
         in_union = np.zeros(X.shape[0], dtype=bool)
         for c in corners:
             in_union |= np.all(X >= c, axis=1)
@@ -168,19 +252,15 @@ class TestOuterPieces:
     def test_blowup_error(self):
         s = FrontierStore(DirectionMask([1.0, 1.0]))
         # 25 mutually non-dominated safe points: 2^25 selections
-        for i in range(25):
-            s = insert(s, np.array([float(i), float(25 - i)]), "safe")
+        s = insert(s, np.array([[float(i), float(25 - i)] for i in range(25)]),
+                   np.zeros(25))
         with pytest.raises(PieceBlowupError):
             outer_pieces(s)
 
     def test_cap_truncation_flag(self, rng):
         s = FrontierStore(DirectionMask([1.0, 1.0, 1.0]))
-        for i in range(8):
-            p = np.array([float(i), float(8 - i), float((3 * i) % 7)])
-            try:
-                s = insert(s, p, "safe")
-            except NonMonotoneOutcomeError:
-                pass
+        P = np.array([[float(i), float(8 - i), float((3 * i) % 7)] for i in range(8)])
+        s = insert(s, P, np.zeros(8))
         corners, truncated = outer_pieces(s, cap=2)
         assert corners.shape[0] == 2
         assert truncated
@@ -193,17 +273,14 @@ class TestBoundIndicators:
         assert inner_fn(x[None])[0] == 0 and outer_fn(x[None])[0] == 1
 
     def test_inner_rare_point(self):
-        s = insert(store2d(), np.array([1.0, 1.0]), "rare")
+        s = insert(store2d(), rows((1, 1)), [1])
         inner_fn, outer_fn = bound_indicators(s)
         x = np.array([2.0, 2.0])
         assert (inner_fn(x[None])[0], outer_fn(x[None])[0]) == (1, 1)
 
     def test_grid_agreement_with_set_formulas(self, rng):
-        s = store2d()
-        for p in rng.uniform(2, 4, size=(5, 2)):
-            s = insert(s, p, "rare")
-        for p in rng.uniform(0, 2, size=(5, 2)):
-            s = insert(s, p, "safe")
+        s = insert(store2d(), rng.uniform(2, 4, size=(5, 2)), np.ones(5))
+        s = insert(s, rng.uniform(0, 2, size=(5, 2)), np.zeros(5))
         inner_fn, outer_fn = bound_indicators(s)
         X = rng.uniform(-1, 5, size=(10_000, 2))
         inner_direct = np.array([int(np.any(np.all(x >= s.s1, axis=1))) for x in X])
@@ -223,8 +300,7 @@ class TestSandwich:
         truth = lambda X: (X @ w >= thresh).astype(int)
         s = FrontierStore(DirectionMask(np.ones(d)))
         pts = rng.uniform(0, 4, size=(300, d))
-        for p in pts:
-            s = insert(s, p, "rare" if truth(p[None])[0] else "safe")
+        s = insert(s, pts, truth(pts))
         inner_fn, outer_fn = bound_indicators(s)
         X = rng.uniform(0, 4, size=(10_000, d))
         t = truth(X)
@@ -234,8 +310,7 @@ class TestSandwich:
 
 def test_json_round_trip():
     s = FrontierStore(DirectionMask([-1.0, 1.0]))
-    s = insert(s, np.array([2.0, 3.0]), "rare")
-    s = insert(s, np.array([5.0, 1.0]), "safe")
+    s = insert(s, rows((2, 3), (5, 1)), [1, 0])
     back = frontier_from_json(frontier_to_json(s))
     assert back.mask.signs.tolist() == [-1.0, 1.0]
     assert back.s1.tolist() == s.s1.tolist()
