@@ -16,8 +16,8 @@ from .dompoints import (DominatingPoint, OrthantPiece, SolverError,
 from .accel import (EstimateReport, ProcedureState, bound_probabilities,
                     build_is, crude_equiv_n, crude_mc, estimate,
                     likelihood_ratio, run_procedure, sample_is, thin_frontier)
-from .scenario import (AVConfig, LaneChangeEvent, analytic_scenario,
-                       check_monotone, lane_change_indicator,
-                       lane_change_mask, simulate, ttc_from_range_rate)
+from .scenario import (AVConfig, analytic_scenario, check_monotone,
+                       lane_change_coords, lane_change_indicator,
+                       lane_change_mask, simulate)
 
 __version__ = "0.1.0"

@@ -114,37 +114,24 @@ def crude_equiv_n(p_hat, stderr):
     return int(np.ceil(p_hat * (1.0 - p_hat) / stderr ** 2))
 
 
-def _chunk_sizes(n, workers):
-    base = n // workers
-    sizes = [base + (1 if i < n % workers else 0) for i in range(workers)]
-    return [s for s in sizes if s > 0]
+def _draws(indicator, q, n, seed):
+    """(X, hits) for n draws from q and their indicator outcomes."""
+    # spawn(1)[0], not the seed itself: seeded outputs match earlier releases.
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    X = sample_is(n, q, rng)
+    return X, apply_indicator(indicator, X)
 
 
-def _sharded_draws(indicator, q, n, seed, workers):
-    """(X, hits) per seed shard of n draws from q, the shards run in turn.
-
-    The shard count fixes the random streams, so a different workers value
-    gives a different estimate.
-    """
-    children = np.random.SeedSequence(seed).spawn(workers)
-    for size, child in zip(_chunk_sizes(n, workers), children):
-        X = sample_is(size, q, np.random.default_rng(child))
-        yield X, apply_indicator(indicator, X)
-
-
-def estimate(indicator, gmm, q, n, seed, workers=1, bounds=(0.0, 1.0),
+def estimate(indicator, gmm, q, n, seed, bounds=(0.0, 1.0),
              return_values=False):
     """Importance-sampling estimate of P(indicator = 1) under the base model."""
     if n < 100:
         raise ValueError("n must be >= 100")
-    vals = []
-    for X, hits in _sharded_draws(indicator, q, n, seed, workers):
-        il = np.zeros(X.shape[0])
-        idx = hits == 1
-        if np.any(idx):
-            il[idx] = likelihood_ratio(X[idx], gmm, q)
-        vals.append(il)
-    il = np.concatenate(vals)
+    X, hits = _draws(indicator, q, n, seed)
+    il = np.zeros(n)
+    idx = hits == 1
+    if np.any(idx):
+        il[idx] = likelihood_ratio(X[idx], gmm, q)
     p_hat = float(il.mean())
     stderr = float(il.std(ddof=1) / np.sqrt(n))
     hits = il > 0
@@ -156,13 +143,11 @@ def estimate(indicator, gmm, q, n, seed, workers=1, bounds=(0.0, 1.0),
     return (report, il) if return_values else report
 
 
-def crude_mc(indicator, gmm, n, seed, workers=1, bounds=(0.0, 1.0),
-             return_values=False):
+def crude_mc(indicator, gmm, n, seed, bounds=(0.0, 1.0), return_values=False):
     """Plain Monte Carlo under the base model: IS with the base as proposal."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    hits = np.concatenate([h.astype(float) for _, h in
-                           _sharded_draws(indicator, gmm, n, seed, workers)])
+    hits = _draws(indicator, gmm, n, seed)[1].astype(float)
     p_hat = float(hits.mean())
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
     report = EstimateReport(p_hat, stderr, n, 1.0 if p_hat > 0 else 0.0,
@@ -260,7 +245,7 @@ def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
     return state, q_final
 
 
-def bound_probabilities(gmm, store, n, seed, workers=1):
+def bound_probabilities(gmm, store, n, seed):
     """Monte Carlo bounds P(inner set) <= p <= P(outer set), no simulator calls."""
     signs = store.mask.signs
     inner_fn, outer_fn = fr.bound_indicators(store)
@@ -269,7 +254,7 @@ def bound_probabilities(gmm, store, n, seed, workers=1):
     else:
         a_inner = dompoints.inner_dominating(gmm, store.s1, signs)
         q = build_is(gmm, a_inner, a_inner, 1.0)
-        lower_report = estimate(inner_fn, gmm, q, n, seed, workers)
+        lower_report = estimate(inner_fn, gmm, q, n, seed)
         p_lower = min(max(lower_report.p_hat, 0.0), 1.0)
     if store.s0.shape[0] == 0:
         p_upper, upper_report = 1.0, None
@@ -277,7 +262,7 @@ def bound_probabilities(gmm, store, n, seed, workers=1):
         corners, _ = fr.outer_pieces(store)
         a_outer, _ = dompoints.outer_dominating(gmm, list(corners), signs=signs)
         q = build_is(gmm, a_outer, a_outer, 0.0)
-        upper_report = estimate(outer_fn, gmm, q, n, seed + 1, workers)
+        upper_report = estimate(outer_fn, gmm, q, n, seed + 1)
         p_upper = min(max(upper_report.p_hat, 0.0), 1.0)
     p_upper = max(p_upper, p_lower)
     return p_lower, p_upper, lower_report, upper_report

@@ -181,19 +181,14 @@ def _scenario_options(procedure):
     if procedure:
         opts += [click.option("--n-per-iter", default=500, show_default=True,
                               type=click.IntRange(min=1)),
-                 click.option("--max-iter", default=4, show_default=True),
+                 click.option("--max-iter", default=4, show_default=True,
+                              type=click.IntRange(min=1)),
                  click.option("--max-frontier", default=12, show_default=True,
                               type=click.IntRange(min=1)),
                  click.option("--rho", default=0.0, show_default=True,
                               type=click.FloatRange(0.0, 1.0))]
     opts += [click.option("--seed", default=0, show_default=True,
-                          type=click.IntRange(min=0)),
-             click.option("--workers", default=1, show_default=True,
-                          type=click.IntRange(min=1),
-                          help="Number of deterministic seed shards of the "
-                               "estimate's draws, run one after another in "
-                               "this process; a different value gives a "
-                               "different estimate stream.")]
+                          type=click.IntRange(min=0))]
 
     def apply(f):
         for opt in reversed(opts):
@@ -213,8 +208,9 @@ def main():
 @click.option("--k-list", default="1,2,3", show_default=True,
               help="Comma-separated component counts to sweep.")
 @click.option("--support", "support_spec", default=None,
-              help="Per-dimension lo:hi bounds (original coordinates); "
-                   "default unbounded.")
+              help="Per-dimension lo:hi bounds on the fitted coordinates "
+                   "before standardization, so (v, 1/ttc, 1/range) for "
+                   "--coords lane-change; default unbounded.")
 @click.option("--coords", type=click.Choice(["raw", "lane-change"]),
               default="raw", show_default=True,
               help="lane-change expects v,ttc,range columns and fits "
@@ -234,9 +230,7 @@ def cmd_fit(csv_path, k_list, support_spec, coords, seed, out_dir):
     try:
         if coords == "lane-change":
             _, y = _read_csv(csv_path, expect_header=["v", "ttc", "range"])
-            if np.any(y <= 0):
-                raise ValueError("lane-change columns must be positive")
-            y = np.column_stack([y[:, 0], 1.0 / y[:, 1], 1.0 / y[:, 2]])
+            y = scenario.lane_change_coords(y)
         else:
             _, y = _read_csv(csv_path)
         support = (Rect.unbounded(y.shape[1]) if support_spec is None
@@ -274,38 +268,43 @@ def cmd_fit(csv_path, k_list, support_spec, coords, seed, out_dir):
                % (best[0].n_components, os.path.join(out_dir, "bic.csv")))
 
 
-def _run_pipeline(model, ind, mask, n, seed, workers, n_per_iter, max_iter,
+def _run_pipeline(model, ind, mask, n, seed, n_per_iter, max_iter,
                   max_frontier, rho):
     state, q = accel.run_procedure(ind, model, mask, n_per_iter=n_per_iter,
                                    max_iter=max_iter, max_frontier=max_frontier,
                                    final_rho=rho, seed=seed)
     report, values = accel.estimate(ind, model, q, n, seed=seed + 1,
-                                    workers=workers, return_values=True)
+                                    return_values=True)
     return state, q, report, values
+
+
+def _check_bound_n(ctx, param, value):
+    if value != 0 and value < 100:
+        raise click.BadParameter("must be 0 (skip) or at least 100")
+    return value
 
 
 @main.command("run")
 @_scenario_options(procedure=True)
 @click.option("--bound-n", default=0, show_default=True,
-              help="Extra samples for frontier probability bounds (0 = skip).")
+              callback=_check_bound_n,
+              help="Extra samples for frontier probability bounds: 0 (skip) "
+                   "or at least 100.")
 @click.option("--out", "out_dir", default=".", show_default=True)
 def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
-            n_per_iter, max_iter, max_frontier, rho, seed, workers, bound_n,
-            out_dir):
+            n_per_iter, max_iter, max_frontier, rho, seed, bound_n, out_dir):
     """Run the iterative IS construction, then a final estimate."""
     t0 = time.time()
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
     try:
         state, q, report, values = _run_pipeline(
-            model, ind, mask, n, seed, workers, n_per_iter, max_iter,
-            max_frontier, rho)
-        if bound_n >= 100 and (state.frontier.s1.shape[0]
-                               or state.frontier.s0.shape[0]):
+            model, ind, mask, n, seed, n_per_iter, max_iter, max_frontier, rho)
+        if bound_n and (state.frontier.s1.shape[0]
+                        or state.frontier.s0.shape[0]):
             thinned = accel.thin_frontier(model, state.frontier, max_frontier)
             p_lo, p_up, _, _ = accel.bound_probabilities(model, thinned,
-                                                         bound_n, seed + 2,
-                                                         workers)
+                                                         bound_n, seed + 2)
             report.bounds = (p_lo, p_up)
     except NonMonotoneOutcomeError as err:
         _fail(EXIT_MONOTONE, str(err))
@@ -324,7 +323,7 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
                       "analytic": analytic, "analytic_params": analytic_params,
                       "n": n, "n_per_iter": n_per_iter, "max_iter": max_iter,
                       "max_frontier": max_frontier, "rho": rho, "seed": seed,
-                      "workers": workers, "bound_n": bound_n, "out": out_dir},
+                      "bound_n": bound_n, "out": out_dir},
               time.time() - t0, out_dir)
     click.echo("p_hat = %.6g  stderr = %.3g  (report: %s)"
                % (report.p_hat, report.stderr,
@@ -335,14 +334,14 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
 @_scenario_options(procedure=False)
 @click.option("--out", "out_dir", default=".", show_default=True)
 def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
-              workers, out_dir):
+              out_dir):
     """Crude Monte Carlo baseline under the fitted model."""
     t0 = time.time()
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
     try:
         report, values = accel.crude_mc(ind, model, n, seed=seed,
-                                        workers=workers, return_values=True)
+                                        return_values=True)
     except NonMonotoneOutcomeError as err:
         _fail(EXIT_MONOTONE, str(err))
     os.makedirs(out_dir, exist_ok=True)
@@ -352,7 +351,7 @@ def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
                         "scenario_config": scenario_config,
                         "analytic": analytic,
                         "analytic_params": analytic_params, "n": n,
-                        "seed": seed, "workers": workers, "out": out_dir},
+                        "seed": seed, "out": out_dir},
               time.time() - t0, out_dir)
     click.echo("p_hat = %.6g  stderr = %.3g" % (report.p_hat, report.stderr))
 
@@ -360,16 +359,15 @@ def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
 @main.command("bench")
 @_scenario_options(procedure=True)
 def cmd_bench(model_path, scenario_config, analytic, analytic_params, n,
-              n_per_iter, max_iter, max_frontier, rho, seed, workers):
+              n_per_iter, max_iter, max_frontier, rho, seed):
     """Both estimators at equal n; prints a CSV efficiency table."""
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
     try:
-        _, _, is_report, _ = _run_pipeline(model, ind, mask, n, seed, workers,
+        _, _, is_report, _ = _run_pipeline(model, ind, mask, n, seed,
                                            n_per_iter, max_iter, max_frontier,
                                            rho)
-        crude_report = accel.crude_mc(ind, model, n, seed=seed + 10,
-                                      workers=workers)
+        crude_report = accel.crude_mc(ind, model, n, seed=seed + 10)
     except NonMonotoneOutcomeError as err:
         _fail(EXIT_MONOTONE, str(err))
     except (SolverError, PieceBlowupError) as err:

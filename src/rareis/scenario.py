@@ -21,17 +21,6 @@ STANDSTILL_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
-class LaneChangeEvent:
-    v: float      # lead-vehicle speed, m/s
-    ttc: float    # time to collision, s
-    range: float  # gap to lead vehicle, m
-
-    def __post_init__(self):
-        if self.range <= 0 or self.ttc <= 0:
-            raise ValueError("range and ttc must be positive (closing events only)")
-
-
-@dataclass(frozen=True)
 class AVConfig:
     acc_time_gap: float = 1.4
     acc_speed_gain: float = 0.4
@@ -63,15 +52,6 @@ class AVConfig:
         if unknown:
             raise ValueError("unknown AVConfig fields: %s" % sorted(unknown))
         return cls(**doc)
-
-
-def ttc_from_range_rate(range_, range_rate):
-    """TTC = -range / range_rate for closing encounters."""
-    if range_ <= 0:
-        raise ValueError("range must be positive")
-    if range_rate >= 0:
-        raise ValueError("TTC undefined for non-closing encounters (range_rate >= 0)")
-    return -range_ / range_rate
 
 
 def simulate_batch(v, ttc, range_, cfg=AVConfig()):
@@ -120,24 +100,26 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
     return out
 
 
-def simulate(event, cfg=AVConfig()):
-    """Crash/safe outcome for one lane-change event: a 1-row simulate_batch."""
-    return int(simulate_batch(event.v, event.ttc, event.range, cfg)[0])
-
-
-def event_to_model(event):
-    """Model coordinates (v, 1/ttc, 1/range) for a lane-change event."""
-    return np.array([event.v, 1.0 / event.ttc, 1.0 / event.range])
-
-
-def model_to_event(x):
-    return LaneChangeEvent(v=float(x[0]), ttc=1.0 / float(x[1]),
-                           range=1.0 / float(x[2]))
+def simulate(v, ttc, range_, cfg=AVConfig()):
+    """Crash/safe outcome of one event (lead speed v in m/s, ttc in s, gap
+    range_ in m): a 1-row simulate_batch."""
+    return int(simulate_batch(v, ttc, range_, cfg)[0])
 
 
 def lane_change_mask():
     """Crash set is non-increasing in (v, ttc, range); reciprocals flip the last two."""
     return DirectionMask([-1.0, 1.0, 1.0])
+
+
+def lane_change_coords(events):
+    """Model coordinates (v, 1/ttc, 1/range) of (n, 3) rows of (v, ttc, range)."""
+    E = np.atleast_2d(np.asarray(events, dtype=float))
+    if E.shape[1] != 3:
+        raise ValueError("lane-change rows need 3 columns (v, ttc, range), not %d"
+                         % E.shape[1])
+    if np.any(E <= 0):
+        raise ValueError("lane-change columns must be positive")
+    return np.column_stack([E[:, 0], 1.0 / E[:, 1], 1.0 / E[:, 2]])
 
 
 def lane_change_indicator(cfg=AVConfig()):

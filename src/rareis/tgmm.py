@@ -39,10 +39,6 @@ class AffineStandardizer:
         return Rect((r.lower - self.shift) / self.scale,
                     (r.upper - self.shift) / self.scale)
 
-    def invert_rect(self, r):
-        return Rect(r.lower * self.scale + self.shift,
-                    r.upper * self.scale + self.shift)
-
 
 def standardize(y):
     """Center/scale each column to mean 0, sd 1. Errors on constant columns."""

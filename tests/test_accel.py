@@ -8,7 +8,7 @@ from rareis.accel import (build_is, bound_probabilities, crude_equiv_n,
                           sample_is)
 from rareis.frontier import DirectionMask, FrontierStore, insert
 from rareis.gauss import GaussComponent, Rect, log_density, rect_prob
-from rareis.tgmm import TruncatedGMM, gmm_log_density
+from rareis.tgmm import TruncatedGMM, gmm_log_density, gmm_sample
 
 
 def gauss1d(mu=0.0, var=1.0):
@@ -177,11 +177,33 @@ class TestEstimate:
 
     def test_determinism_and_worker_layout(self):
         gmm, ind, _, q, _ = tail_setup()
-        a = estimate(ind, gmm, q, 2000, seed=5, workers=2)
-        b = estimate(ind, gmm, q, 2000, seed=5, workers=2)
+        a = estimate(ind, gmm, q, 2000, seed=5)
+        b = estimate(ind, gmm, q, 2000, seed=5)
         assert a.to_json() == b.to_json()
-        c = estimate(ind, gmm, q, 2000, seed=5, workers=1)
-        assert c.p_hat != a.p_hat  # layout is part of the contract
+
+    def test_draws_are_child_zero_of_the_seed(self):
+        """Both estimators average over gmm_sample(n, proposal, rng) with rng
+        from child 0 of SeedSequence(seed); another stream fails this."""
+        gmm, ind, _, q, _ = tail_setup(gamma=2.0)
+        n, seed = 3000, 12
+
+        def draws(proposal):
+            child = np.random.SeedSequence(seed).spawn(1)[0]
+            X = gmm_sample(n, proposal, np.random.default_rng(child))
+            return X, ind(X) == 1
+
+        X, hit = draws(q)
+        il = np.zeros(n)
+        il[hit] = np.exp(gmm_log_density(X[hit], gmm)
+                         - gmm_log_density(X[hit], q))
+        rep = estimate(ind, gmm, q, n, seed=seed)
+        assert 100 < hit.sum() < n
+        assert rep.p_hat == pytest.approx(il.mean(), rel=1e-12)
+        assert rep.stderr == pytest.approx(il.std(ddof=1) / np.sqrt(n),
+                                           rel=1e-12)
+        _, hit = draws(gmm)
+        assert 10 < hit.sum() < n
+        assert crude_mc(ind, gmm, n, seed=seed).p_hat == hit.mean()
 
     def test_minimum_n(self):
         gmm, ind, _, q, _ = tail_setup()

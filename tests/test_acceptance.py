@@ -354,21 +354,17 @@ def test_criterion_9_cli_determinism(tmp_path):
             fh.write(tgmm.model_to_json(std_gmm(1)))
         scenario_args = ["--analytic", "mixture-tail", "--analytic-params",
                          '{"gamma": 3.0}']
-        for workers in (1, 2):
-            run_a = str(tmp_path / ("run_a%d" % workers))
-            r = runner.invoke(main, ["run", model, "--n", "4000",
-                                     "--n-per-iter", "300", "--max-iter", "3",
-                                     "--workers", str(workers), "--seed", "5",
-                                     "--out", run_a] + scenario_args)
-            assert r.exit_code == 0, r.output
-            run_b = str(tmp_path / ("run_b%d" % workers))
-            _rerun_from_manifest(run_a, run_b)
-            _assert_dirs_match(run_a, run_b)
+        run_a = str(tmp_path / "run_a")
+        r = runner.invoke(main, ["run", model, "--n", "4000",
+                                 "--n-per-iter", "300", "--max-iter", "3",
+                                 "--seed", "5", "--out", run_a] + scenario_args)
+        assert r.exit_code == 0, r.output
+        _rerun_from_manifest(run_a, str(tmp_path / "run_b"))
+        _assert_dirs_match(run_a, str(tmp_path / "run_b"))
 
         crude_a = str(tmp_path / "crude_a")
-        r = runner.invoke(main, ["crude", model, "--n", "4000", "--workers",
-                                 "2", "--seed", "5", "--out", crude_a]
-                          + scenario_args)
+        r = runner.invoke(main, ["crude", model, "--n", "4000", "--seed", "5",
+                                 "--out", crude_a] + scenario_args)
         assert r.exit_code == 0, r.output
         _rerun_from_manifest(crude_a, str(tmp_path / "crude_b"))
         _assert_dirs_match(crude_a, str(tmp_path / "crude_b"))

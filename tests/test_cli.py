@@ -91,6 +91,18 @@ class TestFit:
         model = tgmm.model_from_json((out / "model.json").read_text())
         assert model.dim == 3
 
+    @pytest.mark.parametrize("rows", ["1.0,2.0\n3.0,4.0\n",
+                                      "20.0,2.0,30.0\n20.0,0.0,30.0\n"],
+                             ids=["two_columns", "zero_ttc"])
+    def test_lane_change_bad_rows_exit_2(self, runner, tmp_path, rows):
+        path = tmp_path / "events.csv"
+        path.write_text("v,ttc,range\n" + rows)
+        r = runner.invoke(main, ["fit", str(path), "--coords", "lane-change",
+                                 "--out", str(tmp_path / "fit")])
+        assert r.exit_code == cli.EXIT_INPUT
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+
     def test_missing_file_exit_2(self, runner, tmp_path):
         r = runner.invoke(main, ["fit", str(tmp_path / "nope.csv")])
         assert r.exit_code == cli.EXIT_INPUT
@@ -173,19 +185,6 @@ class TestRun:
                 continue  # carries wall-clock duration
             assert filecmp.cmp(outs[0] / fname, outs[1] / fname,
                                shallow=False), fname
-
-    def test_workers_two_deterministic(self, runner, model_1d, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            r = runner.invoke(main, ["run", model_1d, "--out", str(out),
-                                     "--workers", "2"] + self.ARGS)
-            assert r.exit_code == 0, r.output
-            outs.append(out)
-        assert filecmp.cmp(outs[0] / "report.json", outs[1] / "report.json",
-                           shallow=False)
-        assert filecmp.cmp(outs[0] / "trace.csv", outs[1] / "trace.csv",
-                           shallow=False)
 
     def test_missing_scenario_exit_2(self, runner, model_1d):
         r = runner.invoke(main, ["run", model_1d])
@@ -307,13 +306,16 @@ class TestBench:
 
 
 @pytest.mark.parametrize("command, option, value", [
-    ("run", "--workers", "0"), ("run", "--workers", "-1"),
+    ("run", "--workers", "1"), ("run", "--max-iter", "0"),
+    ("run", "--max-iter", "-1"), ("run", "--bound-n", "99"),
+    ("run", "--bound-n", "-5"),
     ("run", "--n-per-iter", "0"), ("run", "--rho", "2"),
     ("run", "--rho", "-0.1"), ("run", "--seed", "-1"),
     ("run", "--max-frontier", "-3"), ("run", "--n", "99"),
-    ("crude", "--seed", "-1"), ("crude", "--workers", "0"),
+    ("crude", "--seed", "-1"), ("crude", "--workers", "1"),
     ("crude", "--n", "0"), ("bench", "--seed", "-1"),
-    ("bench", "--workers", "0"), ("fit", "--seed", "-1"),
+    ("bench", "--workers", "1"), ("bench", "--max-iter", "0"),
+    ("fit", "--seed", "-1"),
 ])
 def test_out_of_range_option_exit_2(runner, model_1d, data_csv, tmp_path,
                                     command, option, value):

@@ -6,11 +6,11 @@ from scipy.special import ndtr
 
 from rareis.frontier import DirectionMask
 from rareis.gauss import GaussComponent, Rect
-from rareis.scenario import (STANDSTILL_MARGIN, AVConfig, LaneChangeEvent,
-                             analytic_scenario, check_monotone, event_to_model,
-                             lane_change_indicator, lane_change_mask,
-                             model_to_event, simulate, simulate_batch,
-                             ttc_from_range_rate)
+from rareis import scenario
+from rareis.scenario import (STANDSTILL_MARGIN, AVConfig, analytic_scenario,
+                             check_monotone, lane_change_coords,
+                             lane_change_indicator, lane_change_mask, simulate,
+                             simulate_batch)
 from rareis.tgmm import TruncatedGMM
 
 
@@ -54,34 +54,27 @@ def _reference_simulate(v_lead, ttc, gap, cfg):
     return 1 if gap <= crash else 0
 
 
-class TestTtc:
-    def test_hand_example(self):
-        assert ttc_from_range_rate(30.0, -10.0) == pytest.approx(3.0)
-
-    def test_non_closing_rejected(self):
-        with pytest.raises(ValueError):
-            ttc_from_range_rate(30.0, 0.0)
-        with pytest.raises(ValueError):
-            ttc_from_range_rate(30.0, 5.0)
-
-    def test_nonpositive_range_rejected(self):
-        with pytest.raises(ValueError):
-            ttc_from_range_rate(0.0, -1.0)
-
-
 class TestEvent:
-    def test_model_round_trip(self):
-        e = LaneChangeEvent(v=20.0, ttc=2.5, range=40.0)
-        x = event_to_model(e)
-        assert np.allclose(x, [20.0, 0.4, 0.025])
-        back = model_to_event(x)
-        assert (back.v, back.ttc, back.range) == pytest.approx((20.0, 2.5, 40.0))
+    def test_model_round_trip(self, monkeypatch):
+        """lane_change_coords maps events to the model coordinates and the
+        indicator hands the simulator the events back."""
+        events = np.array([[20.0, 2.5, 40.0], [8.0, 0.5, 5.0]])
+        x = lane_change_coords(events)
+        assert np.allclose(x, [[20.0, 0.4, 0.025], [8.0, 2.0, 0.2]])
+        seen = []
+
+        def record(v, ttc, range_, cfg):
+            seen.append(np.column_stack([v, ttc, range_]))
+            return np.zeros(len(v), dtype=int)
+        monkeypatch.setattr(scenario, "simulate_batch", record)
+        lane_change_indicator()(x)
+        assert seen[0] == pytest.approx(events)
 
     def test_invalid_event(self):
-        with pytest.raises(ValueError):
-            LaneChangeEvent(v=10.0, ttc=-1.0, range=5.0)
-        with pytest.raises(ValueError):
-            LaneChangeEvent(v=10.0, ttc=1.0, range=0.0)
+        for bad in ([10.0, -1.0, 5.0], [10.0, 1.0, 0.0], [0.0, 1.0, 5.0],
+                    [10.0, 1.0]):
+            with pytest.raises(ValueError):
+                lane_change_coords([bad])
 
 
 class TestSimulate:
@@ -101,18 +94,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize("params,expected", CASES)
     def test_pinned_outcomes(self, params, expected):
-        assert simulate(LaneChangeEvent(*params)) == expected
+        assert simulate(*params) == expected
 
     def test_deterministic(self):
-        e = LaneChangeEvent(v=10.0, ttc=0.9, range=9.0)
-        assert simulate(e) == simulate(e)
+        assert simulate(10.0, 0.9, 9.0) == simulate(10.0, 0.9, 9.0)
 
     def test_huge_gap_is_safe(self):
-        assert simulate(LaneChangeEvent(v=25.0, ttc=10.0, range=500.0)) == 0
+        assert simulate(25.0, 10.0, 500.0) == 0
 
     def test_tiny_gap_is_crash(self):
         cfg = AVConfig(crash_range=0.5)
-        assert simulate(LaneChangeEvent(v=10.0, ttc=1.0, range=0.4), cfg) == 1
+        assert simulate(10.0, 1.0, 0.4, cfg) == 1
 
     def test_step_size_robustness(self):
         """Halving dt flips almost no outcomes across a broad event sweep."""
@@ -129,8 +121,7 @@ class TestSimulate:
 
     def test_indicator_wraps_batches(self):
         ind = lane_change_indicator()
-        X = np.array([event_to_model(LaneChangeEvent(*p))
-                      for p, _ in self.CASES])
+        X = lane_change_coords([p for p, _ in self.CASES])
         expected = np.array([o for _, o in self.CASES])
         assert np.array_equal(ind(X), expected)
         assert ind(X[0]) == expected[0]
@@ -166,7 +157,7 @@ class TestSimulateBatch:
         got = simulate_batch(*np.array(events).T, cfg)
         assert got.tolist() == [1, 0, 1, 0]
         assert got.tolist() == [_reference_simulate(*e, cfg) for e in events]
-        assert [simulate(LaneChangeEvent(*e), cfg) for e in events] == [1, 0, 1, 0]
+        assert [simulate(*e, cfg) for e in events] == [1, 0, 1, 0]
 
     def test_nonpositive_ttc_or_range_rejected(self):
         with pytest.raises(ValueError):
