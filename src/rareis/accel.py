@@ -53,9 +53,12 @@ def build_is(gmm, a_inner, a_outer, rho):
 def likelihood_ratio(x, gmm, q):
     """dF/dF* at x; exact for the truncated densities on both sides."""
     ratio = np.exp(gmm_log_density(x, gmm) - gmm_log_density(x, q))
-    if not np.all(np.isfinite(np.atleast_1d(ratio))):
-        raise ValueError("non-finite likelihood ratio (support mismatch) at x=%s"
-                         % np.asarray(x).tolist())
+    bad = np.flatnonzero(~np.isfinite(np.atleast_1d(ratio)))
+    if bad.size:
+        raise ValueError("non-finite likelihood ratio (support mismatch) in %d "
+                         "rows, first bad row %d of the %d given: x=%s"
+                         % (bad.size, bad[0], np.size(ratio),
+                            np.atleast_2d(x)[bad[0]].tolist()))
     return ratio
 
 
@@ -170,7 +173,7 @@ class ProcedureState:
         return {
             "iteration": self.iteration,
             "simulator_calls": self.simulator_calls,
-            "frontier": json.loads(fr.frontier_to_json(self.frontier)),
+            "frontier": fr.frontier_to_dict(self.frontier),
             "a_inner": [[p.tolist() for p in pts] for pts in self.a_inner],
             "a_outer": [[p.tolist() for p in pts] for pts in self.a_outer],
             "history": self.history,

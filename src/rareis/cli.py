@@ -101,8 +101,13 @@ def _manifest(command, options, duration, out_dir):
                   json.dumps(doc, sort_keys=True, indent=2))
 
 
+# Row cap of trace.csv: a row per sample cost more than the estimate at n = 1e5.
+_TRACE_ROWS = 1000
+
+
 def _trace_csv(values):
-    """Running estimate and CI half-width per sample, as CSV text."""
+    """Running estimate and CI half-width as CSV text: a row per sample up to
+    _TRACE_ROWS samples, else at <= _TRACE_ROWS log-spaced ones ending at n."""
     x = np.asarray(values, dtype=float)
     n = x.size
     idx = np.arange(1, n + 1)
@@ -113,12 +118,11 @@ def _trace_csv(values):
     with np.errstate(invalid="ignore"):
         se = np.sqrt(var / np.maximum(idx - 1, 1))
     se[0] = 0.0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["sample_index", "running_p_hat", "running_ci_half_width"])
-    for i in range(n):
-        w.writerow([int(idx[i]), repr(float(mean[i])), repr(float(1.96 * se[i]))])
-    return buf.getvalue()
+    if n > _TRACE_ROWS:
+        idx = np.unique(np.rint(np.geomspace(1, n, _TRACE_ROWS)).astype(int))
+    rows = ["%d,%r,%r\n" % (i, float(mean[i - 1]), float(1.96 * se[i - 1]))
+            for i in idx]
+    return "sample_index,running_p_hat,running_ci_half_width\n" + "".join(rows)
 
 
 def _dompoints_csv(state):

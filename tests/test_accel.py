@@ -6,7 +6,8 @@ from rareis import accel, analytic_scenario
 from rareis.accel import (build_is, bound_probabilities, crude_equiv_n,
                           crude_mc, estimate, likelihood_ratio, run_procedure,
                           sample_is)
-from rareis.frontier import DirectionMask, FrontierStore, insert
+from rareis.frontier import (DirectionMask, FrontierStore,
+                             frontier_to_json, insert)
 from rareis.gauss import GaussComponent, Rect, log_density, rect_prob
 from rareis.tgmm import TruncatedGMM, gmm_log_density, gmm_sample
 
@@ -106,6 +107,18 @@ class TestLikelihoodRatio:
                            for m in means])
             got = likelihood_ratio(np.array([x]), gmm, q)
             assert got == pytest.approx(num / den, rel=1e-10)
+
+    def test_support_mismatch_names_first_bad_row(self):
+        gmm = gauss1d()
+        q = TruncatedGMM([1.0], [GaussComponent([3.0], [[1.0]])],
+                         Rect([0.0], [np.inf]))
+        x = np.abs(np.linspace(-3.0, 5.0, 100_000))[:, None]
+        x[[70_000, 70_001, 90_000]] = -1.5
+        with pytest.raises(ValueError) as err:
+            likelihood_ratio(x, gmm, q)
+        msg = str(err.value)
+        assert len(msg) < 200
+        assert "in 3 rows, first bad row 70000 of the 100000 given: x=[-1.5]" in msg
 
 
     def test_truncated_parts_with_component_covariances(self, rng):
@@ -399,3 +412,4 @@ def test_procedure_state_serializes(rng):
     doc = json.loads(state.to_json())
     assert doc["simulator_calls"] == 200
     assert "frontier" in doc and "history" in doc
+    assert doc["frontier"] == json.loads(frontier_to_json(state.frontier))

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 
 import numpy as np
@@ -159,7 +160,6 @@ class TestRun:
         assert report["method"] == "is"
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "sample_index,running_p_hat,running_ci_half_width"
-        assert len(trace) == 5001
         final = float(trace[-1].split(",")[1])
         assert final == pytest.approx(report["p_hat"], rel=1e-12)
 
@@ -255,6 +255,60 @@ class TestRun:
         assert isinstance(r.exception, SystemExit)
         assert "error: d^|s0| = 5^12 exceeds 1e6" in r.output
         assert "Traceback" not in r.output
+
+
+def reference_trace_rows(values):
+    """trace.csv data rows for every sample index, one Python float at a time."""
+    rows, s, sq = [], 0.0, 0.0
+    for i, v in enumerate(map(float, values), start=1):
+        s += v
+        sq += v * v
+        mean = s / i
+        var = max(sq / i - mean * mean, 0.0)
+        se = math.sqrt(var / (i - 1)) if i > 1 else 0.0
+        rows.append("%d,%r,%r" % (i, mean, 1.96 * se))
+    return rows
+
+
+class TestTrace:
+    CRUDE_ARGS = ["--analytic", "halfspace", "--analytic-params",
+                  '{"w": [1.0], "gamma": 1.0}', "--seed", "3"]
+
+    @pytest.mark.parametrize("command,n", [("run", 5000), ("run", 800),
+                                           ("crude", 1000), ("crude", 1001),
+                                           ("crude", 20000)])
+    def test_checkpoint_rows(self, runner, model_1d, tmp_path, monkeypatch,
+                             command, n):
+        name = "estimate" if command == "run" else "crude_mc"
+        real, values = getattr(accel, name), []
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if kwargs.get("return_values"):
+                values.append(result[1])
+            return result
+        monkeypatch.setattr(accel, name, spy)
+        args = TestRun.ARGS if command == "run" else self.CRUDE_ARGS
+        out = tmp_path / "out"
+        r = runner.invoke(main, [command, model_1d, "--out", str(out)] + args
+                          + ["--n", str(n)])
+        assert r.exit_code == 0, r.output
+        assert len(values) == 1 and len(values[0]) == n
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "sample_index,running_p_hat,running_ci_half_width"
+        rows = trace[1:]
+        index = [int(row.split(",")[0]) for row in rows]
+        assert index[0] == 1 and index[-1] == n
+        assert all(a < b for a, b in zip(index, index[1:]))
+        if n <= 1000:
+            assert index == list(range(1, n + 1))
+        else:
+            assert len(rows) <= 1000
+        reference = reference_trace_rows(values[0])
+        assert rows == [reference[i - 1] for i in index]
+        report = json.loads((out / "report.json").read_text())
+        assert float(rows[-1].split(",")[1]) == pytest.approx(report["p_hat"],
+                                                              rel=1e-12)
 
 
 class TestCrude:
