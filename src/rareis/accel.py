@@ -125,8 +125,7 @@ def _draws(indicator, q, n, seed):
     return X, apply_indicator(indicator, X)
 
 
-def estimate(indicator, gmm, q, n, seed, bounds=(0.0, 1.0),
-             return_values=False):
+def estimate(indicator, gmm, q, n, seed, return_values=False):
     """Importance-sampling estimate of P(indicator = 1) under the base model."""
     if n < 100:
         raise ValueError("n must be >= 100")
@@ -141,12 +140,12 @@ def estimate(indicator, gmm, q, n, seed, bounds=(0.0, 1.0),
     max_lr = float(il.max()) if np.any(hits) else 0.0
     ess = float(il.sum() ** 2 / np.sum(il ** 2)) if np.any(hits) else 0.0
     report = EstimateReport(p_hat, stderr, n, max_lr, ess,
-                            crude_equiv_n(p_hat, stderr), bounds,
+                            crude_equiv_n(p_hat, stderr),
                             zero_hits=not np.any(hits), method="is")
     return (report, il) if return_values else report
 
 
-def crude_mc(indicator, gmm, n, seed, bounds=(0.0, 1.0), return_values=False):
+def crude_mc(indicator, gmm, n, seed, return_values=False):
     """Plain Monte Carlo under the base model: IS with the base as proposal."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -154,8 +153,8 @@ def crude_mc(indicator, gmm, n, seed, bounds=(0.0, 1.0), return_values=False):
     p_hat = float(hits.mean())
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
     report = EstimateReport(p_hat, stderr, n, 1.0 if p_hat > 0 else 0.0,
-                            float(n), n, bounds,
-                            zero_hits=p_hat == 0.0, method="crude")
+                            float(n), n, zero_hits=p_hat == 0.0,
+                            method="crude")
     return (report, hits) if return_values else report
 
 
@@ -170,12 +169,10 @@ class ProcedureState:
         self.history = history
 
     def to_dict(self):
+        """The procedure's own record; the frontier and the sets are written apart."""
         return {
             "iteration": self.iteration,
             "simulator_calls": self.simulator_calls,
-            "frontier": fr.frontier_to_dict(self.frontier),
-            "a_inner": [[p.tolist() for p in pts] for pts in self.a_inner],
-            "a_outer": [[p.tolist() for p in pts] for pts in self.a_outer],
             "history": self.history,
         }
 
@@ -198,7 +195,7 @@ def thin_frontier(gmm, store, cap):
     """
     s1, s0 = store.s1, store.s0
     if s1.shape[0] > cap:
-        s1 = s1[_top(gmm_log_density(s1 * store.mask.signs, gmm), cap)]
+        s1 = s1[_top(gmm_log_density(store.mask.canonicalize(s1), gmm), cap)]
     if s0.shape[0] > cap:
         s0 = s0[_top(s0.sum(axis=1), cap)]
     return fr.FrontierStore(store.mask, s1, s0)
@@ -213,10 +210,8 @@ def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
     limit (thin_frontier) rather than a hard stop.  The proposal blends in
     the inner part (rho = 0.5) once a rare point has been seen.
     """
-    signs = mask.signs
     store = fr.FrontierStore(mask)
-    a_inner = dompoints.initial_sets(gmm)
-    a_outer = dompoints.initial_sets(gmm)
+    a_inner = a_outer = dompoints.initial_sets(gmm)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     history = []
     calls = 0
@@ -229,11 +224,8 @@ def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
         store = fr.insert(store, X, hits)
         calls += n_per_iter
         thinned = thin_frontier(gmm, store, max_frontier)
-        a_inner = dompoints.inner_dominating(gmm, thinned.s1, signs)
-        if thinned.s0.shape[0]:
-            corners, _ = fr.outer_pieces(thinned)
-            a_outer, _ = dompoints.outer_dominating(gmm, list(corners),
-                                                    signs=signs)
+        a_inner = dompoints.inner_dominating(gmm, thinned)
+        a_outer = dompoints.outer_dominating(gmm, thinned)
         history.append({
             "iteration": it,
             "rho": rho,
@@ -250,20 +242,18 @@ def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
 
 def bound_probabilities(gmm, store, n, seed):
     """Monte Carlo bounds P(inner set) <= p <= P(outer set), no simulator calls."""
-    signs = store.mask.signs
     inner_fn, outer_fn = fr.bound_indicators(store)
     if store.s1.shape[0] == 0:
         p_lower, lower_report = 0.0, None
     else:
-        a_inner = dompoints.inner_dominating(gmm, store.s1, signs)
+        a_inner = dompoints.inner_dominating(gmm, store)
         q = build_is(gmm, a_inner, a_inner, 1.0)
         lower_report = estimate(inner_fn, gmm, q, n, seed)
         p_lower = min(max(lower_report.p_hat, 0.0), 1.0)
     if store.s0.shape[0] == 0:
         p_upper, upper_report = 1.0, None
     else:
-        corners, _ = fr.outer_pieces(store)
-        a_outer, _ = dompoints.outer_dominating(gmm, list(corners), signs=signs)
+        a_outer = dompoints.outer_dominating(gmm, store)
         q = build_is(gmm, a_outer, a_outer, 0.0)
         upper_report = estimate(outer_fn, gmm, q, n, seed + 1)
         p_upper = min(max(upper_report.p_hat, 0.0), 1.0)

@@ -17,8 +17,8 @@ import time
 import click
 import numpy as np
 
-from . import __version__, accel, dompoints, frontier as fr, scenario, tgmm
-from .frontier import DirectionMask, NonMonotoneOutcomeError, PieceBlowupError
+from . import __version__, accel, frontier as fr, scenario, tgmm
+from .frontier import NonMonotoneOutcomeError, PieceBlowupError
 from .gauss import Rect
 from .dompoints import SolverError
 from .tgmm import DyingComponentError
@@ -343,11 +343,8 @@ def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
     t0 = time.time()
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
-    try:
-        report, values = accel.crude_mc(ind, model, n, seed=seed,
-                                        return_values=True)
-    except NonMonotoneOutcomeError as err:
-        _fail(EXIT_MONOTONE, str(err))
+    report, values = accel.crude_mc(ind, model, n, seed=seed,
+                                    return_values=True)
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "report.json"), report.to_json())
     _atomic_write(os.path.join(out_dir, "trace.csv"), _trace_csv(values))

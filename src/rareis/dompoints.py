@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .gauss import log_density
+from . import frontier as fr
 
 
 class SolverError(RuntimeError):
@@ -169,23 +169,25 @@ def _dedup(points, tol=1e-6):
     return kept
 
 
-def _solve_set(gmm, corners, signs, context):
-    """Per-component dominating points for a list of canonical corners."""
-    support = gmm.support
+def _solve_set(gmm, corners, mask, context):
+    """Per-component dominating points for an array of canonical corners."""
+    boxes = []
+    for corner in corners:
+        box = canonical_corner_to_box(corner, mask.signs, gmm.support)
+        if box is None:
+            warnings.warn("%s: piece at corner %s lies outside the support; dropped"
+                          % (context, corner.tolist()))
+        else:
+            boxes.append((corner, box))
     sets = []
     for i, c in enumerate(gmm.components):
         pts = []
-        for corner in corners:
-            box = canonical_corner_to_box(corner, signs, support)
-            if box is None:
-                warnings.warn("%s: piece at corner %s lies outside the support; dropped"
-                              % (context, np.asarray(corner).tolist()))
-                continue
+        for corner, box in boxes:
             try:
                 dp = solve_piece(c, box)
             except SolverError as err:
                 raise SolverError("%s: component %d, corner %s: %s"
-                                  % (context, i, np.asarray(corner).tolist(), err),
+                                  % (context, i, corner.tolist(), err),
                                   last_iterate=err.last_iterate) from err
             pts.append(dp.point)
         pts.sort(key=lambda p: tuple(p))
@@ -199,35 +201,16 @@ def initial_sets(gmm):
     return [[np.clip(c.mean, lo, up)] for c in gmm.components]
 
 
-def inner_dominating(gmm, s1, signs=None):
-    """Dominating sets from the rare Pareto minima (inner approximation)."""
-    if signs is None:
-        signs = np.ones(gmm.dim)
-    s1 = np.asarray(s1, dtype=float).reshape(-1, gmm.dim)
-    if s1.shape[0] == 0:
+def inner_dominating(gmm, store):
+    """Dominating sets of the inner approximation: a piece per rare frontier point."""
+    if store.s1.shape[0] == 0:
         return initial_sets(gmm)
-    return _solve_set(gmm, list(s1), signs, "inner_dominating")
+    return _solve_set(gmm, store.s1, store.mask, "inner_dominating")
 
 
-def outer_dominating(gmm, pieces, cap=4096, signs=None):
-    """Dominating sets from the outer-approximation orthant pieces.
-
-    Returns (sets, truncated); when a component's set exceeds cap, the cap
-    points of largest density under that component are kept.
-    """
-    if signs is None:
-        signs = np.ones(gmm.dim)
-    pieces = list(pieces)
-    if not pieces:
-        return initial_sets(gmm), False
-    sets = _solve_set(gmm, pieces, signs, "outer_dominating")
-    truncated = False
-    capped = []
-    for i, pts in enumerate(sets):
-        if len(pts) > cap:
-            dens = np.array([log_density(p, gmm.components[i]) for p in pts])
-            order = np.argsort(-dens, kind="stable")[:cap]
-            pts = [pts[j] for j in sorted(order)]
-            truncated = True
-        capped.append(pts)
-    return capped, truncated
+def outer_dominating(gmm, store):
+    """Dominating sets of the outer approximation: a piece per outer_pieces corner."""
+    if store.s0.shape[0] == 0:
+        return initial_sets(gmm)
+    corners, _ = fr.outer_pieces(store)
+    return _solve_set(gmm, corners, store.mask, "outer_dominating")

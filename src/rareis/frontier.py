@@ -176,13 +176,9 @@ def outer_pieces(store, cap=4096):
     return corners[order], truncated
 
 
-def frontier_to_dict(store):
-    return {"mask": store.mask.signs.tolist(), "s1": store.s1.tolist(),
-            "s0": store.s0.tolist()}
-
-
 def frontier_to_json(store):
-    return json.dumps(frontier_to_dict(store), sort_keys=True, indent=2)
+    return json.dumps({"mask": store.mask.signs.tolist(), "s1": store.s1.tolist(),
+                       "s0": store.s0.tolist()}, sort_keys=True, indent=2)
 
 
 def frontier_from_json(text):

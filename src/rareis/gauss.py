@@ -454,17 +454,18 @@ def trunc_moments(c, r, mass=None):
     return m1, m2
 
 
-def sample_truncated(n, c, r, rng, max_batches=10000):
+def sample_truncated(n, c, r, rng, mass=None, max_batches=10000):
     """Rejection sampling of N(mean, cov) conditioned on the rectangle.
 
     Plain rejection; viable only while the acceptance probability stays
-    above ~1e-8.  Callers with thinner regions must reparameterize.
+    above ~1e-8.  Callers with thinner regions must reparameterize.  mass,
+    when given, must be rect_prob(c, r); it spares that integral.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if r.is_unbounded():
         return sample(n, c, rng)
-    p = rect_prob(c, r)
+    p = rect_prob(c, r) if mass is None else mass
     if p < 1e-8:
         raise DegenerateTruncationError(
             "acceptance rate estimate %.3g below 1e-8: degenerate truncation; "

@@ -267,7 +267,8 @@ def gmm_sample(n, m, rng):
     parts = []
     for k, c in enumerate(m.components):
         if counts[k] > 0:
-            parts.append(sample_truncated(counts[k], c, m.support, rng))
+            parts.append(sample_truncated(counts[k], c, m.support, rng,
+                                          mass=m.norm_consts[k]))
     out = np.concatenate(parts, axis=0)
     return out[rng.permutation(n)]
 

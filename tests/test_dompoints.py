@@ -4,6 +4,7 @@ import pytest
 from rareis import gauss
 from rareis.dompoints import (OrthantPiece, canonical_corner_to_box,
                               inner_dominating, outer_dominating, solve_piece)
+from rareis.frontier import DirectionMask, FrontierStore, insert
 from rareis.gauss import GaussComponent, Rect, log_density
 from rareis.tgmm import TruncatedGMM
 
@@ -107,6 +108,13 @@ class TestCornerToBox:
         assert canonical_corner_to_box([2.0], np.array([1.0]), support) is None
 
 
+def store(s1=None, s0=None, signs=None):
+    """Frontier store of canonical points under the given mask (default all +1)."""
+    d = np.shape(s1 if s1 is not None else s0)[1]
+    return FrontierStore(DirectionMask(np.ones(d) if signs is None else signs),
+                         s1, s0)
+
+
 class TestDominatingSets:
     def gmm(self):
         comps = [GaussComponent([0.0, 0.0], np.eye(2)),
@@ -114,58 +122,65 @@ class TestDominatingSets:
         return TruncatedGMM([0.3, 0.7], comps, Rect.unbounded(2))
 
     def test_empty_s1_initializes_at_means(self):
-        sets = inner_dominating(self.gmm(), np.empty((0, 2)))
+        sets = inner_dominating(self.gmm(), store(s0=[[5.0, 5.0]]))
+        assert np.allclose(sets[0][0], [0.0, 0.0])
+        assert np.allclose(sets[1][0], [1.0, 1.0])
+
+    def test_empty_s0_initializes_at_means(self):
+        sets = outer_dominating(self.gmm(), store(s1=[[5.0, 5.0]]))
         assert np.allclose(sets[0][0], [0.0, 0.0])
         assert np.allclose(sets[1][0], [1.0, 1.0])
 
     def test_identity_cov_clamp(self):
         gmm = TruncatedGMM([1.0], [GaussComponent([0.0, 0.0], np.eye(2))],
                            Rect.unbounded(2))
-        sets = inner_dominating(gmm, np.array([[1.0, 2.0]]))
+        sets = inner_dominating(gmm, store(s1=[[1.0, 2.0]]))
         assert np.allclose(sets[0][0], [1.0, 2.0], atol=1e-9)
 
     def test_dedup_collapses_equal_optima(self):
         # both rare points clamp to the same corner of the support
         gmm = TruncatedGMM([1.0], [GaussComponent([2.0, 2.0], np.eye(2))],
                            gauss.Rect([-np.inf, -np.inf], [1.0, 1.0]))
-        sets = inner_dominating(gmm, np.array([[0.9, 0.9], [0.95, 0.95]]))
+        sets = inner_dominating(gmm, store(s1=[[0.9, 0.9], [0.95, 0.95]]))
         assert len(sets[0]) == 1
 
     def test_outer_piece_count_single_safe_point(self):
+        # pieces {x0 >= 2}, {x1 >= 2}, {x2 >= 2}
         gmm = TruncatedGMM([1.0], [GaussComponent(np.zeros(3), np.eye(3))],
                            Rect.unbounded(3))
-        corners = [np.array([2.0, -np.inf, -np.inf]),
-                   np.array([-np.inf, 2.0, -np.inf]),
-                   np.array([-np.inf, -np.inf, 2.0])]
-        sets, truncated = outer_dominating(gmm, corners)
-        assert len(sets[0]) == 3 and not truncated
+        sets = outer_dominating(gmm, store(s0=[[2.0, 2.0, 2.0]]))
+        assert len(sets[0]) == 3
 
     def test_pieces_containing_mean_collapse_to_mean(self):
+        # pieces {x0 >= -5}, {x1 >= -5}
         gmm = self.gmm()
-        corners = [np.array([-5.0, -np.inf]), np.array([-np.inf, -5.0])]
-        sets, _ = outer_dominating(gmm, corners)
+        sets = outer_dominating(gmm, store(s0=[[-5.0, -5.0]]))
         for i, pts in enumerate(sets):
             assert len(pts) == 1
             assert np.allclose(pts[0], gmm.components[i].mean, atol=1e-9)
 
     def test_outer_solutions_match_grid(self, rng):
+        # pieces {x0 >= 2}, {x1 >= 2}, {x >= (1, 1)}
         gmm = TruncatedGMM([1.0], [GaussComponent(np.zeros(2), np.eye(2))],
                            Rect.unbounded(2))
-        corners = [np.array([2.0, -np.inf]), np.array([-np.inf, 2.0]),
-                   np.array([1.0, 1.0])]
-        sets, _ = outer_dominating(gmm, corners)
+        sets = outer_dominating(gmm, store(s0=[[1.0, 2.0], [2.0, 1.0]]))
         expected = {(2.0, 0.0), (0.0, 2.0), (1.0, 1.0)}
         got = {tuple(np.round(p, 6)) for p in sets[0]}
         assert got == expected
 
-    def test_cap_keeps_highest_density(self):
+    def test_flipped_coordinate_is_an_upper_bound(self):
+        # a rare and a safe point at x = (-1, 2) under mask (-1, +1): the
+        # canonical bound -x0 >= 1 reads x0 <= -1 in the model coordinates
         gmm = TruncatedGMM([1.0], [GaussComponent(np.zeros(2), np.eye(2))],
                            Rect.unbounded(2))
-        corners = [np.array([float(k), -np.inf]) for k in range(1, 6)]
-        sets, truncated = outer_dominating(gmm, corners, cap=2)
-        assert truncated
-        got = sorted(tuple(p) for p in sets[0])
-        assert got == [(1.0, 0.0), (2.0, 0.0)]
+        mask = DirectionMask([-1.0, 1.0])
+        x = np.array([[-1.0, 2.0]])
+        rare = insert(FrontierStore(mask), x, np.array([1]))
+        safe = insert(FrontierStore(mask), x, np.array([0]))
+        inner = inner_dominating(gmm, rare)[0]
+        assert len(inner) == 1 and np.allclose(inner[0], [-1.0, 2.0], atol=1e-9)
+        outer = {tuple(np.round(p, 6)) for p in outer_dominating(gmm, safe)[0]}
+        assert outer == {(-1.0, 0.0), (0.0, 2.0)}
 
     def test_dedup_idempotent(self, rng):
         from rareis.dompoints import _dedup

@@ -230,6 +230,22 @@ class TestGmmSample:
         y = gmm_sample(5000, truncated_2comp_2d, rng)
         assert np.all(truncated_2comp_2d.support.contains(y))
 
+    def test_draws_use_cached_normalizers(self, truncated_2comp_2d, monkeypatch):
+        # same draws as sample_truncated integrating each part itself, with
+        # no rectangle integral at sampling time
+        m = truncated_2comp_2d
+        rng = np.random.default_rng(5)
+        counts = rng.multinomial(300, m.weights)
+        parts = [gauss.sample_truncated(k, c, m.support, rng)
+                 for k, c in zip(counts, m.components)]
+        want = np.concatenate(parts)[rng.permutation(300)]
+
+        def no_integral(*args, **kwargs):
+            raise AssertionError("rect_prob called while sampling")
+        monkeypatch.setattr(gauss, "rect_prob", no_integral)
+        y = gmm_sample(300, m, np.random.default_rng(5))
+        assert y.tobytes() == want.tobytes()
+
 
 class TestStandardize:
     def test_columns_standardized(self, rng):
