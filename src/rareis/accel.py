@@ -240,20 +240,23 @@ def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
     return state, q_final
 
 
-def bound_probabilities(gmm, store, n, seed):
-    """Monte Carlo bounds P(inner set) <= p <= P(outer set), no simulator calls."""
+def bound_probabilities(gmm, store, a_inner, a_outer, n, seed):
+    """Monte Carlo bounds P(inner set) <= p <= P(outer set), no simulator calls.
+
+    a_inner and a_outer are the inner and outer dominating sets of store,
+    as dompoints.inner_dominating and outer_dominating give them; each is
+    read only when its side of the store is nonempty.
+    """
     inner_fn, outer_fn = fr.bound_indicators(store)
     if store.s1.shape[0] == 0:
         p_lower, lower_report = 0.0, None
     else:
-        a_inner = dompoints.inner_dominating(gmm, store)
         q = build_is(gmm, a_inner, a_inner, 1.0)
         lower_report = estimate(inner_fn, gmm, q, n, seed)
         p_lower = min(max(lower_report.p_hat, 0.0), 1.0)
     if store.s0.shape[0] == 0:
         p_upper, upper_report = 1.0, None
     else:
-        a_outer = dompoints.outer_dominating(gmm, store)
         q = build_is(gmm, a_outer, a_outer, 0.0)
         upper_report = estimate(outer_fn, gmm, q, n, seed + 1)
         p_upper = min(max(upper_report.p_hat, 0.0), 1.0)

@@ -306,9 +306,10 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
             model, ind, mask, n, seed, n_per_iter, max_iter, max_frontier, rho)
         if bound_n and (state.frontier.s1.shape[0]
                         or state.frontier.s0.shape[0]):
+            # the final iteration's sets: its thinned store is this one
             thinned = accel.thin_frontier(model, state.frontier, max_frontier)
-            p_lo, p_up, _, _ = accel.bound_probabilities(model, thinned,
-                                                         bound_n, seed + 2)
+            p_lo, p_up, _, _ = accel.bound_probabilities(
+                model, thinned, state.a_inner, state.a_outer, bound_n, seed + 2)
             report.bounds = (p_lo, p_up)
     except NonMonotoneOutcomeError as err:
         _fail(EXIT_MONOTONE, str(err))

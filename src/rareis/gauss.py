@@ -10,6 +10,14 @@ bivariate over one coordinate with 64-point Gauss-Legendre panels; d >= 4
 uses quasi-random integration with a fixed point count.  Truncated moments
 follow the Manjunath-Wilhelm (2012) recursion, whose lower-dimensional terms
 go through the same rules.
+
+rect_prob and trunc_moments are batch-only: each takes a sequence of K
+components and one rectangle and returns per-component arrays, computing
+all K with one integral batch per kind of term.  Their results are batch
+invariant: a component's value is bit for bit the one a call with that
+component alone returns.  So contractions over quadrature nodes are
+einsum, not a BLAS matrix-vector product, whose rounding of one row can
+depend on how many rows it is given.
 """
 
 import numpy as np
@@ -194,7 +202,8 @@ def _bvnu(h, k, r):
         q = 1 / (1 - sn * sn)
         hk = np.where(neg[mid], -h1 * k1, h1 * k1)[..., None]
         hs = ((h1 * h1 + k1 * k1) / 2)[..., None]
-        f = np.exp((hk * sn - hs) * q) @ w * asr / (4 * np.pi)
+        f = (np.einsum("gmi,i->gm", np.exp((hk * sn - hs) * q), w)
+             * asr / (4 * np.pi))
         out[mid] = np.where(neg[mid], -f, f) + ndtr(-h1) * ndtr(-k1)
     near = ~mid
     if near.any():
@@ -220,7 +229,8 @@ def _bvnu(h, k, r):
         hk, bs, c, d = hk[..., None], bs[..., None], c[..., None], d[..., None]
         ep = np.exp(-hk * xs / (2 * (1 + rs) ** 2)) / rs
         sp = 1 + c * xs * (1 + d * xs)
-        bvn += a / 2 * ((np.exp(-(bs / xs + hk) / 2) * (ep - sp)) @ w)
+        bvn += a / 2 * np.einsum("gmi,i->gm",
+                                 np.exp(-(bs / xs + hk) / 2) * (ep - sp), w)
         bvn = np.where(sing, 0.0, -bvn / (2 * np.pi))
         lower = np.where(h1 < 0, ndtr(k1) - ndtr(h1), ndtr(-h1) - ndtr(-k1))
         out[near] = np.where(neg1, np.maximum(lower, 0.0) - bvn,
@@ -309,7 +319,8 @@ def _rect_probs3(cov, a, b):
     cb = (B[rect, None, 1:] - bx) / sd[rect, None, :]
     p2 = _rect_probs2(ca, cb, rc[rect])
     dens = np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
-    return np.bincount(rect, step[rect] / 2 * ((dens * p2) @ w), minlength=n)
+    return np.bincount(rect, step[rect] / 2 * np.einsum("pi,i->p", dens * p2, w),
+                       minlength=n)
 
 
 def _rect_probs(cov, a, b):
@@ -332,66 +343,82 @@ def _rect_probs(cov, a, b):
     return np.array([_qmc_rect_prob(*args) for args in zip(cov, a, b)])
 
 
-def _rect_prob_zero(cov, a, b):
-    """P(a <= Y <= b) for Y ~ N(0, cov)."""
-    return float(_rect_probs(cov[None], a[None], b[None])[0])
-
-
-def rect_prob(c, r):
-    """P(lower <= X <= upper) for X ~ N(mean, cov).
-
-    Deterministic. d = 1 and d = 2 are exact to rounding (the bivariate
-    normal of Genz 2004, corner terms taken in the thinner tail); d = 3
-    integrates the exact conditional bivariate over one coordinate, clipped
-    to +-9 sd, with 64-point Gauss-Legendre panels (one panel unless the
-    conditional correlations are near +-1); against adaptive quadrature the
-    relative error stays below 1e-7 wherever p >= 1e-10 at d <= 3.  d >= 4
-    uses quasi-random integration with a fixed point count, whose accuracy
-    degrades toward d = 10 (documented limit).  Returns exactly 1.0 for an
-    unbounded rectangle.
-    """
-    if r.dim != c.dim:
+def _stack(components, r):
+    """Means (K, d) and covariances (K, d, d) of K components of r's dimension."""
+    if any(c.dim != r.dim for c in components):
         raise ValueError("rectangle and component dimension mismatch")
-    if c.dim > MAX_RECT_DIM:
+    means = np.array([c.mean for c in components]).reshape(-1, r.dim)
+    covs = np.array([c.cov for c in components]).reshape(-1, r.dim, r.dim)
+    return means, covs
+
+
+def _check_mass(p, floor, message):
+    """Raises DegenerateTruncationError naming the first component below floor."""
+    low = np.flatnonzero(p < floor)
+    if low.size:
+        raise DegenerateTruncationError("component %d: " % low[0]
+                                        + message % p[low[0]])
+
+
+def rect_prob(components, r):
+    """P(lower <= X_k <= upper) for X_k ~ N(mean_k, cov_k): K components -> (K,).
+
+    All K rectangles go through one integral batch, and the result is batch
+    invariant: a component's value does not depend on the others in the
+    call.  Deterministic. d = 1 and d = 2 are exact to rounding (the
+    bivariate normal of Genz 2004, corner terms taken in the thinner tail);
+    d = 3 integrates the exact conditional bivariate over one coordinate,
+    clipped to +-9 sd, with 64-point Gauss-Legendre panels (one panel unless
+    the conditional correlations are near +-1); against adaptive quadrature
+    the relative error stays below 1e-7 wherever p >= 1e-10 at d <= 3.
+    d >= 4 uses quasi-random integration with a fixed point count, whose
+    accuracy degrades toward d = 10 (documented limit).  Returns exactly 1.0
+    for an unbounded rectangle.  Raises DegenerateTruncationError, naming
+    the first such component, when a probability underflows.
+    """
+    means, covs = _stack(components, r)
+    if r.dim > MAX_RECT_DIM:
         raise ValueError("rect_prob supports d <= %d" % MAX_RECT_DIM)
     if r.is_unbounded():
-        return 1.0
-    p = _rect_prob_zero(c.cov, r.lower - c.mean, r.upper - c.mean)
-    if p < 1e-300:
-        raise DegenerateTruncationError(
-            "rectangle probability underflow: numerically zero region")
-    return min(p, 1.0)
+        return np.ones(means.shape[0])
+    p = _rect_probs(covs, r.lower - means, r.upper - means)
+    _check_mass(p, 1e-300, "rectangle probability %.3g underflows: "
+                "numerically zero region")
+    return np.minimum(p, 1.0)
 
 
 def _pinned_densities(cov, a, b, pins, vals):
     """Density of Y[pins] at vals times P(the other coordinates in [a, b] | it).
 
-    Y ~ N(0, cov); pins is an (m, p) array of coordinate indices and vals the
-    (m, p) values they are pinned at.  A row with an infinite value is 0.
-    All m conditional rectangles go to one _rect_probs call.
+    Row i has its own Y ~ N(0, cov[i]) and rectangle [a[i], b[i]]: cov is
+    (m, d, d), a and b (m, d), pins an (m, p) array of coordinate indices
+    and vals the (m, p) values they are pinned at.  A row with an infinite
+    value is 0.  All m conditional rectangles go to one _rect_probs call.
     """
-    m, p = pins.shape
-    out = np.zeros(m)
+    out = np.zeros(pins.shape[0])
     ok = np.all(np.isfinite(vals), axis=1)
     if not ok.any():
         return out
-    pins, vals = pins[ok], vals[ok]
-    free = np.ones((pins.shape[0], a.size), dtype=bool)
-    free[np.arange(pins.shape[0])[:, None], pins] = False
-    rest = np.nonzero(free)[1].reshape(pins.shape[0], -1)
-    s_pp = cov[pins[:, :, None], pins[:, None, :]]
-    s_rp = cov[rest[:, :, None], pins[:, None, :]]
+    cov, a, b, pins, vals = cov[ok], a[ok], b[ok], pins[ok], vals[ok]
+    n, p = pins.shape
+    row = np.arange(n)[:, None]
+    free = np.ones(a.shape, dtype=bool)
+    free[row, pins] = False
+    rest = np.nonzero(free)[1].reshape(n, -1)
+    s_pp = cov[row[:, :, None], pins[:, :, None], pins[:, None, :]]
+    s_rp = cov[row[:, :, None], rest[:, :, None], pins[:, None, :]]
     g = np.linalg.solve(s_pp, np.concatenate([vals[:, :, None],
                                               s_rp.transpose(0, 2, 1)], axis=2))
     quad = np.sum(vals * g[:, :, 0], axis=1)
     dens = np.exp(-0.5 * quad) / np.sqrt((2 * np.pi) ** p * np.linalg.det(s_pp))
     live = dens > 0
     if rest.shape[1] and live.any():
-        rest, s_rp, g = rest[live], s_rp[live], g[live]
+        row, rest, s_rp, g = row[live], rest[live], s_rp[live], g[live]
         cmean = np.einsum("mrp,mp->mr", s_rp, g[:, :, 0])
-        ccov = cov[rest[:, :, None], rest[:, None, :]] - s_rp @ g[:, :, 1:]
-        dens[live] *= np.maximum(_rect_probs(ccov, a[rest] - cmean,
-                                             b[rest] - cmean), 0.0)
+        ccov = (cov[row[:, :, None], rest[:, :, None], rest[:, None, :]]
+                - s_rp @ g[:, :, 1:])
+        dens[live] *= np.maximum(_rect_probs(ccov, a[row, rest] - cmean,
+                                             b[row, rest] - cmean), 0.0)
     out[ok] = dens
     return out
 
@@ -402,56 +429,63 @@ def _xF(x, F):
 
 
 def _trunc_moments_zero(cov, a, b, mass=None):
-    """First and raw second moment of N(0, cov) truncated to [a, b].
+    """First and raw second moments of N(0, cov_k) truncated to [a_k, b_k].
 
-    The Manjunath-Wilhelm (2012) recursion: one batch of 2d edge terms (one
-    coordinate pinned at a bound) and one of d(d-1)/2 x 4 pair terms.
-    mass, when given, is the probability of [a, b].
+    cov is (K, d, d), a and b (K, d).  The Manjunath-Wilhelm (2012)
+    recursion: one batch of K x 2d edge terms (one coordinate pinned at a
+    bound) and one of K x d(d-1)/2 x 4 pair terms.  mass, when given, holds
+    the K probabilities of [a_k, b_k].
     """
-    d = a.size
-    alpha = _rect_prob_zero(cov, a, b) if mass is None else mass
-    if alpha < 1e-12:
-        raise DegenerateTruncationError(
-            "truncation mass %.3g below 1e-12; moments unreliable" % alpha)
-    coord = np.arange(d)
-    F = _pinned_densities(cov, a, b, np.tile(coord, 2)[:, None],
-                          np.concatenate([a, b])[:, None])
-    Fa, Fb = F[:d], F[d:]
-    m1 = cov @ (Fa - Fb) / alpha
+    K, d = a.shape
+    alpha = _rect_probs(cov, a, b) if mass is None else np.broadcast_to(mass, K)
+    _check_mass(alpha, 1e-12, "truncation mass %.3g below 1e-12; "
+                "moments unreliable")
+    comp = np.arange(K)
+    edges = np.repeat(comp, 2 * d)
+    F = _pinned_densities(cov[edges], a[edges], b[edges],
+                          np.tile(np.arange(d), 2 * K)[:, None],
+                          np.concatenate([a, b], axis=1).reshape(-1, 1))
+    F = F.reshape(K, 2, d)
+    Fa, Fb = F[:, 0], F[:, 1]
+    m1 = (cov @ (Fa - Fb)[:, :, None])[:, :, 0] / alpha[:, None]
 
     k, q = np.triu_indices(d, 1)
-    corners = np.concatenate([np.column_stack([xk, xq]) for xk, xq in
-                              ((a[k], a[q]), (a[k], b[q]), (b[k], a[q]), (b[k], b[q]))])
-    F2 = _pinned_densities(cov, a, b, np.tile(np.column_stack([k, q]), (4, 1)),
-                           corners).reshape(4, k.size)
-    D2 = np.zeros((d, d))
-    D2[k, q] = D2[q, k] = F2[0] - F2[1] - F2[2] + F2[3]
+    corners = np.stack([np.stack([xk, xq], axis=-1) for xk, xq in
+                        ((a[:, k], a[:, q]), (a[:, k], b[:, q]),
+                         (b[:, k], a[:, q]), (b[:, k], b[:, q]))], axis=1)
+    pairs = np.repeat(comp, 4 * k.size)
+    F2 = _pinned_densities(cov[pairs], a[pairs], b[pairs],
+                           np.tile(np.column_stack([k, q]), (4 * K, 1)),
+                           corners.reshape(-1, 2)).reshape(K, 4, k.size)
+    D2 = np.zeros((K, d, d))
+    D2[:, k, q] = D2[:, q, k] = F2[:, 0] - F2[:, 1] - F2[:, 2] + F2[:, 3]
     edge = _xF(a, Fa) - _xF(b, Fb)
-    T = cov / np.diag(cov) * (edge - np.sum(cov * D2, axis=1)) + cov @ D2
-    m2 = cov + cov @ T.T / alpha
-    m2 = 0.5 * (m2 + m2.T)
+    diag = np.diagonal(cov, axis1=1, axis2=2)[:, None, :]
+    T = (cov / diag * (edge - np.sum(cov * D2, axis=2))[:, None, :]
+         + cov @ D2)
+    m2 = cov + cov @ T.transpose(0, 2, 1) / alpha[:, None, None]
+    m2 = 0.5 * (m2 + m2.transpose(0, 2, 1))
     return m1, m2
 
 
-def trunc_moments(c, r, mass=None):
-    """First moment and raw second moment of N(mean, cov) truncated to r.
+def trunc_moments(components, r, mass=None):
+    """Moments about each component's mean of N(mean_k, cov_k) truncated to r.
 
-    Computed through the Manjunath-Wilhelm recursion expressing
-    truncated-normal moments via lower-dimensional rectangle probabilities,
-    at every d.  mass, when given, must be rect_prob(c, r); it spares that
-    integral.  Raises DegenerateTruncationError when the truncation mass is
-    below 1e-12.
+    For K components returns E[X_k - mean_k], (K, d), and
+    E[(X_k - mean_k)(X_k - mean_k)'], (K, d, d), X_k conditioned on r: the
+    zero-mean Manjunath-Wilhelm recursion's own output, which expresses
+    truncated-normal moments via lower-dimensional rectangle probabilities
+    at every d.  Raw moments are mean + m1 and
+    m2 + mean m1' + m1 mean' + mean mean'.  All K components go through one
+    batch per kind of term, and the result is batch invariant.  mass, when
+    given, must be rect_prob(components, r); it spares those integrals.
+    Raises DegenerateTruncationError, naming the first such component, when
+    a truncation mass is below 1e-12.
     """
-    if r.dim != c.dim:
-        raise ValueError("rectangle and component dimension mismatch")
+    means, covs = _stack(components, r)
     if r.is_unbounded():
-        return c.mean.copy(), c.cov + np.outer(c.mean, c.mean)
-    a = r.lower - c.mean
-    b = r.upper - c.mean
-    m1z, m2z = _trunc_moments_zero(c.cov, a, b, mass)
-    m1 = c.mean + m1z
-    m2 = m2z + np.outer(c.mean, m1z) + np.outer(m1z, c.mean) + np.outer(c.mean, c.mean)
-    return m1, m2
+        return np.zeros(means.shape), covs
+    return _trunc_moments_zero(covs, r.lower - means, r.upper - means, mass)
 
 
 def sample_truncated(n, c, r, rng, mass=None, max_batches=10000):
@@ -459,13 +493,13 @@ def sample_truncated(n, c, r, rng, mass=None, max_batches=10000):
 
     Plain rejection; viable only while the acceptance probability stays
     above ~1e-8.  Callers with thinner regions must reparameterize.  mass,
-    when given, must be rect_prob(c, r); it spares that integral.
+    when given, must be rect_prob([c], r)[0]; it spares that integral.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if r.is_unbounded():
         return sample(n, c, rng)
-    p = rect_prob(c, r) if mass is None else mass
+    p = rect_prob([c], r)[0] if mass is None else mass
     if p < 1e-8:
         raise DegenerateTruncationError(
             "acceptance rate estimate %.3g below 1e-8: degenerate truncation; "

@@ -221,14 +221,12 @@ def analytic_scenario(kind, params):
             return np.all(np.atleast_2d(x) >= corner, axis=1).astype(int)
 
         def truth_fn(gmm):
-            total = 0.0
-            for eta, c, nc in zip(gmm.weights, gmm.components, gmm.norm_consts):
-                lo = np.maximum(corner, gmm.support.lower)
-                up = np.array(gmm.support.upper, copy=True)
-                if np.any(lo >= up):
-                    continue
-                total += eta * rect_prob(c, Rect(lo, up)) / nc
-            return total
+            lo = np.maximum(corner, gmm.support.lower)
+            if np.any(lo >= gmm.support.upper):
+                return 0.0
+            probs = rect_prob(gmm.components, Rect(lo, gmm.support.upper))
+            # Python sum: the components add up in order, from 0
+            return float(sum(gmm.weights * probs / gmm.norm_consts))
 
         return indicator, truth_fn, DirectionMask(np.ones(corner.size))
     raise ValueError("unsupported analytic scenario kind %r" % kind)

@@ -68,7 +68,7 @@ class TruncatedGMM:
         self.components = list(components)
         self.support = support
         self.standardizer = standardizer
-        self.norm_consts = np.array([rect_prob(c, support) for c in components])
+        self.norm_consts = rect_prob(self.components, support)
 
     @property
     def dim(self):
@@ -147,7 +147,7 @@ def em_step(y, m, resp=None):
     resp, when given, must be responsibilities(y, m); it spares the E-step.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    n, d = y.shape
+    n = y.shape[0]
     if n < m.n_components:
         raise ValueError("need at least K observations")
     if resp is None:
@@ -157,23 +157,16 @@ def em_step(y, m, resp=None):
     for k, w in enumerate(new_w):
         if w < 1e-8:
             raise DyingComponentError("component %d weight collapsed to %.3g" % (k, w))
+    # the truncation corrections, one batch for all components; with an
+    # unbounded support they are exactly 0
+    mk, m2 = trunc_moments(m.components, m.support, mass=m.norm_consts)
     new_components = []
-    unbounded = m.support.is_unbounded()
     for k, c in enumerate(m.components):
         ybar = resp[:, k] @ y / nk[k]
-        if unbounded:
-            mk = np.zeros(d)
-            Hk = np.zeros((d, d))
-        else:
-            zero = GaussComponent(np.zeros(d), c.cov)
-            shifted = Rect(m.support.lower - c.mean, m.support.upper - c.mean)
-            m1, m2 = trunc_moments(zero, shifted, mass=m.norm_consts[k])
-            mk = m1
-            Hk = c.cov - m2
-        mu = ybar - mk
+        mu = ybar - mk[k]
         dev = y - mu
         scatter = (resp[:, k][:, None] * dev).T @ dev / nk[k]
-        cov = _spd_cholesky(scatter + Hk)
+        cov = _spd_cholesky(scatter + (c.cov - m2[k]))
         new_components.append(GaussComponent(mu, cov))
     return TruncatedGMM(new_w, new_components, m.support, m.standardizer)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rareis import accel, analytic_scenario
+from rareis import accel, analytic_scenario, dompoints
 from rareis.accel import (build_is, bound_probabilities, crude_equiv_n,
                           crude_mc, estimate, likelihood_ratio, run_procedure,
                           sample_is)
@@ -61,7 +61,7 @@ class TestIsLogDensity:
         q = build_is(gmm, [[]], [[np.array([1.0])]], 0.0)
         x = np.array([0.7])
         c = GaussComponent([1.0], [[1.0]])
-        expected = log_density(x, c) - np.log(rect_prob(c, support))
+        expected = log_density(x, c) - np.log(rect_prob([c], support)[0])
         assert gmm_log_density(x, q) == pytest.approx(expected, abs=1e-10)
 
     def test_outside_support(self):
@@ -139,7 +139,7 @@ class TestLikelihoodRatio:
         assert q.n_components == 8
 
         def trunc_dens(X, c):
-            return np.exp(log_density(X, c)) / rect_prob(c, support)
+            return np.exp(log_density(X, c)) / rect_prob([c], support)[0]
 
         X = rng.uniform(support.lower, support.upper, size=(200, 2))
         num = sum(w * trunc_dens(X, c) for w, c in zip(weights, base))
@@ -344,18 +344,24 @@ class TestThinFrontier:
         assert thinned.s0.tolist() == [[0.0, 1.0], [1.0, 1.0], [-3.0, 5.0]]
 
 
+def _bounds(gmm, store, n, seed):
+    """bound_probabilities with the store's own dominating sets."""
+    return bound_probabilities(gmm, store, dompoints.inner_dominating(gmm, store),
+                               dompoints.outer_dominating(gmm, store), n, seed)
+
+
 class TestBoundProbabilities:
     def test_empty_frontier(self):
         gmm = gauss1d()
         store = FrontierStore(DirectionMask([1.0]))
-        p_lo, p_up, _, _ = bound_probabilities(gmm, store, 1000, seed=0)
+        p_lo, p_up, _, _ = _bounds(gmm, store, 1000, seed=0)
         assert (p_lo, p_up) == (0.0, 1.0)
 
     def test_collapsed_1d_threshold(self):
         gmm = gauss1d()
         store = FrontierStore(DirectionMask([1.0]))
         store = insert(store, np.array([[2.0], [1.999]]), [1, 0])
-        p_lo, p_up, lo_rep, up_rep = bound_probabilities(gmm, store, 20_000, seed=1)
+        p_lo, p_up, lo_rep, up_rep = _bounds(gmm, store, 20_000, seed=1)
         joint = 3 * np.hypot(lo_rep.stderr, up_rep.stderr)
         assert p_up - p_lo < joint + 1e-4
 
@@ -369,7 +375,7 @@ class TestBoundProbabilities:
         truth = truth_fn(gmm)
         pts = rng.uniform(0, 2.5, size=(60, 2))
         store = insert(FrontierStore(mask), pts, ind(pts))
-        p_lo, p_up, lo_rep, up_rep = bound_probabilities(gmm, store, 20_000, seed=2)
+        p_lo, p_up, lo_rep, up_rep = _bounds(gmm, store, 20_000, seed=2)
         slack_lo = 3 * (lo_rep.stderr if lo_rep else 0.0)
         slack_up = 3 * (up_rep.stderr if up_rep else 0.0)
         assert p_lo - slack_lo <= truth <= p_up + slack_up

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rareis import accel, cli, tgmm
+from rareis import accel, cli, dompoints, tgmm
 from rareis.cli import main, parse_support
 from rareis.dompoints import SolverError
 from rareis.frontier import NonMonotoneOutcomeError
@@ -171,6 +171,24 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         lo, up = report["bounds"]
         assert 0.0 <= lo <= up <= 1.0
+
+    def test_bound_n_reuses_final_dominating_sets(self, runner, model_1d,
+                                                  tmp_path, monkeypatch):
+        # one inner and one outer set per procedure iteration; the bounds
+        # reuse the last iteration's pair instead of solving it again
+        calls = []
+        for name in ("inner_dominating", "outer_dominating"):
+            def counted(*args, real=getattr(dompoints, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(dompoints, name, counted)
+        out = tmp_path / "run"
+        r = runner.invoke(main, ["run", model_1d, "--out", str(out),
+                                 "--bound-n", "1000"] + self.ARGS)
+        assert r.exit_code == 0, r.output
+        assert json.loads((out / "report.json").read_text())["bounds"] != [0.0, 1.0]
+        assert calls.count("inner_dominating") == 3
+        assert calls.count("outer_dominating") == 3
 
     def test_byte_identical_reruns(self, runner, model_1d, tmp_path):
         outs = []

@@ -84,15 +84,15 @@ class TestSample:
 class TestRectProb:
     def test_half_line(self):
         c = GaussComponent([0.0], [[1.0]])
-        assert rect_prob(c, Rect([0.0], [np.inf])) == pytest.approx(0.5, abs=1e-12)
+        assert rect_prob([c], Rect([0.0], [np.inf]))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_unbounded_is_one(self):
         c = GaussComponent(np.zeros(3), np.eye(3))
-        assert rect_prob(c, Rect.unbounded(3)) == 1.0
+        assert rect_prob([c], Rect.unbounded(3))[0] == 1.0
 
     def test_quarter_plane(self):
         c = GaussComponent(np.zeros(2), np.eye(2))
-        assert rect_prob(c, Rect([0.0, 0.0], [np.inf, np.inf])) == pytest.approx(
+        assert rect_prob([c], Rect([0.0, 0.0], [np.inf, np.inf]))[0] == pytest.approx(
             0.25, rel=1e-4)
 
     def test_monotone_under_inclusion(self, rng):
@@ -103,12 +103,17 @@ class TestRectProb:
             hi = rng.uniform(0.5, 2.5, 2)
             inner = Rect(lo + 0.3, hi - 0.3)
             outer = Rect(lo, hi)
-            assert rect_prob(c, inner) <= rect_prob(c, outer) + 1e-6
+            assert rect_prob([c], inner)[0] <= rect_prob([c], outer)[0] + 1e-6
 
     def test_underflow_signals(self):
         c = GaussComponent([0.0], [[1.0]])
         with pytest.raises(DegenerateTruncationError):
-            rect_prob(c, Rect([40.0], [41.0]))
+            rect_prob([c], Rect([40.0], [41.0]))
+
+    def test_underflow_names_first_degenerate_component(self):
+        comps = [GaussComponent([m], [[1.0]]) for m in (40.0, 38.0, 0.0, -5.0)]
+        with pytest.raises(DegenerateTruncationError, match="^component 2: "):
+            rect_prob(comps, Rect([40.0], [41.0]))
 
 
 def _grid_moments_2d(c, r, hi=6.0, step=0.005):
@@ -123,10 +128,17 @@ def _grid_moments_2d(c, r, hi=6.0, step=0.005):
     return m1, m2
 
 
+def _raw_moments(c, r, mass=None):
+    """Raw first and second moments of one component from its batch call."""
+    (m1,), (m2,) = trunc_moments([c], r, mass=mass)
+    mu = c.mean
+    return mu + m1, m2 + np.outer(mu, m1) + np.outer(m1, mu) + np.outer(mu, mu)
+
+
 class TestTruncMoments:
     def test_half_normal_closed_form(self):
         c = GaussComponent([0.0], [[1.0]])
-        m1, m2 = trunc_moments(c, Rect([0.0], [np.inf]))
+        (m1,), (m2,) = trunc_moments([c], Rect([0.0], [np.inf]))
         assert m1[0] == pytest.approx(np.sqrt(2 / np.pi), abs=1e-10)
         assert m2[0, 0] == pytest.approx(1.0, abs=1e-10)
 
@@ -136,7 +148,7 @@ class TestTruncMoments:
         # [a, inf) (mirrored for a < 0), with Q(a) taken in the thin tail
         c = GaussComponent([0.0], [[1.0]])
         r = Rect([a], [np.inf]) if a > 0 else Rect([-np.inf], [a])
-        m1, m2 = trunc_moments(c, r)
+        (m1,), (m2,) = trunc_moments([c], r)
         ratio = np.exp(-0.5 * a * a) / np.sqrt(2 * np.pi) / ndtr(-abs(a))
         assert m1[0] == pytest.approx(np.sign(a) * ratio, rel=1e-12, abs=0)
         assert m2[0, 0] == pytest.approx(1 + abs(a) * ratio, rel=1e-12, abs=0)
@@ -144,13 +156,13 @@ class TestTruncMoments:
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
     def test_symmetric_interval_zero_mean(self, a):
         c = GaussComponent([0.0], [[1.0]])
-        m1, _ = trunc_moments(c, Rect([-a], [a]))
+        (m1,), _ = trunc_moments([c], Rect([-a], [a]))
         assert m1[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_2d_grid_oracle(self):
         c = GaussComponent([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
         r = Rect([0.0, 0.0], [np.inf, np.inf])
-        m1, m2 = trunc_moments(c, r)
+        (m1,), (m2,) = trunc_moments([c], r)
         gm1, gm2 = _grid_moments_2d(c, r)
         assert np.allclose(m1, gm1, rtol=1e-3)
         assert np.allclose(m2, gm2, rtol=1e-3)
@@ -159,7 +171,7 @@ class TestTruncMoments:
         mu = np.array([0.7, -0.3])
         cov = np.array([[1.2, 0.4], [0.4, 0.9]])
         c = GaussComponent(mu, cov)
-        m1, m2 = trunc_moments(c, Rect.unbounded(2))
+        m1, m2 = _raw_moments(c, Rect.unbounded(2))
         assert np.allclose(m1, mu, atol=1e-10)
         assert np.allclose(m2, cov + np.outer(mu, mu), atol=1e-10)
 
@@ -168,7 +180,7 @@ class TestTruncMoments:
             A = rng.standard_normal((3, 3))
             c = GaussComponent(rng.normal(0, 0.5, 3), A @ A.T + 0.5 * np.eye(3))
             r = Rect(rng.uniform(-2, -0.5, 3), rng.uniform(0.5, 2, 3))
-            m1, m2 = trunc_moments(c, r)
+            m1, m2 = _raw_moments(c, r)
             eigs = np.linalg.eigvalsh(m2 - np.outer(m1, m1))
             assert eigs.min() > -1e-8
 
@@ -176,17 +188,25 @@ class TestTruncMoments:
         cov = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
         c = GaussComponent([0.2, 0.0, -0.1], cov)
         r = Rect([-1.0, -1.0, -np.inf], [np.inf, 1.5, 1.0])
-        p = rect_prob(c, r)
-        m1, m2 = trunc_moments(c, r)
-        g1, g2 = trunc_moments(c, r, mass=p)
+        p = rect_prob([c], r)[0]
+        m1, m2 = _raw_moments(c, r)
+        g1, g2 = _raw_moments(c, r, mass=p)
         assert np.allclose(g1, m1, rtol=1e-14) and np.allclose(g2, m2, rtol=1e-14)
-        h1, _ = trunc_moments(c, r, mass=2 * p)
+        h1, _ = _raw_moments(c, r, mass=2 * p)
         assert np.allclose(h1 - c.mean, (m1 - c.mean) / 2, rtol=1e-12)
 
     def test_vanishing_mass_error(self):
         c = GaussComponent([0.0, 0.0], np.eye(2))
         with pytest.raises(DegenerateTruncationError):
-            trunc_moments(c, Rect([12.0, 12.0], [13.0, 13.0]))
+            trunc_moments([c], Rect([12.0, 12.0], [13.0, 13.0]))
+
+    def test_vanishing_mass_names_first_degenerate_component(self):
+        comps = [GaussComponent([m, m], np.eye(2)) for m in (12.0, 0.0, 7.0)]
+        r = Rect([12.0, 12.0], [13.0, 13.0])
+        with pytest.raises(DegenerateTruncationError, match="^component 1: "):
+            trunc_moments(comps, r)
+        with pytest.raises(DegenerateTruncationError, match="^component 2: "):
+            trunc_moments(comps, r, mass=[0.5, 0.5, 1e-13])
 
 
 class TestSampleTruncated:
@@ -214,7 +234,7 @@ class TestSampleTruncated:
         r = Rect([-1.0, -1.0, -np.inf], [np.inf, 1.5, 1.0])
         n = 100_000
         x = sample_truncated(n, c, r, rng)
-        m1, m2 = trunc_moments(c, r)
+        m1, m2 = _raw_moments(c, r)
         se = np.sqrt(np.diag(m2 - np.outer(m1, m1)) / n)
         assert np.all(np.abs(x.mean(axis=0) - m1) < 3 * se)
 
@@ -228,7 +248,7 @@ def test_truncated_density_normalizes_on_grid():
     # truncated log-density = log_density - log rect_prob integrates to 1
     c = GaussComponent([0.3, -0.2], [[1.0, 0.4], [0.4, 0.8]])
     r = Rect([-1.0, -1.5], [2.0, 1.0])
-    p = rect_prob(c, r)
+    p = rect_prob([c], r)[0]
     step = 0.005
     xs = np.arange(r.lower[0], r.upper[0], step) + step / 2
     ys = np.arange(r.lower[1], r.upper[1], step) + step / 2
@@ -325,7 +345,7 @@ def _assert_rect_accurate(cov, lo, hi, truth):
     # relative error <= 1e-7 wherever the truth is >= 1e-10
     mean = np.zeros(cov.shape[0])
     if truth >= 1e-10:
-        got = rect_prob(GaussComponent(mean, cov), Rect(lo, hi))
+        got = rect_prob([GaussComponent(mean, cov)], Rect(lo, hi))[0]
         assert abs(got - truth) <= 1e-7 * truth, (cov, lo, hi, got, truth)
         return True
     return False
@@ -398,8 +418,8 @@ class TestRectProbAccuracy:
         for shift in np.arange(3.0, 6.0) + 3 - d:      # p from 1e-5 down to 1e-18
             lo = shift * np.sqrt(np.diag(cov))
             hi = lo + np.array([0.5, np.inf, 2.0])[:d]
-            p = rect_prob(c, Rect(lo, hi))
-            assert rect_prob(c, Rect(-hi, -lo)) == pytest.approx(p, rel=1e-9, abs=0)
+            p = rect_prob([c], Rect(lo, hi))[0]
+            assert rect_prob([c], Rect(-hi, -lo))[0] == pytest.approx(p, rel=1e-9, abs=0)
             if d == 1:
                 truth = _interval(lo[0], hi[0])
             elif d == 2:
@@ -429,7 +449,7 @@ class TestRectProbAccuracy:
     @pytest.mark.parametrize("rho", [-0.99, -0.7, -0.2, 0.0, 0.4, 0.93, 0.999])
     def test_bivariate_orthant(self, rho):
         c = GaussComponent(np.zeros(2), [[1.0, rho], [rho, 1.0]])
-        got = rect_prob(c, Rect([0.0, 0.0], [np.inf, np.inf]))
+        got = rect_prob([c], Rect([0.0, 0.0], [np.inf, np.inf]))[0]
         truth = 0.25 + np.arcsin(rho) / (2 * np.pi)
         assert got == pytest.approx(truth, rel=1e-12, abs=0)
 
@@ -437,8 +457,8 @@ class TestRectProbAccuracy:
         rng = np.random.default_rng(5)
         for _ in range(10):
             R = _random_corr(rng, 3)
-            got = rect_prob(GaussComponent(np.zeros(3), R),
-                            Rect(np.zeros(3), np.full(3, np.inf)))
+            got = rect_prob([GaussComponent(np.zeros(3), R)],
+                            Rect(np.zeros(3), np.full(3, np.inf)))[0]
             truth = 0.125 + np.arcsin(R[np.triu_indices(3, 1)]).sum() / (4 * np.pi)
             assert got == pytest.approx(truth, rel=1e-10, abs=0)
 
@@ -450,7 +470,7 @@ class TestRectProbAccuracy:
             lo = rng.uniform(-3.0, 3.0, d) * sd
             hi = lo + rng.exponential(1.5, d) * sd
             truth = np.prod([_interval(lo[i] / sd[i], hi[i] / sd[i]) for i in range(d)])
-            got = rect_prob(GaussComponent(np.zeros(d), np.diag(sd ** 2)), Rect(lo, hi))
+            got = rect_prob([GaussComponent(np.zeros(d), np.diag(sd ** 2))], Rect(lo, hi))[0]
             assert got == pytest.approx(truth, rel=1e-10, abs=0)
 
     def test_qmc_only_from_d4(self, monkeypatch):
@@ -461,8 +481,8 @@ class TestRectProbAccuracy:
         for d in (1, 2, 3, 4, 5):
             c = GaussComponent(np.zeros(d), 0.5 * np.eye(d) + 0.5)
             r = Rect(np.full(d, -1.0), np.full(d, 2.0))
-            rect_prob(c, r)
-            trunc_moments(c, r)
+            rect_prob([c], r)
+            trunc_moments([c], r)
         # d = 4: rect_prob, alpha and 8 edge terms; d = 5: the same, 3-d pairs exact
         assert calls == [4] * 2 + [5] * 2 + [4] * 10
 
@@ -474,7 +494,7 @@ def test_trunc_moments_3d_match_rect_prob_derivatives():
     r = Rect([-0.5, -np.inf, -1.0], [1.5, 1.0, np.inf])
 
     def alpha(mu):
-        return rect_prob(GaussComponent(mu, cov), r)
+        return rect_prob([GaussComponent(mu, cov)], r)[0]
     h = 1e-3
     e = np.eye(3) * h
     a0 = alpha(np.zeros(3))
@@ -484,7 +504,7 @@ def test_trunc_moments_3d_match_rect_prob_derivatives():
         for j in range(3):
             H[i, j] = (alpha(e[i] + e[j]) - alpha(e[i] - e[j])
                        - alpha(e[j] - e[i]) + alpha(-e[i] - e[j])) / (4 * h * h)
-    m1, m2 = trunc_moments(GaussComponent(np.zeros(3), cov), r)
+    (m1,), (m2,) = trunc_moments([GaussComponent(np.zeros(3), cov)], r)
     assert np.allclose(m1, cov @ grad / a0, rtol=0, atol=1e-6)
     assert np.allclose(m2, cov + cov @ H @ cov / a0, rtol=0, atol=1e-5)
 
@@ -493,11 +513,34 @@ def test_trunc_moments_diagonal_3d_are_products():
     # independent coordinates: 1-d closed forms on the diagonal, products off it
     sd = np.array([0.7, 1.3, 2.0])
     r = Rect([-0.4, 0.5, -np.inf], [1.2, np.inf, 1.0])
-    m1, m2 = trunc_moments(GaussComponent(np.zeros(3), np.diag(sd ** 2)), r)
-    one = [trunc_moments(GaussComponent([0.0], [[s * s]]), Rect([lo], [hi]))
+    (m1,), (m2,) = trunc_moments([GaussComponent(np.zeros(3), np.diag(sd ** 2))], r)
+    one = [trunc_moments([GaussComponent([0.0], [[s * s]])], Rect([lo], [hi]))
            for s, lo, hi in zip(sd, r.lower, r.upper)]
-    mu = np.array([o[0][0] for o in one])
+    mu = np.array([o[0][0, 0] for o in one])
     assert np.allclose(m1, mu, rtol=1e-10, atol=1e-12)
-    assert np.allclose(np.diag(m2), [o[1][0, 0] for o in one], rtol=1e-10)
+    assert np.allclose(np.diag(m2), [o[1][0, 0, 0] for o in one], rtol=1e-10)
     off = ~np.eye(3, dtype=bool)
     assert np.allclose(m2[off], np.outer(mu, mu)[off], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_batch_invariance(d):
+    # component i of a 5-component call is bit for bit a call with it alone
+    rng = np.random.default_rng(40 + d)
+    comps = []
+    for _ in range(5):
+        A = rng.standard_normal((d, d))
+        comps.append(GaussComponent(rng.normal(0.0, 1.0, d),
+                                    A @ A.T + 0.3 * np.eye(d)))
+    lo = rng.uniform(-1.5, 0.0, d)
+    hi = lo + rng.uniform(0.5, 3.0, d)
+    lo[0] = -np.inf
+    r = Rect(lo, hi)
+    p = rect_prob(comps, r)
+    m1, m2 = trunc_moments(comps, r)
+    assert p.shape == (5,) and m1.shape == (5, d) and m2.shape == (5, d, d)
+    for i, c in enumerate(comps):
+        (q,), (n1,), (n2,) = rect_prob([c], r), *trunc_moments([c], r)
+        assert q.tobytes() == p[i].tobytes()
+        assert n1.tobytes() == m1[i].tobytes()
+        assert n2.tobytes() == m2[i].tobytes()

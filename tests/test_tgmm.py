@@ -218,8 +218,10 @@ class TestGmmSample:
         y = gmm_sample(n, m, rng)
         m1 = np.zeros(2)
         var = np.zeros(2)
-        for w, c in zip(m.weights, m.components):
-            a, b = gauss.trunc_moments(c, m.support)
+        dev1, dev2 = gauss.trunc_moments(m.components, m.support)
+        for w, c, d1, d2 in zip(m.weights, m.components, dev1, dev2):
+            a = c.mean + d1
+            b = d2 + np.outer(c.mean, d1) + np.outer(d1, c.mean) + np.outer(c.mean, c.mean)
             m1 += w * a
             var += w * np.diag(b)
         var -= m1 ** 2
@@ -304,8 +306,14 @@ class TestSerialization:
         assert np.allclose(back.standardizer.shift, [1.0, 2.0])
         assert np.allclose(back.standardizer.scale, [3.0, 4.0])
 
+    def test_norm_consts_are_per_component_rect_probs(self, truncated_2comp_2d):
+        m = truncated_2comp_2d
+        for k, c in enumerate(m.components):
+            assert (m.norm_consts[k].tobytes()
+                    == gauss.rect_prob([c], m.support)[0].tobytes())
+
     def test_norm_consts_recomputed(self, truncated_2comp_2d):
         back = model_from_json(model_to_json(truncated_2comp_2d))
         for k, c in enumerate(back.components):
             assert back.norm_consts[k] == pytest.approx(
-                gauss.rect_prob(c, back.support), abs=1e-6)
+                gauss.rect_prob([c], back.support)[0], abs=1e-6)
