@@ -11,8 +11,8 @@ from .tgmm import (AffineStandardizer, DyingComponentError, FitReport,
 from .frontier import (DirectionMask, FrontierStore, NonMonotoneOutcomeError,
                        PieceBlowupError, bound_indicators, frontier_from_json,
                        frontier_to_json, insert, outer_pieces)
-from .dompoints import (DominatingPoint, OrthantPiece, SolverError,
-                        inner_dominating, outer_dominating, solve_piece)
+from .dompoints import (DominatingPoint, SolverError, inner_dominating,
+                        outer_dominating, solve_piece)
 from .accel import (EstimateReport, ProcedureState, bound_probabilities,
                     build_is, crude_equiv_n, crude_mc, estimate,
                     likelihood_ratio, run_procedure, sample_is, thin_frontier)

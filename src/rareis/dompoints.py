@@ -8,7 +8,6 @@ with a primal active-set method whose KKT conditions are checked exactly.
 import warnings
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import frontier as fr
 
@@ -21,173 +20,120 @@ class SolverError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-class OrthantPiece:
-    """Box {x : lower <= x <= upper} with extended-real bounds."""
-
-    def __init__(self, lower, upper):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("lower/upper must be equal-length vectors")
-        self.lower = lower
-        self.upper = upper
-
-    @property
-    def dim(self):
-        return self.lower.size
-
-    def is_feasible(self):
-        return bool(np.all(self.lower <= self.upper)
-                    and np.all(self.lower < np.inf)
-                    and np.all(self.upper > -np.inf))
-
-
 class DominatingPoint:
     def __init__(self, point, kkt_residual):
         self.point = np.asarray(point, dtype=float)
         self.kkt_residual = float(kkt_residual)
 
 
-def _box_qp(H, mu, lower, upper, max_iter):
-    """argmin 0.5 (x-mu)' H (x-mu)  s.t. lower <= x <= upper, H SPD."""
+def _box_qp(H, mu, lower, upper):
+    """argmin 0.5 (x-mu)' H (x-mu)  s.t. lower <= x <= upper, H SPD.
+
+    Ties in the ratio and release tests go to the lowest coordinate index,
+    lower bounds before upper ones.
+    """
     d = mu.size
+    max_iter = 10 * d * d + 10
     x = np.clip(mu, lower, upper)
     at_lo = x <= lower
     at_hi = x >= upper
     tol = 1e-12
     for _ in range(max_iter):
         free = ~(at_lo | at_hi)
-        if np.any(free):
-            f = np.flatnonzero(free)
+        f = np.flatnonzero(free)
+        if f.size:
             c = np.flatnonzero(~free)
             rhs = -H[np.ix_(f, c)] @ (x[c] - mu[c]) if c.size else np.zeros(f.size)
-            target = mu[f] + np.linalg.solve(H[np.ix_(f, f)], rhs)
-        else:
-            f = np.array([], dtype=int)
-            target = np.zeros(0)
-        # step from x[f] toward the equality-constrained optimum
-        step = target - x[f] if f.size else np.zeros(0)
-        alpha = 1.0
-        blocker = -1
-        block_low = False
-        for idx, j in enumerate(f):
-            if step[idx] > tol and np.isfinite(upper[j]):
-                a = (upper[j] - x[j]) / step[idx]
-                if a < alpha:
-                    alpha, blocker, block_low = a, j, False
-            elif step[idx] < -tol and np.isfinite(lower[j]):
-                a = (lower[j] - x[j]) / step[idx]
-                if a < alpha:
-                    alpha, blocker, block_low = a, j, True
-        if f.size:
+            # step from x[f] toward the equality-constrained optimum
+            step = mu[f] + np.linalg.solve(H[np.ix_(f, f)], rhs) - x[f]
+            up = step > 0
+            bound = np.where(up, upper[f], lower[f])
+            hits = np.where(up, step > tol, step < -tol) & np.isfinite(bound)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(hits, (bound - x[f]) / step, np.inf)
+            k = np.argmin(ratio)
+            alpha = min(ratio[k], 1.0)
             x[f] = x[f] + alpha * step
-        if blocker >= 0:
-            if block_low:
-                x[blocker] = lower[blocker]
-                at_lo[blocker] = True
-            else:
-                x[blocker] = upper[blocker]
-                at_hi[blocker] = True
-            continue
+            if ratio[k] < 1.0:
+                j = f[k]
+                if up[k]:
+                    x[j] = upper[j]
+                    at_hi[j] = True
+                else:
+                    x[j] = lower[j]
+                    at_lo[j] = True
+                continue
         # full step taken: check multiplier signs on the working set
         g = H @ (x - mu)
-        release = -1
-        worst = -tol
-        for j in np.flatnonzero(at_lo):
-            if g[j] < worst:
-                worst, release = g[j], j
-        for j in np.flatnonzero(at_hi):
-            if -g[j] < worst:
-                worst, release = -g[j], j
-        if release < 0:
+        signed = np.concatenate([np.where(at_lo, g, np.inf),
+                                 np.where(at_hi, -g, np.inf)])
+        k = np.argmin(signed)
+        if signed[k] >= -tol:
             return np.clip(x, lower, upper)
-        at_lo[release] = False
-        at_hi[release] = False
+        at_lo[k % d] = False
+        at_hi[k % d] = False
     raise SolverError("active-set solver did not converge in %d iterations" % max_iter,
                       last_iterate=x)
 
 
 def _kkt_residual(H, mu, lower, upper, x):
+    """Largest gradient entry not excused by an active bound, or complementarity gap."""
     g = H @ (x - mu)
-    r = 0.0
-    slack = 0.0
-    for j in range(mu.size):
-        at_lo = np.isfinite(lower[j]) and abs(x[j] - lower[j]) <= 1e-9
-        at_hi = np.isfinite(upper[j]) and abs(x[j] - upper[j]) <= 1e-9
-        if at_lo and g[j] >= 0:
-            slack = max(slack, g[j] * abs(x[j] - lower[j]))
-        elif at_hi and g[j] <= 0:
-            slack = max(slack, -g[j] * abs(x[j] - upper[j]))
-        else:
-            r = max(r, abs(g[j]))
-    return max(r, slack)
+    gap_lo = np.abs(x - lower)
+    gap_hi = np.abs(x - upper)
+    on_lo = np.isfinite(lower) & (gap_lo <= 1e-9) & (g >= 0)
+    on_hi = ~on_lo & np.isfinite(upper) & (gap_hi <= 1e-9) & (g <= 0)
+    with np.errstate(invalid="ignore"):  # 0 * inf off the active bounds
+        slack = np.where(on_lo, g * gap_lo, np.where(on_hi, -g * gap_hi, 0.0))
+    r = np.max(np.abs(g), where=~(on_lo | on_hi), initial=0.0)
+    return max(r, slack.max(initial=0.0))
 
 
-def solve_piece(c, piece, max_iter=None):
-    """Dominating point of a Gaussian component on a box piece."""
-    if not piece.is_feasible():
+def solve_piece(c, lower, upper):
+    """Dominating point of a Gaussian component on the box lower <= x <= upper.
+
+    lower and upper are (d,) vectors of extended reals, d = c.dim.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.shape != (c.dim,) or upper.shape != (c.dim,):
+        raise ValueError("piece bounds have shapes %s and %s; the component has "
+                         "dimension %d" % (lower.shape, upper.shape, c.dim))
+    if not (np.all(lower <= upper) and np.all(lower < np.inf)
+            and np.all(upper > -np.inf)):
         raise ValueError("infeasible piece: lower exceeds upper")
-    d = c.dim
-    if max_iter is None:
-        max_iter = 10 * d * d + 10
-    factor = cho_factor(c.cov, lower=True)
-    H = cho_solve(factor, np.eye(d))
-    H = 0.5 * (H + H.T)
-    x = _box_qp(H, c.mean, piece.lower, piece.upper, max_iter)
-    res = _kkt_residual(H, c.mean, piece.lower, piece.upper, x)
+    x = _box_qp(c.precision, c.mean, lower, upper)
+    res = _kkt_residual(c.precision, c.mean, lower, upper, x)
     if res > 1e-6:
         raise SolverError("KKT residual %.3g exceeds 1e-6" % res, last_iterate=x)
     return DominatingPoint(x, res)
 
 
-def canonical_corner_to_box(corner, signs, support):
-    """Map a canonical-coordinate orthant corner to an original-coordinate box.
-
-    The canonical constraint signs*x >= corner becomes a per-coordinate lower
-    or upper bound depending on the sign; the box is intersected with the
-    support.  Returns None when the intersection is empty.
-    """
-    corner = np.asarray(corner, dtype=float)
-    lo = np.array(support.lower, copy=True)
-    up = np.array(support.upper, copy=True)
-    for i, s in enumerate(signs):
-        if s > 0:
-            lo[i] = max(lo[i], corner[i])
-        else:
-            up[i] = min(up[i], -corner[i])
-    if np.any(lo > up):
-        return None
-    return OrthantPiece(lo, up)
-
-
-def _dedup(points, tol=1e-6):
-    """Drop points within tol Euclidean distance of an earlier point."""
+def _dedup(points):
+    """Drop points within 1e-6 Euclidean distance of an earlier point."""
     kept = []
     for p in points:
-        if all(np.linalg.norm(p - q) > tol for q in kept):
+        if all(np.linalg.norm(p - q) > 1e-6 for q in kept):
             kept.append(p)
     return kept
 
 
 def _solve_set(gmm, corners, mask, context):
     """Per-component dominating points for an array of canonical corners."""
-    boxes = []
-    for corner in corners:
-        box = canonical_corner_to_box(corner, mask.signs, gmm.support)
-        if box is None:
-            warnings.warn("%s: piece at corner %s lies outside the support; dropped"
-                          % (context, corner.tolist()))
-        else:
-            boxes.append((corner, box))
+    lower, upper, nonempty = mask.boxes(corners, gmm.support)
+    for corner in corners[~nonempty]:
+        warnings.warn("%s: piece at corner %s lies outside the support; dropped"
+                      % (context, corner.tolist()))
+    kept = np.flatnonzero(nonempty)
     sets = []
     for i, c in enumerate(gmm.components):
         pts = []
-        for corner, box in boxes:
+        for k in kept:
             try:
-                dp = solve_piece(c, box)
+                dp = solve_piece(c, lower[k], upper[k])
             except SolverError as err:
                 raise SolverError("%s: component %d, corner %s: %s"
-                                  % (context, i, corner.tolist(), err),
+                                  % (context, i, corners[k].tolist(), err),
                                   last_iterate=err.last_iterate) from err
             pts.append(dp.point)
         pts.sort(key=lambda p: tuple(p))

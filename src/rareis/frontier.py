@@ -44,6 +44,22 @@ class DirectionMask:
     def canonicalize(self, x):
         return np.asarray(x, dtype=float) * self.signs
 
+    def boxes(self, corners, support):
+        """Model-coordinate boxes of the canonical orthants {x : signs * x >= corner}.
+
+        corners is (n, d).  Where the sign is +1 a corner entry c bounds the
+        coordinate from below by c, where it is -1 from above by -c; each box
+        is intersected with the support Rect.  Returns (lower, upper), both
+        (n, d), and the (n,) mask of nonempty boxes.
+        """
+        corners = np.asarray(corners, dtype=float)
+        pos = self.signs > 0
+        # where, not np.maximum/np.minimum: a tie keeps the support's bound,
+        # signed zero included
+        lower = np.where(pos & (corners > support.lower), corners, support.lower)
+        upper = np.where(~pos & (-corners < support.upper), -corners, support.upper)
+        return lower, upper, np.all(lower <= upper, axis=1)
+
 
 def _empty(d):
     return np.empty((0, d))

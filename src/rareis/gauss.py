@@ -20,7 +20,10 @@ einsum, not a BLAS matrix-vector product, whose rounding of one row can
 depend on how many rows it is given.
 """
 
+from functools import cached_property
+
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr, ndtri
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -73,7 +76,8 @@ class GaussComponent:
     """A single Gaussian N(mean, cov) with a cached Cholesky factor.
 
     The covariance is symmetrized before factorization; EM updates can
-    accumulate small asymmetries.
+    accumulate small asymmetries.  The precision matrix (the symmetrized
+    inverse covariance) is computed on first use and cached.
     """
 
     def __init__(self, mean, cov):
@@ -94,6 +98,11 @@ class GaussComponent:
     def dim(self):
         return self.mean.size
 
+    @cached_property
+    def precision(self):
+        H = cho_solve(cho_factor(self.cov, lower=True), np.eye(self.dim))
+        return 0.5 * (H + H.T)
+
     def log_det_cov(self):
         return 2.0 * np.sum(np.log(np.diag(self.chol)))
 
@@ -109,15 +118,10 @@ def log_density(x, c):
         raise ValueError("dimension mismatch: x has %d coordinates, component has %d"
                          % (x.shape[-1], c.dim))
     dev = np.atleast_2d(x) - c.mean
-    w = _solve_lower(c.chol, dev.T)
+    w = solve_triangular(c.chol, dev.T, lower=True, check_finite=False)
     quad = np.sum(w * w, axis=0)
     out = -0.5 * (c.dim * _LOG_2PI + c.log_det_cov() + quad)
     return float(out[0]) if single else out
-
-
-def _solve_lower(L, b):
-    from scipy.linalg import solve_triangular
-    return solve_triangular(L, b, lower=True, check_finite=False)
 
 
 def sample(n, c, rng):
@@ -142,14 +146,14 @@ def _sobol_points(d, n):
     return _sobol_cache[key]
 
 
-def _qmc_rect_prob(cov, a, b, n_points=QMC_POINTS):
+def _qmc_rect_prob(cov, a, b):
     """P(a <= Y <= b) for Y ~ N(0, cov), sequential-conditioning QMC (d >= 4)."""
     d = a.size
     L = np.linalg.cholesky(0.5 * (cov + cov.T))
     lo0 = ndtr(a[0] / L[0, 0])
     hi0 = ndtr(b[0] / L[0, 0])
-    w = _sobol_points(d - 1, n_points)
-    n = n_points
+    n = QMC_POINTS
+    w = _sobol_points(d - 1, n)
     f = np.full(n, hi0 - lo0)
     lo = np.full(n, lo0)
     hi = np.full(n, hi0)
@@ -488,12 +492,13 @@ def trunc_moments(components, r, mass=None):
     return _trunc_moments_zero(covs, r.lower - means, r.upper - means, mass)
 
 
-def sample_truncated(n, c, r, rng, mass=None, max_batches=10000):
+def sample_truncated(n, c, r, rng, mass=None):
     """Rejection sampling of N(mean, cov) conditioned on the rectangle.
 
     Plain rejection; viable only while the acceptance probability stays
-    above ~1e-8.  Callers with thinner regions must reparameterize.  mass,
-    when given, must be rect_prob([c], r)[0]; it spares that integral.
+    above ~1e-8, and given up after 10,000 batches.  Callers with thinner
+    regions must reparameterize.  mass, when given, must be
+    rect_prob([c], r)[0]; it spares that integral.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -508,7 +513,7 @@ def sample_truncated(n, c, r, rng, mass=None, max_batches=10000):
     filled = 0
     batch = max(int(1.5 * n / p), n)
     batch = min(batch, 10_000_000)
-    for _ in range(max_batches):
+    for _ in range(10000):
         cand = sample(batch, c, rng)
         keep = cand[r.contains(cand)]
         take = min(n - filled, keep.shape[0])

@@ -132,12 +132,13 @@ def lane_change_indicator(cfg=AVConfig()):
     return indicator
 
 
-def check_monotone(indicator, mask, probes, rng, box, step_frac=0.05):
+def check_monotone(indicator, mask, probes, rng, box):
     """Probe an indicator for monotonicity violations inside a bounded box.
 
-    For each probe, stepping any coordinate deeper into the declared rare
-    direction must not leave the rare set, and stepping out must not enter
-    it.  Returns a list of (point, coordinate) violations.
+    For each probe, stepping any coordinate by 5% of the box's span deeper
+    into the declared rare direction must not leave the rare set, and
+    stepping out must not enter it.  Returns a list of (point, coordinate)
+    violations.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -151,7 +152,7 @@ def check_monotone(indicator, mask, probes, rng, box, step_frac=0.05):
     base = apply_indicator(indicator, X)
     violations = []
     for i in range(d):
-        delta = mask.signs[i] * step_frac * span[i]
+        delta = mask.signs[i] * 0.05 * span[i]
         for direction in (1.0, -1.0):
             Xs = X.copy()
             Xs[:, i] = np.clip(Xs[:, i] + direction * delta, lo[i], up[i])

@@ -19,7 +19,7 @@ from scipy.special import ndtr, ndtri
 from rareis import accel, tgmm
 from rareis.accel import build_is, crude_equiv_n, estimate, run_procedure
 from rareis.cli import main
-from rareis.dompoints import OrthantPiece, solve_piece
+from rareis.dompoints import solve_piece
 from rareis.frontier import (DirectionMask, FrontierStore, bound_indicators,
                              insert)
 from rareis.gauss import GaussComponent, Rect, trunc_moments
@@ -250,9 +250,8 @@ def test_criterion_7_dominating_points():
             base = np.where(np.isfinite(lo), lo, rng.normal(0.5, 1, d))
             hi = np.where(rng.random(d) < 0.4, base + rng.uniform(1, 3, d),
                           np.inf)
-            piece = OrthantPiece(lo, hi)
-            dp = solve_piece(c, piece)
-            ref = _grid_argmax(c, piece.lower, piece.upper)
+            dp = solve_piece(c, lo, hi)
+            ref = _grid_argmax(c, lo, hi)
             assert np.linalg.norm(dp.point - ref) < 2e-3, "case %d" % seed
             assert dp.kkt_residual <= 1e-6
         rng = np.random.default_rng(77)
@@ -262,7 +261,7 @@ def test_criterion_7_dominating_points():
                                np.diag(rng.uniform(0.2, 3, d)))
             lo = rng.normal(0, 1, d)
             hi = lo + rng.uniform(0.5, 3, d)
-            dp = solve_piece(c, OrthantPiece(lo, hi))
+            dp = solve_piece(c, lo, hi)
             assert np.allclose(dp.point, np.clip(c.mean, lo, hi), atol=1e-9)
 
 

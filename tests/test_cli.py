@@ -2,6 +2,8 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -420,3 +422,15 @@ def test_standardized_model_round_trip(runner, data_csv, tmp_path):
     assert r.exit_code == 0, r.output
     report = json.loads((run_out / "report.json").read_text())
     assert 0.0 < report["p_hat"] < 1.0
+
+
+def test_import_loads_no_scipy_stats_or_integrate():
+    # both are slow to import; only d >= 4 rectangle probabilities need
+    # scipy.stats (its Sobol points), and nothing needs scipy.integrate
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rareis.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from rareis import gauss
-from rareis.dompoints import (OrthantPiece, canonical_corner_to_box,
-                              inner_dominating, outer_dominating, solve_piece)
+from rareis.dompoints import inner_dominating, outer_dominating, solve_piece
 from rareis.frontier import DirectionMask, FrontierStore, insert
 from rareis.gauss import GaussComponent, Rect, log_density
 from rareis.tgmm import TruncatedGMM
@@ -30,22 +31,21 @@ def grid_argmax(c, lower, upper, span=6.0, stages=3, coarse=60):
 class TestSolvePiece:
     def test_identity_cov_is_clamp(self):
         c = GaussComponent([0.5, -2.0, 3.0], np.eye(3))
-        piece = OrthantPiece([1.0, -np.inf, -np.inf], [np.inf, 0.0, 2.0])
-        dp = solve_piece(c, piece)
+        dp = solve_piece(c, [1.0, -np.inf, -np.inf], [np.inf, 0.0, 2.0])
         assert np.allclose(dp.point, [1.0, -2.0, 2.0], atol=1e-9)
         assert dp.kkt_residual <= 1e-6
 
     def test_mean_inside_piece(self):
         c = GaussComponent([0.5, 0.5], [[1.0, 0.7], [0.7, 1.0]])
-        dp = solve_piece(c, OrthantPiece([0.0, 0.0], [1.0, 1.0]))
+        dp = solve_piece(c, [0.0, 0.0], [1.0, 1.0])
         assert np.allclose(dp.point, c.mean, atol=1e-9)
         assert dp.kkt_residual <= 1e-12
 
     def test_correlated_halfplane_vs_grid(self):
         c = GaussComponent([0.0, 0.0], [[1.0, 0.8], [0.8, 1.0]])
-        piece = OrthantPiece([1.0, -np.inf], [np.inf, np.inf])
-        dp = solve_piece(c, piece)
-        ref = grid_argmax(c, piece.lower, piece.upper)
+        lower, upper = np.array([1.0, -np.inf]), np.array([np.inf, np.inf])
+        dp = solve_piece(c, lower, upper)
+        ref = grid_argmax(c, lower, upper)
         assert np.linalg.norm(dp.point - ref) < 2e-3
         # correlation pulls the free coordinate toward the bound
         assert dp.point[0] == pytest.approx(1.0, abs=1e-9)
@@ -57,14 +57,13 @@ class TestSolvePiece:
             c = GaussComponent(rng.normal(0, 2, d), np.diag(rng.uniform(0.2, 3, d)))
             lo = rng.normal(0, 1, d)
             hi = lo + rng.uniform(0.5, 3, d)
-            dp = solve_piece(c, OrthantPiece(lo, hi))
+            dp = solve_piece(c, lo, hi)
             assert np.allclose(dp.point, np.clip(c.mean, lo, hi), atol=1e-9)
 
     def test_density_dominance(self, rng):
         A = rng.standard_normal((3, 3))
         c = GaussComponent(rng.normal(0, 1, 3), A @ A.T + 0.3 * np.eye(3))
-        piece = OrthantPiece([0.5, 0.0, -np.inf], [np.inf, 3.0, 1.0])
-        dp = solve_piece(c, piece)
+        dp = solve_piece(c, [0.5, 0.0, -np.inf], [np.inf, 3.0, 1.0])
         best = log_density(dp.point, c)
         X = np.column_stack([rng.uniform(0.5, 4, 1000),
                              rng.uniform(0.0, 3, 1000),
@@ -73,39 +72,32 @@ class TestSolvePiece:
 
     def test_scale_equivariance(self, rng):
         c = GaussComponent([1.0, -0.5], [[2.0, 0.6], [0.6, 1.5]])
-        piece = OrthantPiece([2.0, 0.5], [np.inf, np.inf])
-        dp = solve_piece(c, piece)
+        lower, upper = np.array([2.0, 0.5]), np.array([np.inf, np.inf])
+        dp = solve_piece(c, lower, upper)
         # solve the standardized problem and map the solution back
         scale = np.array([2.0, 0.5])
         shift = np.array([-1.0, 3.0])
         c2 = GaussComponent((c.mean - shift) / scale,
                             c.cov / np.outer(scale, scale))
-        p2 = OrthantPiece((piece.lower - shift) / scale,
-                          (piece.upper - shift) / scale)
-        dp2 = solve_piece(c2, p2)
+        dp2 = solve_piece(c2, (lower - shift) / scale, (upper - shift) / scale)
         assert np.allclose(dp2.point * scale + shift, dp.point, atol=1e-8)
 
     def test_infeasible_piece(self):
         c = GaussComponent([0.0], [[1.0]])
         with pytest.raises(ValueError):
-            solve_piece(c, OrthantPiece([2.0], [1.0]))
+            solve_piece(c, [2.0], [1.0])
 
+    def test_one_inverted_coordinate_is_infeasible(self):
+        c = GaussComponent(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="infeasible piece"):
+            solve_piece(c, [0.0, 2.0, -np.inf], [1.0, 1.5, np.inf])
 
-class TestCornerToBox:
-    def test_positive_signs(self):
-        support = Rect([-1.0, -1.0], [5.0, 5.0])
-        box = canonical_corner_to_box([1.0, -np.inf], np.array([1.0, 1.0]), support)
-        assert box.lower.tolist() == [1.0, -1.0]
-        assert box.upper.tolist() == [5.0, 5.0]
-
-    def test_flipped_sign_becomes_upper_bound(self):
-        support = Rect.unbounded(2)
-        box = canonical_corner_to_box([1.0, 2.0], np.array([-1.0, 1.0]), support)
-        assert box.upper[0] == -1.0 and box.lower[1] == 2.0
-
-    def test_outside_support_is_none(self):
-        support = Rect([0.0], [1.0])
-        assert canonical_corner_to_box([2.0], np.array([1.0]), support) is None
+    def test_wrong_length_bounds_name_both_dimensions(self):
+        c = GaussComponent(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=r"\(1,\) and \(1,\).*dimension 2"):
+            solve_piece(c, [1.0], [np.inf])
+        with pytest.raises(ValueError, match=r"\(2,\) and \(3,\).*dimension 2"):
+            solve_piece(c, [1.0, 0.0], [np.inf, np.inf, np.inf])
 
 
 def store(s1=None, s0=None, signs=None):
@@ -200,8 +192,57 @@ def test_randomized_correlated_cases_match_grid(seed):
     lo = np.where(rng.random(d) < 0.7, rng.normal(0.5, 1, d), -np.inf)
     base = np.where(np.isfinite(lo), lo, rng.normal(0.5, 1, d))
     hi = np.where(rng.random(d) < 0.4, base + rng.uniform(1, 3, d), np.inf)
-    piece = OrthantPiece(lo, hi)
-    dp = solve_piece(c, piece)
-    ref = grid_argmax(c, piece.lower, piece.upper)
+    dp = solve_piece(c, lo, hi)
+    ref = grid_argmax(c, lo, hi)
     assert np.linalg.norm(dp.point - ref) < 2e-3
     assert dp.kkt_residual <= 1e-6
+
+
+def face_oracle(c, lower, upper):
+    """Exact box-QP optimum: the best feasible optimum over all 3^d faces.
+
+    On each face every coordinate is free, at its lower or at its upper
+    bound; the free ones solve the equality-constrained problem.  The
+    objective is strictly convex, so its optimum is the face optimum of
+    least objective that lies in the box.
+    """
+    d = c.dim
+    H = np.linalg.inv(c.cov)
+    best, best_val = None, np.inf
+    for face in itertools.product((0, 1, 2), repeat=d):
+        face = np.array(face)
+        if (np.any(~np.isfinite(lower[face == 1]))
+                or np.any(~np.isfinite(upper[face == 2]))):
+            continue
+        x = np.where(face == 1, lower, np.where(face == 2, upper, 0.0))
+        f, k = np.flatnonzero(face == 0), np.flatnonzero(face != 0)
+        x[f] = c.mean[f] - np.linalg.solve(H[np.ix_(f, f)],
+                                           H[np.ix_(f, k)] @ (x[k] - c.mean[k]))
+        if np.any(x < lower - 1e-12) or np.any(x > upper + 1e-12):
+            continue
+        val = 0.5 * (x - c.mean) @ H @ (x - c.mean)
+        if val < best_val:
+            best, best_val = x, val
+    return best
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_matches_exact_face_enumeration(d):
+    rng = np.random.default_rng(2000 + d)
+    for case in range(40):
+        A = rng.standard_normal((d, d))
+        c = GaussComponent(rng.normal(0, 1, d), A @ A.T + 0.2 * np.eye(d))
+        lo = rng.normal(0.3, 1, d)
+        hi = lo + rng.uniform(0.2, 2, d)
+        # 0 finite, 1 no lower, 2 no upper, 3 lo == hi; from d = 2 on every
+        # box has an infinite bound and an equal pair
+        kind = rng.integers(0, 4, d) if d > 1 else np.array([case % 4])
+        if d > 1:
+            i, j = rng.permutation(d)[:2]
+            kind[i], kind[j] = rng.integers(1, 3), 3
+        lo = np.where(kind == 1, -np.inf, lo)
+        hi = np.where(kind == 2, np.inf, np.where(kind == 3, lo, hi))
+        dp = solve_piece(c, lo, hi)
+        ref = face_oracle(c, lo, hi)
+        assert np.max(np.abs(dp.point - ref)) <= 1e-10, (d, case)
+        assert dp.kkt_residual <= 1e-9, (d, case)

@@ -6,6 +6,7 @@ from rareis.frontier import (DirectionMask, FrontierStore,
                              NonMonotoneOutcomeError, PieceBlowupError,
                              bound_indicators, frontier_from_json,
                              frontier_to_json, insert, outer_pieces)
+from rareis.gauss import Rect
 
 
 def store2d():
@@ -306,6 +307,42 @@ class TestSandwich:
         t = truth(X)
         assert np.all(inner_fn(X) <= t)
         assert np.all(t <= outer_fn(X))
+
+
+class TestBoxes:
+    def test_positive_signs(self):
+        support = Rect([-1.0, -1.0], [5.0, 5.0])
+        lower, upper, nonempty = DirectionMask([1.0, 1.0]).boxes(
+            rows([1.0, -np.inf]), support)
+        assert lower.tolist() == [[1.0, -1.0]]
+        assert upper.tolist() == [[5.0, 5.0]]
+        assert nonempty.tolist() == [True]
+
+    def test_flipped_sign_becomes_upper_bound(self):
+        support = Rect.unbounded(2)
+        lower, upper, _ = DirectionMask([-1.0, 1.0]).boxes(rows([1.0, 2.0]),
+                                                           support)
+        assert upper[0, 0] == -1.0 and lower[0, 1] == 2.0
+
+    def test_outside_support_is_empty(self):
+        support = Rect([0.0], [1.0])
+        _, _, nonempty = DirectionMask([1.0]).boxes(rows([2.0]), support)
+        assert nonempty.tolist() == [False]
+
+    def test_rows_are_independent_and_ties_keep_the_support_bound(self):
+        support = Rect([0.0, -np.inf], [1.0, 0.0])
+        mask = DirectionMask([1.0, -1.0])
+        corners = rows([-0.0, 0.0], [0.5, -2.0], [2.0, 1.0])
+        lower, upper, nonempty = mask.boxes(corners, support)
+        for k, corner in enumerate(corners):
+            lo, up, ok = mask.boxes(corner[None], support)
+            assert lower[k].tolist() == lo[0].tolist()
+            assert upper[k].tolist() == up[0].tolist() and nonempty[k] == ok[0]
+        assert nonempty.tolist() == [True, True, False]
+        assert lower.tolist() == [[0.0, -np.inf], [0.5, -np.inf], [2.0, -np.inf]]
+        assert upper.tolist() == [[1.0, 0.0], [1.0, 0.0], [1.0, -1.0]]
+        # -0.0 against the support's 0.0 bounds: the support's sign survives
+        assert not np.signbit(lower[0, 0]) and not np.signbit(upper[0, 1])
 
 
 def test_json_round_trip():
