@@ -10,8 +10,8 @@ import json
 
 import numpy as np
 
-from .gauss import (GaussComponent, Rect, log_density, rect_prob,
-                    sample_truncated, trunc_moments)
+from .gauss import (DegenerateTruncationError, GaussComponent, Rect,
+                    log_density, rect_prob, sample_truncated, trunc_moments)
 
 
 class DyingComponentError(RuntimeError):
@@ -130,14 +130,13 @@ def responsibilities(y, m, return_totals=False):
 def _spd_cholesky(cov):
     """Cholesky with escalating diagonal jitter; returns repaired covariance."""
     cov = 0.5 * (cov + cov.T)
-    jitter = 1e-8 * np.trace(cov) / cov.shape[0]
-    for attempt in range(6):
+    step = 1e-8 * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
+    for jitter in (0.0, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5):
         try:
-            np.linalg.cholesky(cov)
-            return cov
+            np.linalg.cholesky(cov + jitter * step)
+            return cov + jitter * step
         except np.linalg.LinAlgError:
-            cov = cov + jitter * np.eye(cov.shape[0])
-            jitter *= 10.0
+            pass
     raise np.linalg.LinAlgError("covariance could not be regularized to SPD")
 
 
@@ -172,6 +171,13 @@ def em_step(y, m, resp=None):
 
 
 class FitReport:
+    """The best restart of a fit.
+
+    loglik_trace holds the log-likelihood of the start and of each EM update,
+    so iterations counts EM updates (at most max_iter).  SQUAREM's
+    extrapolated models are not EM updates and are not recorded.
+    """
+
     def __init__(self, loglik_trace, converged, bic):
         self.loglik_trace = list(loglik_trace)
         self.iterations = len(self.loglik_trace) - 1
@@ -200,9 +206,63 @@ def _init_model(y, K, support, rng, standardizer):
     return TruncatedGMM(np.full(K, 1.0 / K), comps, support, standardizer)
 
 
+def _scored(y, m):
+    resp, tot = responsibilities(y, m, return_totals=True)
+    return m, resp, float(np.sum(tot))
+
+
+def _params(m):
+    return np.concatenate([m.weights] + [c.mean for c in m.components]
+                          + [c.cov.ravel() for c in m.components])
+
+
+def _from_params(m, t):
+    """The model of _params vector t, like m; raises when t is not valid."""
+    K, d = m.n_components, m.dim
+    w, means, covs = np.split(t, [K, K + K * d])
+    if not (np.all(np.isfinite(t)) and np.all(w > 1e-8)):
+        raise DyingComponentError("extrapolated weights %s" % w)
+    comps = [GaussComponent(mu, cov)
+             for mu, cov in zip(means.reshape(K, d), covs.reshape(K, d, d))]
+    return TruncatedGMM(w / w.sum(), comps, m.support, m.standardizer)
+
+
+def _s3_step_length(r, v):
+    """SQUAREM S3 step length min(-1, -|r|/|v|); -1 when v vanishes."""
+    norm_v = np.linalg.norm(v)
+    return min(-1.0, -np.linalg.norm(r) / norm_v) if norm_v > 0 else -1.0
+
+
+def _squarem_update(y, s0, s1, s2):
+    """The EM update of the SQUAREM S3 extrapolation of EM steps s0 -> s1 -> s2.
+
+    Each s is (model, resp, loglik).  The step length moves halfway toward -1
+    (to -1 once within 0.1 of it), where the extrapolation is s2, until the
+    extrapolated model is valid, scores no lower than s2 and takes an EM
+    step (Varadhan & Roland 2008).
+    """
+    t0, t1, t2 = (_params(s[0]) for s in (s0, s1, s2))
+    r, v = t1 - t0, t2 - 2.0 * t1 + t0
+    alpha = _s3_step_length(r, v)
+    while alpha < -1.0:
+        try:
+            # the coefficients of t0, t1, t2 sum to 1, and so do the weights
+            m, resp, ll = _scored(y, _from_params(s0[0], t0 - 2.0 * alpha * r
+                                                  + alpha ** 2 * v))
+            if ll >= s2[2]:
+                return _scored(y, em_step(y, m, resp))
+        except (ValueError, DegenerateTruncationError, DyingComponentError):
+            pass  # np.linalg.LinAlgError is a ValueError
+        alpha = (alpha - 1.0) / 2.0 if alpha < -1.1 else -1.0
+    return _scored(y, em_step(y, *s2[:2]))
+
+
 def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3,
         standardizer=None):
-    """EM fit with restarts; deterministic given (y, K, init_seed, options)."""
+    """EM fit with restarts; deterministic given (y, K, init_seed, options).
+
+    Every third EM update starts from a SQUAREM extrapolation (_squarem_update).
+    """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n = y.shape[0]
     if n < 10 * K:
@@ -212,26 +272,22 @@ def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3,
     best = None
     for child in np.random.SeedSequence(init_seed).spawn(restarts):
         rng = np.random.default_rng(child)
-        model = _init_model(y, K, support, rng, standardizer)
-        resp, tot = responsibilities(y, model, return_totals=True)
-        trace = [float(np.sum(tot))]
+        cycle = [_scored(y, _init_model(y, K, support, rng, standardizer))]
+        trace = [cycle[0][2]]
         converged = False
-        for it in range(max_iter):
-            model = em_step(y, model, resp)
+        while len(trace) <= max_iter and not converged:
             try:
-                resp, tot = responsibilities(y, model, return_totals=True)
+                if len(cycle) < 3:
+                    cycle.append(_scored(y, em_step(y, *cycle[-1][:2])))
+                else:
+                    cycle = [_squarem_update(y, *cycle)]
             except ValueError as err:
                 raise RuntimeError("non-finite log-likelihood at iteration %d: %s"
-                                   % (it + 1, err))
-            ll = float(np.sum(tot))
-            prev = trace[-1]
-            trace.append(ll)
-            if abs(ll - prev) < tol * abs(ll):
-                converged = True
-                break
+                                   % (len(trace), err))
+            trace.append(cycle[-1][2])
+            converged = abs(trace[-1] - trace[-2]) < tol * abs(trace[-1])
         if best is None or trace[-1] > best[1].loglik_trace[-1]:
-            report = FitReport(trace, converged, None)
-            best = (model, report)
+            best = (cycle[-1][0], FitReport(trace, converged, None))
     model, report = best
     report.bic = bic(model, y, loglik=report.loglik_trace[-1])
     return model, report

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from rareis import gauss, tgmm
+from rareis.cli import main
 from rareis.gauss import GaussComponent, Rect, log_density
 from rareis.tgmm import (AffineStandardizer, TruncatedGMM, bic, em_step, fit,
                          gmm_log_density, gmm_sample, model_from_json,
@@ -11,6 +13,17 @@ from rareis.tgmm import (AffineStandardizer, TruncatedGMM, bic, em_step, fit,
 
 def single_gaussian(mu=0.0, var=1.0):
     return TruncatedGMM([1.0], [GaussComponent([mu], [[var]])], Rect.unbounded(1))
+
+
+def count_calls(monkeypatch, *names):
+    """Wraps each named tgmm function; returns name -> calls so far."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(tgmm, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(tgmm, name, counted)
+    return calls
 
 
 class TestGmmLogDensity:
@@ -130,6 +143,15 @@ class TestEmStep:
         b = em_step(y, truncated_2comp_2d, responsibilities(y, truncated_2comp_2d))
         assert model_to_json(a) == model_to_json(b)
 
+    def test_spd_cholesky_tries_every_jitter(self):
+        # the jitters run 1e-8..1e-3 times the mean diagonal (about 5e-9 to
+        # 5e-4 here): only the largest one lifts an eigenvalue of -1e-4
+        repaired = tgmm._spd_cholesky(np.diag([1.0, -1e-4]))
+        assert np.all(np.linalg.eigvalsh(repaired) > 0)
+        assert repaired[1, 1] == pytest.approx(-1e-4 + 1e-3 * (1 - 1e-4) / 2)
+        with pytest.raises(np.linalg.LinAlgError, match="regularized to SPD"):
+            tgmm._spd_cholesky(np.diag([1.0, -1e-2]))
+
     def test_dying_component_error(self, rng):
         comps = [GaussComponent([0.0], [[1.0]]), GaussComponent([500.0], [[1.0]])]
         m = TruncatedGMM([0.5, 0.5], comps, Rect.unbounded(1))
@@ -170,6 +192,19 @@ class TestFit:
         assert rep.loglik_trace[-1] == pytest.approx(ll, rel=1e-13)
         assert rep.bic == pytest.approx(bic(m, y), rel=1e-13)
 
+    def test_trace_records_only_em_updates(self, rng, truncated_2comp_2d,
+                                           monkeypatch):
+        # two SQUAREM cycles and one more EM update: 7 EM updates, 8 entries,
+        # and the extrapolated models are scored but not recorded
+        calls = count_calls(monkeypatch, "em_step", "responsibilities")
+        y = gmm_sample(500, truncated_2comp_2d, rng)
+        _, rep = fit(y, 2, truncated_2comp_2d.support, max_iter=7, tol=0.0,
+                     restarts=1)
+        assert rep.iterations == calls["em_step"] == 7
+        assert len(rep.loglik_trace) == 8
+        assert calls["responsibilities"] > 8
+        assert not rep.converged
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_loglik_raises(self, rng, monkeypatch):
         # a component mean so far out that every row's density is 0
@@ -181,6 +216,137 @@ class TestFit:
     def test_sample_floor(self, rng):
         with pytest.raises(ValueError):
             fit(rng.standard_normal((15, 1)), 2, Rect.unbounded(1))
+
+
+def plain_em(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3):
+    """fit's restarts, start models and stop rule around unaccelerated EM.
+
+    Returns the best restart's model and log-likelihood trace, and the EM
+    steps of all restarts.
+    """
+    best, steps = None, 0
+    for child in np.random.SeedSequence(init_seed).spawn(restarts):
+        m = tgmm._init_model(y, K, support, np.random.default_rng(child), None)
+        resp, tot = responsibilities(y, m, return_totals=True)
+        trace = [float(np.sum(tot))]
+        for _ in range(max_iter):
+            m = em_step(y, m, resp)
+            steps += 1
+            resp, tot = responsibilities(y, m, return_totals=True)
+            trace.append(float(np.sum(tot)))
+            if abs(trace[-1] - trace[-2]) < tol * abs(trace[-1]):
+                break
+        if best is None or trace[-1] > best[1][-1]:
+            best = (m, trace)
+    return best + (steps,)
+
+
+# K = 2 fits on 1,000 draws of conftest's truncated_2comp_2d mixture, on its
+# support and on a box bounded on both sides in the first coordinate and
+# below in the second, like the lane-change cut-in support.
+PLAIN_EM_SUPPORTS = {"orthant": Rect([0.0, 0.0], [np.inf, np.inf]),
+                     "cut-in box": Rect([0.0, 0.0], [3.5, np.inf])}
+
+
+@pytest.fixture(scope="module")
+def plain_em_fits():
+    """support name -> (y, support) + plain_em(y, 2, support)."""
+    comps = [GaussComponent([1.0, 0.8], [[0.5, 0.2], [0.2, 0.4]]),
+             GaussComponent([3.0, 2.5], [[0.6, -0.15], [-0.15, 0.5]])]
+    fits = {}
+    for name, support in PLAIN_EM_SUPPORTS.items():
+        y = gmm_sample(1000, TruncatedGMM([0.4, 0.6], comps, support),
+                       np.random.default_rng(7))
+        fits[name] = (y, support) + plain_em(y, 2, support)
+    return fits
+
+
+def assert_plain_em_answer(m, rep, plain_model, plain_trace):
+    ll, plain_ll = rep.loglik_trace[-1], plain_trace[-1]
+    assert ll >= plain_ll - 1e-6 * abs(plain_ll)
+    assert ll == pytest.approx(plain_ll, rel=1e-6)
+    # restarts may end with the components in another order
+    order, plain_order = (np.argsort([c.mean[0] for c in x.components])
+                          for x in (m, plain_model))
+    assert np.allclose(m.weights[order], plain_model.weights[plain_order],
+                       atol=1e-3)
+    for i, j in zip(order, plain_order):
+        assert np.allclose(m.components[i].mean,
+                           plain_model.components[j].mean, atol=1e-2)
+    assert np.all(np.diff(rep.loglik_trace) >= -1e-9 * abs(ll))
+
+
+class TestSquarem:
+    @pytest.mark.parametrize("support", sorted(PLAIN_EM_SUPPORTS))
+    def test_beats_plain_em_in_fewer_steps(self, plain_em_fits, support,
+                                           monkeypatch):
+        y, rect, plain_model, plain_trace, plain_steps = plain_em_fits[support]
+        calls = count_calls(monkeypatch, "em_step")
+        m, rep = fit(y, 2, rect)
+        assert_plain_em_answer(m, rep, plain_model, plain_trace)
+        assert calls["em_step"] < plain_steps
+
+
+# Ways to make fit's first extrapolated model invalid, each with the error it
+# must raise: a huge step length, or values written into the extrapolated
+# parameter vector (K = 2 in 2-D: weights [0:2], means [2:6], covariances
+# [6:14]).  A mean at -60, in the data's or the standardized coordinates,
+# leaves no mass on the cut-in box.
+SPOILERS = {
+    "huge step length": (tgmm.DyingComponentError, None, None),
+    "non-positive weight": (tgmm.DyingComponentError, slice(0, 1), [-0.1]),
+    "non-SPD covariance": (np.linalg.LinAlgError, slice(6, 10),
+                           [1.0, 2.0, 2.0, 1.0]),
+    "no mass on the support": (gauss.DegenerateTruncationError, slice(2, 4),
+                               [-60.0, -60.0]),
+}
+
+
+def spoil_first_extrapolation(monkeypatch, spoiler):
+    """Applies SPOILERS[spoiler]; returns the errors the first extrapolation raised."""
+    error, where, values = SPOILERS[spoiler]
+    if where is None:
+        monkeypatch.setattr(tgmm, "_s3_step_length", lambda r, v: -1e6)
+    real = tgmm._from_params
+    calls, raised = [], []
+
+    def spoiled(m, t):
+        calls.append(None)
+        if len(calls) > 1:
+            return real(m, t)
+        if where is not None:
+            t = t.copy()
+            t[where] = values
+        try:
+            return real(m, t)
+        except error as err:
+            raised.append(err)
+            raise
+    monkeypatch.setattr(tgmm, "_from_params", spoiled)
+    return raised
+
+
+class TestSquaremSafeguard:
+    @pytest.mark.parametrize("spoiler", list(SPOILERS))
+    def test_invalid_extrapolation_falls_back(self, plain_em_fits, spoiler,
+                                              monkeypatch):
+        y, rect, plain_model, plain_trace, _ = plain_em_fits["cut-in box"]
+        raised = spoil_first_extrapolation(monkeypatch, spoiler)
+        m, rep = fit(y, 2, rect)
+        assert len(raised) == 1
+        assert_plain_em_answer(m, rep, plain_model, plain_trace)
+
+    @pytest.mark.parametrize("spoiler", list(SPOILERS))
+    def test_cli_fit_does_not_fail(self, plain_em_fits, spoiler, monkeypatch,
+                                   tmp_path):
+        path = tmp_path / "data.csv"
+        np.savetxt(path, plain_em_fits["cut-in box"][0], delimiter=",")
+        raised = spoil_first_extrapolation(monkeypatch, spoiler)
+        r = CliRunner().invoke(main, ["fit", str(path), "--support",
+                                      "0:3.5,0:inf", "--k-list", "2", "--out",
+                                      str(tmp_path / "fit")])
+        assert r.exit_code == 0, r.output
+        assert len(raised) == 1
 
 
 class TestBic:
