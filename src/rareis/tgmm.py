@@ -173,9 +173,8 @@ def em_step(y, m, resp=None):
 class FitReport:
     """The best restart of a fit.
 
-    loglik_trace holds the log-likelihood of the start and of each EM update,
-    so iterations counts EM updates (at most max_iter).  SQUAREM's
-    extrapolated models are not EM updates and are not recorded.
+    loglik_trace holds the log-likelihood of the start and of each EM update
+    but not of SQUAREM's extrapolations; iterations counts the EM updates.
     """
 
     def __init__(self, loglik_trace, converged, bic):
@@ -234,7 +233,7 @@ def _s3_step_length(r, v):
 
 
 def _squarem_update(y, s0, s1, s2):
-    """The EM update of the SQUAREM S3 extrapolation of EM steps s0 -> s1 -> s2.
+    """EM update of the SQUAREM S3 extrapolation of EM steps s0 -> s1 -> s2.
 
     Each s is (model, resp, loglik).  The step length moves halfway toward -1
     (to -1 once within 0.1 of it), where the extrapolation is s2, until the
@@ -261,7 +260,8 @@ def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3,
         standardizer=None):
     """EM fit with restarts; deterministic given (y, K, init_seed, options).
 
-    Every third EM update starts from a SQUAREM extrapolation (_squarem_update).
+    Every third EM update starts from an extrapolation (_squarem_update);
+    max_iter caps the EM updates.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n = y.shape[0]

@@ -303,7 +303,7 @@ SPOILERS = {
 
 
 def spoil_first_extrapolation(monkeypatch, spoiler):
-    """Applies SPOILERS[spoiler]; returns the errors the first extrapolation raised."""
+    """Applies SPOILERS[spoiler]; returns the first extrapolation's errors."""
     error, where, values = SPOILERS[spoiler]
     if where is None:
         monkeypatch.setattr(tgmm, "_s3_step_length", lambda r, v: -1e6)
