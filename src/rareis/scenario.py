@@ -6,7 +6,9 @@ supply monotone indicators with known probabilities for validating the
 estimation machinery.
 """
 
+import functools
 import json
+import math
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -18,6 +20,12 @@ from .tgmm import gmm_log_density
 
 # desired standstill gap for the cruise controller, m
 STANDSTILL_MARGIN = 2.0
+# largest acceleration the cruise controller commands, m/s^2
+ACC_MAX_ACCEL = 2.0
+# simulate_batch tests its rows for retirement every CHECK_EVERY steps; each
+# certified bound must clear RETIRE_MARGIN times the row's scale
+CHECK_EVERY = 25
+RETIRE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -34,12 +42,19 @@ class AVConfig:
     crash_range: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError("AVConfig.%s must be finite" % f.name)
         if self.dt <= 0 or self.horizon < 10 * self.dt:
             raise ValueError("need dt > 0 and horizon >= 10*dt")
         if not 0 < self.aeb_decel <= self.max_decel:
             raise ValueError("need 0 < aeb_decel <= max_decel")
         if self.crash_range < 0:
             raise ValueError("crash_range must be >= 0")
+        if self.reaction_delay < 0 or self.acc_time_gap < 0:
+            raise ValueError("reaction_delay and acc_time_gap must be >= 0")
+        if self.aeb_ttc_trigger <= 0:
+            raise ValueError("aeb_ttc_trigger must be > 0")
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -60,11 +75,30 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
     Lead vehicles hold speed v; each follower starts range_ behind, closing at
     range_/ttc, under ACC with an AEB override that engages reaction_delay
     after instantaneous TTC first drops below the trigger.  All rows step
-    together; a row leaves the active set once its gap reaches crash_range.
+    together; a row leaves the active set once its gap reaches crash_range,
+    and a settled row retires early with outcome 0.  The loop returns once
+    every row has crashed or retired, or at the horizon.
+
+    Retirement is exact, not an approximation.  While AEB has not fired and
+    the ACC command is inside (-max_decel, ACC_MAX_ACCEL), one step is the
+    affine map d' = M d of the offset d = (gap - gap*, v_f - v) from the
+    fixed point gap* = acc_time_gap v + STANDSTILL_MARGIN, v_f* = v.  In
+    the coordinates y = V^-1 d of M's real-Jordan basis V, M is a rotation
+    scaled by its spectral radius rho, or a diagonal whose entries are at
+    most rho in size, so |y| never grows when rho < 1: the ellipse
+    |V^-1 d| <= |V^-1 d_k| holds every later state.  Every CHECK_EVERY
+    steps, _settled retires the rows whose ellipse keeps the gap above
+    crash_range (no crash), gap + aeb_ttc_trigger range_rate above 0 (AEB
+    never fires), the ACC command unsaturated and v_f above 0 (the clamp
+    never acts), so the affine map holds at every later step by induction
+    and the row cannot crash.  Each bound must clear RETIRE_MARGIN times the
+    row's scale, which covers float rounding: _certificate refuses configs
+    whose contraction is too slow for that.
     """
     v_lead, ttc, gap = (np.array(a, dtype=float, ndmin=1) for a in (v, ttc, range_))
     if np.any(ttc <= 0) or np.any(gap <= 0):
         raise ValueError("range and ttc must be positive (closing events only)")
+    cert = _certificate(cfg)
     out = np.zeros(gap.size, dtype=int)
     rows = np.arange(gap.size)
     aeb_at = np.full(gap.size, np.inf)  # inf until the AEB trigger fires
@@ -74,9 +108,12 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
         range_rate = v_lead - v_f
         for step in range(int(round(cfg.horizon / cfg.dt))):
             crashed = gap <= cfg.crash_range
-            if np.count_nonzero(crashed):
+            done = crashed
+            if cert is not None and step % CHECK_EVERY == 0:
+                done = crashed | _settled(cert, cfg, v_lead, v_f, gap, aeb_at)
+            if np.count_nonzero(done):
                 out[rows[crashed]] = 1
-                keep = ~crashed
+                keep = ~done
                 rows, v_lead, v_f, gap, aeb_at, range_rate = (a[keep] for a in (
                     rows, v_lead, v_f, gap, aeb_at, range_rate))
                 if rows.size == 0:
@@ -87,7 +124,7 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
             accel = (cfg.acc_spacing_gain
                      * (gap - v_f * cfg.acc_time_gap - STANDSTILL_MARGIN)
                      + cfg.acc_speed_gain * range_rate)
-            accel = np.minimum(np.maximum(accel, -cfg.max_decel), 2.0)
+            accel = np.minimum(np.maximum(accel, -cfg.max_decel), ACC_MAX_ACCEL)
             accel[t >= aeb_at] = -cfg.aeb_decel
             v_f = np.maximum(v_f + accel * cfg.dt, 0.0)
             range_rate = v_lead - v_f
@@ -98,6 +135,64 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
                 raise RuntimeError("non-finite simulator state at step %d" % step)
     out[rows[gap <= cfg.crash_range]] = 1
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _certificate(cfg):
+    """cfg's contraction certificate (V^-1, widths), or None if it has none.
+
+    V is the real-Jordan basis of the unsaturated ACC step M: for a complex
+    pair m +- iw with eigenvector x + iy, V = [x, y] and rho = |m + iw|;
+    for real eigenvalues V holds unit eigenvectors and rho is the larger
+    |eigenvalue|.  widths[i] = |V^T c_i| is how far the i-th bounded
+    functional c_i^T d can move while |V^-1 d| <= 1.  There is no
+    certificate when rho >= 1, or when M contracts so slowly that the
+    rounding it accumulates, at most a few ulp of the state per step summed
+    over 1/(1 - rho) steps, could reach RETIRE_MARGIN / 10 of the state's
+    scale.  The 2 x 2 algebra is written out: LAPACK's eigen-solvers would
+    add about 1 MB to the resident set.
+    """
+    dt, kp = cfg.dt, cfg.acc_spacing_gain
+    accel_grad = np.array([kp, -(kp * cfg.acc_time_gap + cfg.acc_speed_gain)])
+    keep = 1.0 + dt * accel_grad[1]
+    a, b, c, e = 1.0 - dt * dt * kp, -dt * keep, dt * kp, keep  # M, row-major
+    mid, disc = 0.5 * (a + e), 0.25 * (a - e) ** 2 + b * c
+    if disc < 0:  # eigenvalues mid +- iw, eigenvectors (mid - e +- iw, c)
+        w = math.sqrt(-disc)
+        rho, V = math.hypot(mid, w), np.array([[mid - e, w], [c, 0.0]])
+    else:  # eigenvalues lam, unit eigenvectors along (lam - e, c)
+        lam = mid + np.array([1.0, -1.0]) * math.sqrt(disc)
+        rho, V = float(np.max(np.abs(lam))), np.array([lam - e, [c, c]])
+        if rho < 1.0:  # so kp != 0, and no column is zero
+            V /= np.hypot(*V)
+    det = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
+    if not (rho < 1.0 and det):  # no contraction, or no eigenvector basis
+        return None
+    V_inv = np.array([[V[1, 1], -V[0, 1]], [-V[1, 0], V[0, 0]]]) / det
+    grads = np.array([[1.0, 0.0], [1.0, -cfg.aeb_ttc_trigger], accel_grad,
+                      [0.0, 1.0]])
+    widths = np.sqrt(np.sum((grads @ V) ** 2, axis=1))
+    drift = (8.0 * np.finfo(float).eps * math.sqrt(np.sum(V_inv ** 2))
+             * np.max(widths) / (1.0 - rho))
+    if not drift <= 0.1 * RETIRE_MARGIN:
+        return None
+    V_inv.flags.writeable = widths.flags.writeable = False  # shared by the cache
+    return V_inv, widths
+
+
+def _settled(cert, cfg, v_lead, v_f, gap, aeb_at):
+    """Rows that simulate_batch's certificate proves safe for good."""
+    V_inv, (w_crash, w_aeb, w_accel, w_speed) = cert
+    gap_star = cfg.acc_time_gap * v_lead + STANDSTILL_MARGIN
+    d_gap, d_v = gap - gap_star, v_f - v_lead
+    r = np.hypot(V_inv[0, 0] * d_gap + V_inv[0, 1] * d_v,
+                 V_inv[1, 0] * d_gap + V_inv[1, 1] * d_v)
+    slack = RETIRE_MARGIN * (1.0 + gap_star + v_lead)
+    return ((aeb_at == np.inf)
+            & (gap_star - cfg.crash_range - w_crash * r > slack)
+            & (gap_star - w_aeb * r > slack)
+            & (min(cfg.max_decel, ACC_MAX_ACCEL) - w_accel * r > slack)
+            & (v_lead - w_speed * r > slack))
 
 
 def simulate(v, ttc, range_, cfg=AVConfig()):

@@ -247,6 +247,23 @@ class TestRun:
         assert "error: 1/ttc and 1/range must be positive" in r.output
         assert "Traceback" not in r.output
 
+    @pytest.mark.parametrize("config", ['{"horizon": Infinity}', '{"dt": NaN}'])
+    def test_non_finite_scenario_config_exit_2(self, runner, tmp_path, config):
+        gmm = TruncatedGMM([1.0], [GaussComponent([20.0, 0.3, 0.2],
+                                                  np.diag([4.0, 0.01, 0.01]))],
+                           Rect.unbounded(3))
+        model = tmp_path / "model.json"
+        model.write_text(tgmm.model_to_json(gmm))
+        cfg = tmp_path / "av.json"
+        cfg.write_text(config)
+        r = runner.invoke(main, ["run", str(model), "--scenario-config",
+                                 str(cfg), "--n", "100"])
+        assert r.exit_code == cli.EXIT_INPUT
+        assert isinstance(r.exception, SystemExit)
+        assert "error: cannot load scenario config" in r.output
+        assert "must be finite" in r.output
+        assert "Traceback" not in r.output
+
     def test_non_monotone_exit_4(self, runner, model_1d, monkeypatch):
         def boom(*a, **kw):
             raise NonMonotoneOutcomeError(np.array([0.5]), np.array([1.0]))

@@ -172,6 +172,140 @@ class TestSimulateBatch:
             simulate_batch([10.0, 10.0], [1.0, 1e-300], [5.0, 1e300])
 
 
+def _cutin_events(rng, n):
+    """(v, ttc, range) rows like the cut-in workload's proposals, which sit
+    near its crash boundary: v 15-25 m/s, ttc 2-6.7 s and range 3-20 m,
+    drawn in (v, 1/ttc, 1/range)."""
+    lo, up = np.array([15.0, 0.15, 0.05]), np.array([25.0, 0.5, 0.33])
+    x = np.array([20.0, 0.3, 0.27]) + np.array([2.0, 0.05, 0.04]) * \
+        rng.standard_normal((4 * n, 3))
+    x = x[np.all((x > lo) & (x < up), axis=1)][:n]
+    return x[:, 0], 1.0 / x[:, 1], 1.0 / x[:, 2]
+
+
+def _oracle(v, ttc, range_, cfg):
+    return np.array([_reference_simulate(*e, cfg) for e in
+                     zip(np.ravel(v).tolist(), np.ravel(ttc).tolist(),
+                         np.ravel(range_).tolist())])
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """(aeb_at, retired) of every retirement check simulate_batch makes."""
+    seen = []
+    settled = scenario._settled
+
+    def spy(cert, cfg, v_lead, v_f, gap, aeb_at):
+        done = settled(cert, cfg, v_lead, v_f, gap, aeb_at)
+        seen.append((aeb_at.copy(), done.copy()))
+        return done
+    monkeypatch.setattr(scenario, "_settled", spy)
+    return seen
+
+
+class TestRetirement:
+    """Settled rows retire early with exactly the outcomes of the full loop."""
+
+    CUTIN = AVConfig(crash_range=3.0)
+
+    def test_cutin_events_match_oracle(self, checks):
+        v, ttc, range_ = _cutin_events(np.random.default_rng(12), 600)
+        expected = _oracle(v, ttc, range_, self.CUTIN)
+        assert 0.05 * v.size < expected.sum() < 0.5 * v.size
+        assert np.array_equal(simulate_batch(v, ttc, range_, self.CUTIN), expected)
+        assert sum(np.count_nonzero(done) for _, done in checks) > 0
+
+    def test_settled_rows_retire_before_the_horizon(self, checks):
+        """Every safe cut-in row retires, and the loop ends long before the
+        horizon's 1,500 steps: at most 24 checks, 25 steps apart."""
+        v, ttc, range_ = _cutin_events(np.random.default_rng(3), 300)
+        out = simulate_batch(v, ttc, range_, self.CUTIN)
+        retired = sum(np.count_nonzero(done) for _, done in checks)
+        assert retired == np.count_nonzero(out == 0) > 0
+        assert len(checks) < 25
+
+    @pytest.mark.parametrize("cfg", [
+        AVConfig(acc_spacing_gain=0.0, acc_speed_gain=0.0),
+        AVConfig(acc_spacing_gain=0.0, crash_range=3.0)],
+        ids=["zero_gains", "zero_spacing_gain"])
+    def test_config_without_certificate(self, cfg, checks):
+        """An eigenvalue at 1: no certificate, every row runs to the end."""
+        assert scenario._certificate(cfg) is None
+        rng = np.random.default_rng(4)
+        n = 200
+        v, ttc, range_ = (rng.uniform(3, 30, n), rng.uniform(0.5, 6.0, n),
+                          rng.uniform(1, 40, n))
+        expected = _oracle(v, ttc, range_, cfg)
+        assert 0.05 * n < expected.sum() < 0.95 * n
+        assert np.array_equal(simulate_batch(v, ttc, range_, cfg), expected)
+        assert checks == []
+
+    def test_overdamped_config(self, checks):
+        """(kp h + kv)^2 > 4 kp: M has two real eigenvalues."""
+        cfg = AVConfig(acc_speed_gain=1.0, crash_range=1.0)
+        kp, damp = cfg.acc_spacing_gain, cfg.acc_spacing_gain * 1.4 + 1.0
+        assert damp ** 2 > 4 * kp
+        rng = np.random.default_rng(5)
+        n = 600
+        v, ttc, range_ = (rng.uniform(3, 30, n), rng.uniform(0.5, 6.0, n),
+                          rng.uniform(1.5, 40, n))
+        expected = _oracle(v, ttc, range_, cfg)
+        assert 0.05 * n < expected.sum() < 0.8 * n
+        assert np.array_equal(simulate_batch(v, ttc, range_, cfg), expected)
+        assert sum(np.count_nonzero(done) for _, done in checks) > n // 4
+
+    def test_aeb_rows_match_oracle_and_never_retire(self, checks):
+        """Initial ttc below the 1.2 s trigger: AEB fires at step 0."""
+        cfg = AVConfig()
+        rng = np.random.default_rng(6)
+        n = 400
+        v, ttc, range_ = (rng.uniform(3, 30, n), rng.uniform(0.6, 1.15, n),
+                          rng.uniform(1, 15, n))
+        expected = _oracle(v, ttc, range_, cfg)
+        assert 0.2 * n < expected.sum() < 0.8 * n
+        assert np.array_equal(simulate_batch(v, ttc, range_, cfg), expected)
+        assert len(checks) > 1
+        assert all(np.all(np.isfinite(aeb_at)) for aeb_at, _ in checks[1:])
+        assert not any(np.any(done) for _, done in checks)
+
+    def test_pending_aeb_blocks_retirement(self):
+        """At the fixed point every bound holds; a fired AEB still blocks."""
+        cfg = AVConfig()
+        v = np.array([20.0, 20.0])
+        gap = cfg.acc_time_gap * v + STANDSTILL_MARGIN
+        done = scenario._settled(scenario._certificate(cfg), cfg, v, v.copy(),
+                                 gap, np.array([np.inf, 0.5]))
+        assert done.tolist() == [True, False]
+
+    # (config, lead speed, the functional that binds first: 0 crash gap,
+    # 1 AEB trigger, 2 ACC saturation, 3 follower speed)
+    BOUNDARY = [(AVConfig(crash_range=14.0), 10.0, 0),
+                (AVConfig(aeb_ttc_trigger=8.0), 10.0, 1),
+                (AVConfig(), 20.0, 2),
+                (AVConfig(), 0.5, 3)]
+
+    @pytest.mark.parametrize("cfg,v,binding", BOUNDARY,
+                             ids=["crash", "aeb", "accel", "speed"])
+    def test_rows_at_the_certificate_margin(self, cfg, v, binding, checks):
+        """Rows just inside the certified ellipse retire at step 0, rows
+        just outside do not, and both keep the oracle's outcome."""
+        V_inv, widths = scenario._certificate(cfg)
+        gap_star = cfg.acc_time_gap * v + STANDSTILL_MARGIN
+        floors = np.array([gap_star - cfg.crash_range, gap_star,
+                           min(cfg.max_decel, 2.0), v])
+        slack = scenario.RETIRE_MARGIN * (1.0 + gap_star + v)
+        radius = (floors - slack) / widths
+        assert np.argmin(radius) == binding
+        d = np.array([-1.0, 0.4])  # closing, short of the fixed point's gap
+        s = (radius.min() / np.linalg.norm(V_inv @ d)
+             * np.array([1 - 1e-9, 1 + 1e-9]))
+        gap = gap_star + s * d[0]
+        ttc = gap / (s * d[1])
+        got = simulate_batch([v, v], ttc, gap, cfg)
+        assert checks[0][1].tolist() == [True, False]
+        assert got.tolist() == _oracle([v, v], ttc, gap, cfg).tolist()
+
+
 class TestAVConfig:
     def test_json_round_trip(self):
         cfg = AVConfig(aeb_decel=7.0, dt=0.02)
@@ -186,6 +320,21 @@ class TestAVConfig:
             AVConfig(dt=-0.01)
         with pytest.raises(ValueError):
             AVConfig(aeb_decel=9.0, max_decel=8.0)
+
+    @pytest.mark.parametrize("field", [f.name for f in
+                                       scenario.fields(AVConfig)])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            AVConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [{"reaction_delay": -0.1},
+                                        {"aeb_ttc_trigger": 0.0},
+                                        {"acc_time_gap": -1.0}])
+    def test_out_of_range_field_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            AVConfig(**kwargs)
+        assert AVConfig(**{k: 0.0 for k in kwargs if k != "aeb_ttc_trigger"})
 
 
 class TestCheckMonotone:

@@ -5,20 +5,25 @@ Usage, from the repository root:
     python3 tools/same_outputs.py --parent HEAD~1 --change HEAD \\
         --workload tail-halfspace --ops 6 --seed 0
 
-Both trees are extracted with ``bench_pairs.extract``. The parent tree's
-``bench/workloads.py`` builds the workload's ops and input files once, for
-``--seed``. The first ``--ops`` ops then run in both trees on those same
-files, each as a fresh ``python3 -m rareis.cli ARGS`` process with that
-tree's ``src/`` on the path and one BLAS thread, each side writing to its
-own output directory. Exit codes and every output file except
-``manifest.json`` (which records wall-clock time) are compared. One line is
-printed per op, and the exit status is 1 if any op differs.
+Both trees are extracted with ``bench_pairs.extract``. Each tree's own
+``bench/workloads.py`` and ``src/`` build the workload's ops and set-up
+files for ``--seed``, one tree after the other in the same work directory,
+so that both sides' CLI arguments name the same paths. A set-up file whose
+bytes differ between the trees, or that only one tree writes, is reported as
+``setup differs: <file>``. The first ``--ops`` ops then run in each tree on
+that tree's set-up, each as a fresh ``python3 -m rareis.cli ARGS`` process
+with the tree's ``src/`` on the path and one BLAS thread, each side writing
+to its own output directory. CLI arguments, exit codes and every output
+file except ``manifest.json`` (which records wall-clock time) are compared.
+One line is printed per set-up difference and per op, and the exit status
+is 1 if anything differs.
 """
 
 import argparse
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -28,13 +33,14 @@ from bench_pairs import extract
 IGNORED = {"manifest.json"}
 
 _SETUP = """
-import json, sys
+import json, os, sys
 src, bench, name, seed, work, out = sys.argv[1:]
 sys.path[:0] = [src, bench]
 import rareis.cli, workloads
 inputs = workloads.SETUPS[name](int(seed), work, rareis.cli.main)
 with open(out, "w") as fh:
-    json.dump([{"args": op.args, "out_dir": op.out_dir} for op in inputs.ops], fh)
+    json.dump({"ops": [{"args": op.args, "out_dir": op.out_dir} for op in inputs.ops],
+               "files": [os.path.relpath(f, work) for f in inputs.files]}, fh)
 """
 
 
@@ -54,29 +60,45 @@ def _files(root):
     return out
 
 
-def differences(dir_a, exit_a, dir_b, exit_b):
-    """What differs between two runs of one op: exit codes and output files."""
-    out = [] if exit_a == exit_b else ["exit %d vs %d" % (exit_a, exit_b)]
+def _compare(dir_a, dir_b):
+    """(name, how) of each file that differs between two directory trees."""
     files_a, files_b = _files(dir_a), _files(dir_b)
+    out = []
     for name in sorted(files_a | files_b):
         if name not in files_b:
-            out.append("%s only in the first" % name)
+            out.append((name, "only in the first"))
         elif name not in files_a:
-            out.append("%s only in the second" % name)
+            out.append((name, "only in the second"))
         elif not filecmp.cmp(os.path.join(dir_a, name), os.path.join(dir_b, name),
                              shallow=False):
-            out.append("%s differs" % name)
+            out.append((name, "differs"))
     return out
 
 
-def build_ops(tree, workload, seed, work):
-    """The workload's ops as tree's bench/workloads.py builds them in work."""
+def differences(dir_a, exit_a, dir_b, exit_b):
+    """What differs between two runs of one op: exit codes and output files."""
+    out = [] if exit_a == exit_b else ["exit %d vs %d" % (exit_a, exit_b)]
+    return out + ["%s %s" % pair for pair in _compare(dir_a, dir_b)]
+
+
+def setup_differences(dir_a, dir_b):
+    """One line per set-up file whose bytes differ or that one side lacks."""
+    return ["setup differs: %s" % name for name, _ in _compare(dir_a, dir_b)]
+
+
+def build_setup(tree, workload, seed, work, keep):
+    """The workload's ops as tree's bench/workloads.py builds them in work;
+    copies the set-up files it lists into keep."""
     path = os.path.join(work, "ops.json")
     subprocess.run([sys.executable, "-c", _SETUP, os.path.join(tree, "src"),
                     os.path.join(tree, "bench"), workload, str(seed), work, path],
                    cwd=tree, env=_env(tree), check=True, stdout=subprocess.DEVNULL)
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    for name in doc["files"]:
+        os.makedirs(os.path.dirname(os.path.join(keep, name)), exist_ok=True)
+        shutil.copyfile(os.path.join(work, name), os.path.join(keep, name))
+    return doc["ops"]
 
 
 def run_op(tree, op, out_dir):
@@ -96,26 +118,42 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    different = 0
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         trees = {}
         for side in ("parent", "change"):
             trees[side] = os.path.join(tmp, side)
             extract(getattr(args, side), trees[side])
-        work = os.path.join(tmp, "work")
-        os.makedirs(work)
-        ops = build_ops(trees["parent"], args.workload, args.seed, work)
-        for i, op in enumerate(ops[:args.ops]):
-            dirs = {side: os.path.join(tmp, "out", side, str(i)) for side in trees}
-            codes = {side: run_op(trees[side], op, dirs[side]) for side in trees}
-            diff = differences(dirs["parent"], codes["parent"],
-                               dirs["change"], codes["change"])
-            different += bool(diff)
-            print("%s op %d: %s" % (args.workload, i, "; ".join(diff) if diff else
-                                    "same (exit %d, %d files)"
-                                    % (codes["parent"], len(_files(dirs["parent"])))),
-                  flush=True)
+        different = compare(trees, args.workload, args.seed, args.ops, tmp)
     return 1 if different else 0
+
+
+def compare(trees, workload, seed, n_ops, tmp):
+    """Builds the set-up and runs the first n_ops ops of each of the trees
+    "parent" and "change", in tmp; prints one line per set-up difference
+    and one per op, and returns how many of them report a difference."""
+    work = os.path.join(tmp, "work")
+    setups = {side: os.path.join(tmp, "setup", side) for side in trees}
+    ops, codes = {}, {}
+    for side, tree in trees.items():
+        shutil.rmtree(work, ignore_errors=True)
+        os.makedirs(work)
+        ops[side] = build_setup(tree, workload, seed, work, setups[side])[:n_ops]
+        codes[side] = [run_op(tree, op, os.path.join(tmp, "out", side, str(i)))
+                       for i, op in enumerate(ops[side])]
+    setup = setup_differences(setups["parent"], setups["change"])
+    for line in setup:
+        print(line, flush=True)
+    different = len(setup)
+    for i, (op_p, op_c) in enumerate(zip(ops["parent"], ops["change"])):
+        dirs = [os.path.join(tmp, "out", side, str(i)) for side in ("parent", "change")]
+        diff = [] if op_p == op_c else ["args differ"]
+        diff += differences(dirs[0], codes["parent"][i], dirs[1], codes["change"][i])
+        different += bool(diff)
+        print("%s op %d: %s" % (workload, i, "; ".join(diff) if diff else
+                                "same (exit %d, %d files)"
+                                % (codes["parent"][i], len(_files(dirs[0])))),
+              flush=True)
+    return different
 
 
 if __name__ == "__main__":
