@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -243,8 +244,8 @@ class TestRetirement:
     def test_overdamped_config(self, checks):
         """(kp h + kv)^2 > 4 kp: M has two real eigenvalues."""
         cfg = AVConfig(acc_speed_gain=1.0, crash_range=1.0)
-        kp, damp = cfg.acc_spacing_gain, cfg.acc_spacing_gain * 1.4 + 1.0
-        assert damp ** 2 > 4 * kp
+        kp = cfg.acc_spacing_gain
+        assert (kp * cfg.acc_time_gap + cfg.acc_speed_gain) ** 2 > 4 * kp
         rng = np.random.default_rng(5)
         n = 600
         v, ttc, range_ = (rng.uniform(3, 30, n), rng.uniform(0.5, 6.0, n),
@@ -292,7 +293,7 @@ class TestRetirement:
         V_inv, widths = scenario._certificate(cfg)
         gap_star = cfg.acc_time_gap * v + STANDSTILL_MARGIN
         floors = np.array([gap_star - cfg.crash_range, gap_star,
-                           min(cfg.max_decel, 2.0), v])
+                           min(cfg.max_decel, scenario.ACC_MAX_ACCEL), v])
         slack = scenario.RETIRE_MARGIN * (1.0 + gap_star + v)
         radius = (floors - slack) / widths
         assert np.argmin(radius) == binding
@@ -322,7 +323,7 @@ class TestAVConfig:
             AVConfig(aeb_decel=9.0, max_decel=8.0)
 
     @pytest.mark.parametrize("field", [f.name for f in
-                                       scenario.fields(AVConfig)])
+                                       dataclasses.fields(AVConfig)])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValueError, match="must be finite"):
@@ -334,7 +335,9 @@ class TestAVConfig:
     def test_out_of_range_field_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AVConfig(**kwargs)
-        assert AVConfig(**{k: 0.0 for k in kwargs if k != "aeb_ttc_trigger"})
+
+    def test_zero_delay_and_time_gap_allowed(self):
+        AVConfig(reaction_delay=0.0, acc_time_gap=0.0)
 
 
 class TestCheckMonotone:
