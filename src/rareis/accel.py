@@ -69,8 +69,8 @@ def sample_is(n, q, rng):
 
 class EstimateReport:
     def __init__(self, p_hat, stderr, n_samples, max_likelihood_ratio,
-                 effective_sample_size, crude_equiv_n, bounds=(0.0, 1.0),
-                 zero_hits=False, method="is"):
+                 effective_sample_size, crude_equiv_n, zero_hits=False,
+                 method="is"):
         self.p_hat = float(p_hat)
         self.stderr = float(stderr)
         self.ci95 = (self.p_hat - 1.96 * self.stderr, self.p_hat + 1.96 * self.stderr)
@@ -78,12 +78,12 @@ class EstimateReport:
         self.max_likelihood_ratio = float(max_likelihood_ratio)
         self.effective_sample_size = float(effective_sample_size)
         self.crude_equiv_n = int(crude_equiv_n)
-        self.bounds = (float(bounds[0]), float(bounds[1]))
+        self.bounds, self.bounds_stderr = (0.0, 1.0), None  # see estimate
         self.zero_hits = bool(zero_hits)
         self.method = method
 
     def to_dict(self):
-        return {
+        doc = {
             "p_hat": self.p_hat,
             "stderr": self.stderr,
             "ci95": list(self.ci95),
@@ -95,6 +95,9 @@ class EstimateReport:
             "zero_hits": self.zero_hits,
             "method": self.method,
         }
+        if self.bounds_stderr is not None:
+            doc["bounds_stderr"] = list(self.bounds_stderr)
+        return doc
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -125,15 +128,27 @@ def _draws(indicator, q, n, seed):
     return X, apply_indicator(indicator, X)
 
 
-def estimate(indicator, gmm, q, n, seed, return_values=False):
-    """Importance-sampling estimate of P(indicator = 1) under the base model."""
+def estimate(indicator, gmm, q, n, seed, return_values=False, frontier=None):
+    """Importance-sampling estimate of P(indicator = 1) under the base model.
+
+    Given a FrontierStore, the same draws also estimate its inner and outer
+    probabilities (report.bounds) and must not contradict it.
+    """
     if n < 100:
         raise ValueError("n must be >= 100")
     X, hits = _draws(indicator, q, n, seed)
-    il = np.zeros(n)
-    idx = hits == 1
-    if np.any(idx):
-        il[idx] = likelihood_ratio(X[idx], gmm, q)
+    rows = hits == 1
+    if frontier is not None:
+        # the likelihood ratio then covers the outer rows, every hit among them
+        inner, rows = (f(X) == 1 for f in fr.bound_indicators(frontier))
+        bad = np.flatnonzero((inner & (hits == 0)) | (~rows & (hits == 1)))
+        if bad.size:
+            # the store holds no conflict, so insert raises for this draw
+            fr.insert(frontier, X[bad[:1]], hits[bad[:1]])
+    lr = np.zeros(n)
+    if np.any(rows):
+        lr[rows] = likelihood_ratio(X[rows], gmm, q)
+    il = np.where(hits == 1, lr, 0.0)
     p_hat = float(il.mean())
     stderr = float(il.std(ddof=1) / np.sqrt(n))
     hits = il > 0
@@ -142,6 +157,13 @@ def estimate(indicator, gmm, q, n, seed, return_values=False):
     report = EstimateReport(p_hat, stderr, n, max_lr, ess,
                             crude_equiv_n(p_hat, stderr),
                             zero_hits=not np.any(hits), method="is")
+    if frontier is not None:
+        # lr is 0 outside the outer rows; an empty s1 gives exactly 0
+        sides = [(min(float(v.mean()), 1.0), float(v.std(ddof=1) / np.sqrt(n)))
+                 for v in (np.where(inner, lr, 0.0), lr)]
+        if frontier.s0.shape[0] == 0:
+            sides[1] = (1.0, 0.0)
+        report.bounds, report.bounds_stderr = zip(*sides)
     return (report, il) if return_values else report
 
 
@@ -238,27 +260,3 @@ def run_procedure(indicator, gmm, mask, n_per_iter=500, max_iter=4,
     state = ProcedureState(store, a_inner, a_outer, it, calls, history)
     q_final = build_is(gmm, a_inner, a_outer, final_rho)
     return state, q_final
-
-
-def bound_probabilities(gmm, store, a_inner, a_outer, n, seed):
-    """Monte Carlo bounds P(inner set) <= p <= P(outer set), no simulator calls.
-
-    a_inner and a_outer are the inner and outer dominating sets of store,
-    as dompoints.inner_dominating and outer_dominating give them; each is
-    read only when its side of the store is nonempty.
-    """
-    inner_fn, outer_fn = fr.bound_indicators(store)
-    if store.s1.shape[0] == 0:
-        p_lower, lower_report = 0.0, None
-    else:
-        q = build_is(gmm, a_inner, a_inner, 1.0)
-        lower_report = estimate(inner_fn, gmm, q, n, seed)
-        p_lower = min(max(lower_report.p_hat, 0.0), 1.0)
-    if store.s0.shape[0] == 0:
-        p_upper, upper_report = 1.0, None
-    else:
-        q = build_is(gmm, a_outer, a_outer, 0.0)
-        upper_report = estimate(outer_fn, gmm, q, n, seed + 1)
-        p_upper = min(max(upper_report.p_hat, 0.0), 1.0)
-    p_upper = max(p_upper, p_lower)
-    return p_lower, p_upper, lower_report, upper_report

@@ -2,9 +2,9 @@
 
 Commands: fit (EM + BIC sweep), run (iterative IS procedure + estimate),
 crude (plain Monte Carlo baseline), bench (side-by-side efficiency table).
-Every command writes a manifest with its full option set; re-running with
-the same options reproduces all outputs byte-identically (the manifest's
-wall-clock field aside).
+fit, run and crude write a manifest with their full option set; bench only
+prints its table. Re-running with the same options reproduces all outputs
+byte-identically (the manifest's wall-clock field aside).
 """
 
 import csv
@@ -273,44 +273,32 @@ def cmd_fit(csv_path, k_list, support_spec, coords, seed, out_dir):
 
 
 def _run_pipeline(model, ind, mask, n, seed, n_per_iter, max_iter,
-                  max_frontier, rho):
+                  max_frontier, rho, bounds=False):
     state, q = accel.run_procedure(ind, model, mask, n_per_iter=n_per_iter,
                                    max_iter=max_iter, max_frontier=max_frontier,
                                    final_rho=rho, seed=seed)
     report, values = accel.estimate(ind, model, q, n, seed=seed + 1,
-                                    return_values=True)
-    return state, q, report, values
-
-
-def _check_bound_n(ctx, param, value):
-    if value != 0 and value < 100:
-        raise click.BadParameter("must be 0 (skip) or at least 100")
-    return value
+                                    return_values=True,
+                                    frontier=state.frontier if bounds else None)
+    return state, report, values
 
 
 @main.command("run")
 @_scenario_options(procedure=True)
-@click.option("--bound-n", default=0, show_default=True,
-              callback=_check_bound_n,
-              help="Extra samples for frontier probability bounds: 0 (skip) "
-                   "or at least 100.")
+@click.option("--bounds", is_flag=True,
+              help="Bound p by the frontier's inner and outer sets on the "
+                   "final estimate's draws, and check their outcomes.")
 @click.option("--out", "out_dir", default=".", show_default=True)
 def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
-            n_per_iter, max_iter, max_frontier, rho, seed, bound_n, out_dir):
+            n_per_iter, max_iter, max_frontier, rho, seed, bounds, out_dir):
     """Run the iterative IS construction, then a final estimate."""
     t0 = time.time()
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
     try:
-        state, q, report, values = _run_pipeline(
-            model, ind, mask, n, seed, n_per_iter, max_iter, max_frontier, rho)
-        if bound_n and (state.frontier.s1.shape[0]
-                        or state.frontier.s0.shape[0]):
-            # the final iteration's sets: its thinned store is this one
-            thinned = accel.thin_frontier(model, state.frontier, max_frontier)
-            p_lo, p_up, _, _ = accel.bound_probabilities(
-                model, thinned, state.a_inner, state.a_outer, bound_n, seed + 2)
-            report.bounds = (p_lo, p_up)
+        state, report, values = _run_pipeline(
+            model, ind, mask, n, seed, n_per_iter, max_iter, max_frontier, rho,
+            bounds)
     except NonMonotoneOutcomeError as err:
         _fail(EXIT_MONOTONE, str(err))
     except (SolverError, PieceBlowupError) as err:
@@ -328,7 +316,7 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
                       "analytic": analytic, "analytic_params": analytic_params,
                       "n": n, "n_per_iter": n_per_iter, "max_iter": max_iter,
                       "max_frontier": max_frontier, "rho": rho, "seed": seed,
-                      "bound_n": bound_n, "out": out_dir},
+                      "bounds": bounds, "out": out_dir},
               time.time() - t0, out_dir)
     click.echo("p_hat = %.6g  stderr = %.3g  (report: %s)"
                % (report.p_hat, report.stderr,
@@ -366,9 +354,8 @@ def cmd_bench(model_path, scenario_config, analytic, analytic_params, n,
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
     try:
-        _, _, is_report, _ = _run_pipeline(model, ind, mask, n, seed,
-                                           n_per_iter, max_iter, max_frontier,
-                                           rho)
+        _, is_report, _ = _run_pipeline(model, ind, mask, n, seed, n_per_iter,
+                                        max_iter, max_frontier, rho)
         crude_report = accel.crude_mc(ind, model, n, seed=seed + 10)
     except NonMonotoneOutcomeError as err:
         _fail(EXIT_MONOTONE, str(err))

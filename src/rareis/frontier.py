@@ -84,11 +84,12 @@ class FrontierStore:
 _BLOCK = 128
 
 
-def _leq(A, B):
-    """(len(A), len(B)) matrix of A[i] <= B[j] in every coordinate."""
-    out = A[:, None, 0] <= B[None, :, 0]
+def _leq(A, B, strict=False):
+    """(len(A), len(B)) matrix of A[i] <= B[j] (< if strict) in every coordinate."""
+    op = np.less if strict else np.less_equal
+    out = op(A[:, None, 0], B[None, :, 0])
     for k in range(1, A.shape[1]):
-        out &= A[:, None, k] <= B[None, :, k]
+        out &= op(A[:, None, k], B[None, :, k])
     return out
 
 
@@ -139,12 +140,6 @@ def insert(store, X, hits):
     return FrontierStore(store.mask, s1, s0)
 
 
-def _outer_safe_mask(store, Z):
-    if store.s0.shape[0] == 0:
-        return np.zeros(Z.shape[0], dtype=bool)
-    return np.any(np.all(Z[:, None, :] < store.s0[None], axis=2), axis=1)
-
-
 def bound_indicators(store):
     """Cheap inner/outer indicator functions with inner <= outer pointwise.
 
@@ -154,7 +149,8 @@ def bound_indicators(store):
         return _leq(store.s1, store.mask.canonicalize(X)).any(axis=0).astype(int)
 
     def outer_fn(X):
-        return (~_outer_safe_mask(store, store.mask.canonicalize(X))).astype(int)
+        Z = store.mask.canonicalize(X)
+        return (~_leq(Z, store.s0, strict=True).any(axis=1)).astype(int)
 
     return inner_fn, outer_fn
 

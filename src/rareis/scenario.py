@@ -281,6 +281,19 @@ def _grid_truth(gmm, indicator, lo, up, steps=400):
     return float(np.sum(dens * hits) * vol)
 
 
+def _param(params, key, ndim):
+    """params[key] as a finite number (ndim 0) or a nonempty finite 1-D vector."""
+    try:
+        v = np.asarray(params[key], dtype=float)
+        ok = v.ndim == ndim and v.size > 0 and np.all(np.isfinite(v))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError("%s must be a finite %s"
+                         % (key, "number" if ndim == 0 else "1-D vector"))
+    return v
+
+
 def analytic_scenario(kind, params):
     """Monotone validation scenarios with exact probability functions.
 
@@ -288,12 +301,16 @@ def analytic_scenario(kind, params):
     Kinds: halfspace (w, gamma; closed form on unbounded supports, dense
     grid at d <= 2 otherwise), orthant (corner; exact via rectangle
     probabilities at any supported d), mixture-tail (gamma; 1-d halfspace).
+    Malformed params raise ValueError.
     """
+    if not isinstance(params, dict):
+        raise ValueError("scenario params must be a JSON object, not %s"
+                         % type(params).__name__)
     if kind == "mixture-tail":
         kind, params = "halfspace", {"w": [1.0], "gamma": params["gamma"]}
     if kind == "halfspace":
-        w = np.asarray(params["w"], dtype=float)
-        gamma = float(params["gamma"])
+        w = _param(params, "w", 1)
+        gamma = float(_param(params, "gamma", 0))
         if np.any(w < 0):
             raise ValueError("halfspace weights must be nonnegative (monotone set)")
 
@@ -311,7 +328,7 @@ def analytic_scenario(kind, params):
 
         return indicator, truth_fn, DirectionMask(np.ones(w.size))
     if kind == "orthant":
-        corner = np.asarray(params["corner"], dtype=float)
+        corner = _param(params, "corner", 1)
 
         def indicator(x):
             return np.all(np.atleast_2d(x) >= corner, axis=1).astype(int)

@@ -3,9 +3,8 @@ import pytest
 from scipy.special import ndtr
 
 from rareis import accel, analytic_scenario, dompoints
-from rareis.accel import (build_is, bound_probabilities, crude_equiv_n,
-                          crude_mc, estimate, likelihood_ratio, run_procedure,
-                          sample_is)
+from rareis.accel import (build_is, crude_equiv_n, crude_mc, estimate,
+                          likelihood_ratio, run_procedure, sample_is)
 from rareis.frontier import DirectionMask, FrontierStore, insert
 from rareis.gauss import GaussComponent, Rect, log_density, rect_prob
 from rareis.tgmm import TruncatedGMM, gmm_log_density, gmm_sample
@@ -344,25 +343,38 @@ class TestThinFrontier:
         assert thinned.s0.tolist() == [[0.0, 1.0], [1.0, 1.0], [-3.0, 5.0]]
 
 
-def _bounds(gmm, store, n, seed):
-    """bound_probabilities with the store's own dominating sets."""
-    return bound_probabilities(gmm, store, dompoints.inner_dominating(gmm, store),
-                               dompoints.outer_dominating(gmm, store), n, seed)
+def _bounds(gmm, store, ind, n, seed):
+    """estimate on the store, drawing from its own rho = 0.5 proposal."""
+    q = build_is(gmm, dompoints.inner_dominating(gmm, store),
+                 dompoints.outer_dominating(gmm, store), 0.5)
+    return estimate(ind, gmm, q, n, seed, frontier=store)
+
+
+# Exact P(X >= corner) under this model on [0, inf)^3 is 6.9307e-07.
+TRUNC_MODEL = TruncatedGMM(
+    [0.4, 0.6],
+    [GaussComponent([1.0, 0.8, 0.6], [[0.5, 0.2, 0.1], [0.2, 0.4, 0.1],
+                                      [0.1, 0.1, 0.3]]),
+     GaussComponent([3.0, 2.5, 1.77], [[0.6, -0.15, 0.1], [-0.15, 0.5, 0.05],
+                                       [0.1, 0.05, 0.4]])],
+    Rect(np.zeros(3), np.full(3, np.inf)))
 
 
 class TestBoundProbabilities:
     def test_empty_frontier(self):
         gmm = gauss1d()
-        store = FrontierStore(DirectionMask([1.0]))
-        p_lo, p_up, _, _ = _bounds(gmm, store, 1000, seed=0)
-        assert (p_lo, p_up) == (0.0, 1.0)
+        ind, _, mask = analytic_scenario("halfspace", {"w": [1.0], "gamma": 2.0})
+        rep = _bounds(gmm, FrontierStore(mask), ind, 1000, seed=0)
+        assert rep.bounds == (0.0, 1.0)
+        assert rep.bounds_stderr == (0.0, 0.0)
 
     def test_collapsed_1d_threshold(self):
         gmm = gauss1d()
-        store = FrontierStore(DirectionMask([1.0]))
-        store = insert(store, np.array([[2.0], [1.999]]), [1, 0])
-        p_lo, p_up, lo_rep, up_rep = _bounds(gmm, store, 20_000, seed=1)
-        joint = 3 * np.hypot(lo_rep.stderr, up_rep.stderr)
+        ind, _, mask = analytic_scenario("halfspace", {"w": [1.0], "gamma": 2.0})
+        store = insert(FrontierStore(mask), np.array([[2.0], [1.999]]), [1, 0])
+        rep = _bounds(gmm, store, ind, 20_000, seed=1)
+        p_lo, p_up = rep.bounds
+        joint = 3 * np.hypot(*rep.bounds_stderr)
         assert p_up - p_lo < joint + 1e-4
 
     def test_2d_truth_within_widened_bounds(self, rng):
@@ -375,11 +387,54 @@ class TestBoundProbabilities:
         truth = truth_fn(gmm)
         pts = rng.uniform(0, 2.5, size=(60, 2))
         store = insert(FrontierStore(mask), pts, ind(pts))
-        p_lo, p_up, lo_rep, up_rep = _bounds(gmm, store, 20_000, seed=2)
-        slack_lo = 3 * (lo_rep.stderr if lo_rep else 0.0)
-        slack_up = 3 * (up_rep.stderr if up_rep else 0.0)
-        assert p_lo - slack_lo <= truth <= p_up + slack_up
-        assert p_lo <= p_up
+        rep = _bounds(gmm, store, ind, 20_000, seed=2)
+        (p_lo, p_up), (se_lo, se_up) = rep.bounds, rep.bounds_stderr
+        assert p_lo - 3 * se_lo <= truth <= p_up + 3 * se_up
+        assert p_lo <= rep.p_hat <= p_up
+
+    def test_estimate_does_not_move(self, rng):
+        gmm = two_comp()
+        ind, _, mask = analytic_scenario("halfspace", {"w": [1.0, 1.0],
+                                                       "gamma": 5.0})
+        pts = rng.uniform(0, 4, size=(200, 2))
+        store = insert(FrontierStore(mask), pts, ind(pts))
+        q = build_is(gmm, dompoints.inner_dominating(gmm, store),
+                     dompoints.outer_dominating(gmm, store), 0.5)
+        plain, il = estimate(ind, gmm, q, 5000, 3, return_values=True)
+        rep, il_b = estimate(ind, gmm, q, 5000, 3, return_values=True,
+                             frontier=store)
+        assert np.array_equal(il, il_b)
+        doc, doc_b = plain.to_dict(), rep.to_dict()
+        assert "bounds_stderr" not in doc
+        for k in ("bounds", "bounds_stderr"):
+            doc_b.pop(k)
+        assert doc == doc_b | {"bounds": [0.0, 1.0]}
+
+    @pytest.mark.parametrize("kind", ["halfspace", "trunc"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rare_tails_within_widened_bounds(self, kind, seed):
+        """The 3-D halfspace at p = 1e-6 and the truncated orthant at
+        p = 6.93e-7, through the procedure as run gives them."""
+        if kind == "halfspace":
+            gmm = TruncatedGMM([1.0], [GaussComponent(np.zeros(3), np.eye(3))],
+                               Rect.unbounded(3))
+            params = {"w": [3 ** -0.5] * 3, "gamma": 4.753424308822899}
+            ind, truth_fn, mask = analytic_scenario("halfspace", params)
+            n_per_iter = 2000
+        else:
+            gmm = TRUNC_MODEL
+            ind, truth_fn, mask = analytic_scenario(
+                "orthant", {"corner": [4.70, 4.06, 3.39]})
+            n_per_iter = 1000
+        p = truth_fn(gmm)
+        state, q = run_procedure(ind, gmm, mask, n_per_iter=n_per_iter,
+                                 seed=seed)
+        rep = estimate(ind, gmm, q, 100_000, seed + 1, frontier=state.frontier)
+        (p_lo, p_up), (se_lo, se_up) = rep.bounds, rep.bounds_stderr
+        assert p_lo - 3 * se_lo <= p <= p_up + 3 * se_up
+        assert p_lo <= rep.p_hat <= p_up
+        if kind == "halfspace":
+            assert p_up <= 10 * p
 
 
 class TestEfficiencyProperties:

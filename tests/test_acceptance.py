@@ -318,7 +318,10 @@ def _rerun_from_manifest(out_dir, new_out):
             args.append(opts.pop(positional))
     opts["out"] = new_out
     for key, value in sorted(opts.items()):
-        if value is None:
+        if value is None or value is False:
+            continue
+        if value is True:  # a switch such as --bounds
+            args.append("--%s" % key.replace("_", "-"))
             continue
         if key == "k_list":
             value = ",".join(str(k) for k in value)
@@ -359,7 +362,8 @@ def test_criterion_9_cli_determinism(tmp_path):
         run_a = str(tmp_path / "run_a")
         r = runner.invoke(main, ["run", model, "--n", "4000",
                                  "--n-per-iter", "300", "--max-iter", "3",
-                                 "--seed", "5", "--out", run_a] + scenario_args)
+                                 "--seed", "5", "--bounds", "--out", run_a]
+                           + scenario_args)
         assert r.exit_code == 0, r.output
         _rerun_from_manifest(run_a, str(tmp_path / "run_b"))
         _assert_dirs_match(run_a, str(tmp_path / "run_b"))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rareis import accel, cli, dompoints, tgmm
+from rareis import accel, cli, dompoints, scenario, tgmm
 from rareis.cli import main, parse_support
 from rareis.dompoints import SolverError
 from rareis.frontier import NonMonotoneOutcomeError
@@ -165,19 +165,22 @@ class TestRun:
         final = float(trace[-1].split(",")[1])
         assert final == pytest.approx(report["p_hat"], rel=1e-12)
 
-    def test_bound_n_populates_bounds(self, runner, model_1d, tmp_path):
+    def test_bounds_populates_bounds(self, runner, model_1d, tmp_path):
         out = tmp_path / "run"
         r = runner.invoke(main, ["run", model_1d, "--out", str(out),
-                                 "--bound-n", "2000"] + self.ARGS)
+                                 "--bounds"] + self.ARGS)
         assert r.exit_code == 0, r.output
         report = json.loads((out / "report.json").read_text())
         lo, up = report["bounds"]
-        assert 0.0 <= lo <= up <= 1.0
+        assert 0.0 < lo <= report["p_hat"] <= up < 1.0
+        assert all(se > 0.0 for se in report["bounds_stderr"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["options"]["bounds"] is True
 
-    def test_bound_n_reuses_final_dominating_sets(self, runner, model_1d,
-                                                  tmp_path, monkeypatch):
+    def test_bounds_reuse_final_dominating_sets(self, runner, model_1d,
+                                                tmp_path, monkeypatch):
         # one inner and one outer set per procedure iteration; the bounds
-        # reuse the last iteration's pair instead of solving it again
+        # come from the final estimate's draws and solve no set of their own
         calls = []
         for name in ("inner_dominating", "outer_dominating"):
             def counted(*args, real=getattr(dompoints, name), name=name):
@@ -186,11 +189,75 @@ class TestRun:
             monkeypatch.setattr(dompoints, name, counted)
         out = tmp_path / "run"
         r = runner.invoke(main, ["run", model_1d, "--out", str(out),
-                                 "--bound-n", "1000"] + self.ARGS)
+                                 "--bounds"] + self.ARGS)
         assert r.exit_code == 0, r.output
         assert json.loads((out / "report.json").read_text())["bounds"] != [0.0, 1.0]
         assert calls.count("inner_dominating") == 3
         assert calls.count("outer_dominating") == 3
+
+    def test_bounds_leave_the_estimate_unchanged(self, runner, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(tgmm.model_to_json(TruncatedGMM(
+            [1.0], [GaussComponent(np.zeros(3), np.eye(3))], Rect.unbounded(3))))
+        args = ["run", str(model), "--analytic", "halfspace",
+                "--analytic-params", '{"w": [0.5, 0.6, 0.7], "gamma": 4.0}',
+                "--n", "20000", "--n-per-iter", "1000", "--seed", "2"]
+        outs = [tmp_path / "plain", tmp_path / "bounds"]
+        for out, flag in zip(outs, ([], ["--bounds"])):
+            r = runner.invoke(main, args + ["--out", str(out)] + flag)
+            assert r.exit_code == 0, r.output
+        for fname in ("trace.csv", "frontier.json", "dominating_points.csv",
+                      "state.json"):
+            assert filecmp.cmp(outs[0] / fname, outs[1] / fname,
+                               shallow=False), fname
+        plain, bounded = (json.loads((out / "report.json").read_text())
+                          for out in outs)
+        assert plain["bounds"] == [0.0, 1.0] and "bounds_stderr" not in plain
+        assert set(bounded) == set(plain) | {"bounds_stderr"}
+        for key in ("p_hat", "stderr"):
+            assert repr(plain[key]) == repr(bounded[key])
+
+    @pytest.mark.parametrize("outcome", [0, 1])
+    def test_bounds_check_final_outcomes(self, runner, model_1d, tmp_path,
+                                         monkeypatch, outcome):
+        """One draw of the final stream, inside the inner set or strictly
+        below a safe frontier point, gets the other outcome."""
+        real, flipped = scenario.analytic_scenario, []
+
+        def flipping(kind, params):
+            ind, truth_fn, mask = real(kind, params)
+
+            def flip(X):
+                hits = ind(X)
+                if X.shape[0] == 5000:  # --n: the final estimate's draws
+                    decided = X[:, 0] > 4.5 if outcome == 0 else X[:, 0] < 2.0
+                    i = np.flatnonzero(decided)[0]
+                    hits[i] = outcome
+                    flipped.append(X[i])
+                return hits
+            return flip, truth_fn, mask
+        monkeypatch.setattr(scenario, "analytic_scenario", flipping)
+        codes = []
+        for flag in ([], ["--bounds"]):
+            r = runner.invoke(main, ["run", model_1d, "--out",
+                                     str(tmp_path / "run")] + flag + self.ARGS)
+            codes.append(r.exit_code)
+        assert codes == [0, cli.EXIT_MONOTONE], r.output
+        assert "non-monotone outcome" in r.output
+        assert str(flipped[-1].tolist()) in r.output
+        assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("params", ['[1]', '{"w": [[1.0]], "gamma": 3}',
+                                        '{"w": [1.0], "gamma": NaN}'])
+    def test_malformed_analytic_params_exit_2(self, runner, model_1d,
+                                              tmp_path, params):
+        r = runner.invoke(main, ["run", model_1d, "--analytic", "halfspace",
+                                 "--analytic-params", params,
+                                 "--out", str(tmp_path / "run")])
+        assert r.exit_code == cli.EXIT_INPUT
+        assert isinstance(r.exception, SystemExit)
+        assert "error: bad analytic scenario" in r.output
+        assert "Traceback" not in r.output
 
     def test_byte_identical_reruns(self, runner, model_1d, tmp_path):
         outs = []

@@ -280,15 +280,25 @@ class TestBoundIndicators:
         assert (inner_fn(x[None])[0], outer_fn(x[None])[0]) == (1, 1)
 
     def test_grid_agreement_with_set_formulas(self, rng):
-        s = insert(store2d(), rng.uniform(2, 4, size=(5, 2)), np.ones(5))
-        s = insert(s, rng.uniform(0, 2, size=(5, 2)), np.zeros(5))
-        inner_fn, outer_fn = bound_indicators(s)
-        X = rng.uniform(-1, 5, size=(10_000, 2))
-        inner_direct = np.array([int(np.any(np.all(x >= s.s1, axis=1))) for x in X])
-        outer_direct = np.array([int(not np.any(np.all(x < s.s0, axis=1))) for x in X])
-        assert np.array_equal(inner_fn(X), inner_direct)
-        assert np.array_equal(outer_fn(X), outer_direct)
-        assert np.all(inner_fn(X) <= outer_fn(X))
+        for d in range(2, 7):
+            s = FrontierStore(DirectionMask(np.ones(d)))
+            s = insert(s, rng.uniform(2, 4, size=(5, d)), np.ones(5))
+            s = insert(s, rng.uniform(0, 2, size=(5, d)), np.zeros(5))
+            inner_fn, outer_fn = bound_indicators(s)
+            X = rng.uniform(-1, 5, size=(10_000, d))
+            # the outer test is strict: draws just below safe points, some
+            # of their coordinates set exactly on the safe point's
+            base = s.s0[rng.integers(s.s0.shape[0], size=2000)]
+            edge = base - rng.uniform(0, 0.5, size=base.shape)
+            on = rng.random(base.shape) < 0.3
+            edge[on] = base[on]
+            X = np.vstack([X, edge, s.s0, s.s1])
+            inner_direct = np.array([int(np.any(np.all(x >= s.s1, axis=1))) for x in X])
+            outer_direct = np.array([int(not np.any(np.all(x < s.s0, axis=1))) for x in X])
+            assert np.array_equal(inner_fn(X), inner_direct)
+            assert np.array_equal(outer_fn(X), outer_direct)
+            assert np.all(inner_fn(X) <= outer_fn(X))
+            assert 0 < outer_direct[10_000:12_000].sum() < 2000
 
 
 class TestSandwich:
