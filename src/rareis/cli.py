@@ -2,7 +2,7 @@
 
 Commands: fit (EM + BIC sweep), run (iterative IS procedure + estimate),
 crude (plain Monte Carlo baseline), bench (side-by-side efficiency table).
-fit, run and crude write a manifest with their full option set; bench only
+fit, run and crude write a manifest of the options click parsed; bench only
 prints its table. Re-running with the same options reproduces all outputs
 byte-identically (the manifest's wall-clock field aside).
 """
@@ -10,6 +10,7 @@ byte-identically (the manifest's wall-clock field aside).
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__, accel, frontier as fr, scenario, tgmm
 from .frontier import NonMonotoneOutcomeError, PieceBlowupError
-from .gauss import Rect
+from .gauss import DegenerateTruncationError, Rect
 from .dompoints import SolverError
 from .tgmm import DyingComponentError
 
@@ -34,11 +35,22 @@ def _fail(code, message):
     sys.exit(code)
 
 
-def _atomic_write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _write_outputs(out, files, t0):
+    """Writes files ({name: text}) and the command's manifest into out, atomically."""
+    ctx = click.get_current_context()
+    files["manifest.json"] = json.dumps(
+        {"command": ctx.info_name, "options": ctx.params,
+         "tool_version": __version__, "duration_s": round(time.time() - t0, 3)},
+        sort_keys=True, indent=2)
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name, text in files.items():
+            path = os.path.join(out, name)
+            with open(path + ".tmp", "w") as fh:
+                fh.write(text)
+            os.replace(path + ".tmp", path)
+    except OSError as err:
+        _fail(EXIT_INPUT, "cannot write --out %s: %s" % (out, err))
 
 
 def parse_support(spec, d):
@@ -59,46 +71,36 @@ def parse_support(spec, d):
 
 
 def _read_csv(path, expect_header=None):
-    """Numeric CSV with optional header; returns (header or None, array)."""
+    """Finite numeric CSV with optional header; returns (header or None, array).
+
+    Errors name the file's own line numbers, blank lines counted."""
     with open(path) as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
+    header = None
+    if rows:
+        try:
+            [float(c) for c in rows[0][1]]
+        except ValueError:
+            header = [c.strip() for c in rows.pop(0)[1]]
     if not rows:
         raise ValueError("%s: no data rows" % path)
-    header = None
-    start = 0
-    try:
-        [float(c) for c in rows[0]]
-    except ValueError:
-        header = [c.strip() for c in rows[0]]
-        start = 1
+    width = len(rows[0][1])
     data = []
-    for lineno, r in enumerate(rows[start:], start=start + 1):
+    for lineno, r in rows:
         try:
-            data.append([float(c) for c in r])
+            values = [float(c) for c in r]
         except ValueError:
             raise ValueError("%s: line %d: non-numeric value" % (path, lineno))
-    if not data:
-        raise ValueError("%s: no data rows" % path)
-    width = len(data[0])
-    for lineno, r in enumerate(data, start=start + 1):
-        if len(r) != width:
+        if len(values) != width:
             raise ValueError("%s: line %d: expected %d columns"
                              % (path, lineno, width))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("%s: line %d: non-finite value" % (path, lineno))
+        data.append(values)
     if expect_header is not None and header != expect_header:
         raise ValueError("%s: expected header %s" % (path, expect_header))
     return header, np.array(data)
-
-
-def _manifest(command, options, duration, out_dir):
-    doc = {
-        "command": command,
-        "options": options,
-        "tool_version": __version__,
-        "duration_s": round(duration, 3),
-    }
-    _atomic_write(os.path.join(out_dir, "manifest.json"),
-                  json.dumps(doc, sort_keys=True, indent=2))
 
 
 # Row cap of trace.csv: a row per sample cost more than the estimate at n = 1e5.
@@ -142,7 +144,8 @@ def _load_scenario(model_path, scenario_config, analytic, analytic_params):
     try:
         with open(model_path) as fh:
             model = tgmm.model_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError, TypeError,
+            DegenerateTruncationError) as err:
         _fail(EXIT_INPUT, "cannot load model %s: %s" % (model_path, err))
     if (scenario_config is None) == (analytic is None):
         _fail(EXIT_INPUT, "exactly one of --scenario-config/--analytic is required")
@@ -201,7 +204,38 @@ def _scenario_options(procedure):
     return apply
 
 
-@click.group()
+_out_option = click.option("--out", default=".", show_default=True,
+                           type=click.Path(file_okay=False))
+
+
+def _parse_k_list(ctx, param, value):
+    try:
+        k_values = [int(k) for k in value.split(",") if k.strip()]
+    except ValueError:
+        k_values = []
+    if not k_values or min(k_values) < 1:
+        raise click.BadParameter("want comma-separated integers >= 1, got %r"
+                                 % value)
+    return k_values
+
+
+# Library errors any command may raise, by exit code. Errors of one stage
+# (loading inputs, EM) keep the codes their command gives them.
+_EXIT_CODES = {NonMonotoneOutcomeError: EXIT_MONOTONE, SolverError: EXIT_SOLVER,
+               PieceBlowupError: EXIT_SOLVER,
+               DegenerateTruncationError: EXIT_SOLVER}
+
+
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as err:
+            _fail(next(code for kind, code in _EXIT_CODES.items()
+                       if isinstance(err, kind)), str(err))
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Rare-event probability estimation toolkit."""
@@ -210,8 +244,9 @@ def main():
 @main.command("fit")
 @click.argument("csv_path", type=click.Path())
 @click.option("--k-list", default="1,2,3", show_default=True,
-              help="Comma-separated component counts to sweep.")
-@click.option("--support", "support_spec", default=None,
+              callback=_parse_k_list,
+              help="Comma-separated component counts (each >= 1) to sweep.")
+@click.option("--support", default=None,
               help="Per-dimension lo:hi bounds on the fitted coordinates "
                    "before standardization, so (v, 1/ttc, 1/range) for "
                    "--coords lane-change; default unbounded.")
@@ -221,35 +256,28 @@ def main():
                    "(v, 1/ttc, 1/range).")
 @click.option("--seed", default=0, show_default=True,
               type=click.IntRange(min=0))
-@click.option("--out", "out_dir", default=".", show_default=True)
-def cmd_fit(csv_path, k_list, support_spec, coords, seed, out_dir):
+@_out_option
+def cmd_fit(csv_path, k_list, support, coords, seed, out):
     """Standardize data, fit each K, write a BIC table and the best model."""
     t0 = time.time()
-    try:
-        k_values = [int(k) for k in k_list.split(",") if k.strip()]
-        if not k_values:
-            raise ValueError("empty K list")
-    except ValueError as err:
-        _fail(EXIT_INPUT, "bad --k-list: %s" % err)
     try:
         if coords == "lane-change":
             _, y = _read_csv(csv_path, expect_header=["v", "ttc", "range"])
             y = scenario.lane_change_coords(y)
         else:
             _, y = _read_csv(csv_path)
-        support = (Rect.unbounded(y.shape[1]) if support_spec is None
-                   else parse_support(support_spec, y.shape[1]))
-        if not np.all(support.contains(y)):
-            bad = int(np.flatnonzero(~support.contains(y))[0])
+        box = (Rect.unbounded(y.shape[1]) if support is None
+               else parse_support(support, y.shape[1]))
+        if not np.all(box.contains(y)):
+            bad = int(np.flatnonzero(~box.contains(y))[0])
             raise ValueError("data row %d lies outside the declared support" % (bad + 1))
         z, std = tgmm.standardize(y)
+        z_support = std.apply_rect(box)
     except (OSError, ValueError) as err:
         _fail(EXIT_INPUT, str(err))
-    z_support = std.apply_rect(support)
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     best = None
-    for K in k_values:
+    for K in k_list:
         try:
             model, report = tgmm.fit(z, K, z_support, init_seed=seed,
                                      standardizer=std)
@@ -263,13 +291,10 @@ def cmd_fit(csv_path, k_list, support_spec, coords, seed, out_dir):
     w.writerow(["K", "bic", "loglik", "iterations"])
     for K, b, ll, it in rows:
         w.writerow([K, repr(float(b)), repr(float(ll)), it])
-    _atomic_write(os.path.join(out_dir, "bic.csv"), buf.getvalue())
-    _atomic_write(os.path.join(out_dir, "model.json"), tgmm.model_to_json(best[0]))
-    _manifest("fit", {"csv_path": csv_path, "k_list": k_values,
-                      "support": support_spec, "coords": coords, "seed": seed,
-                      "out": out_dir}, time.time() - t0, out_dir)
+    _write_outputs(out, {"bic.csv": buf.getvalue(),
+                         "model.json": tgmm.model_to_json(best[0])}, t0)
     click.echo("best K = %d (bic table: %s)"
-               % (best[0].n_components, os.path.join(out_dir, "bic.csv")))
+               % (best[0].n_components, os.path.join(out, "bic.csv")))
 
 
 def _run_pipeline(model, ind, mask, n, seed, n_per_iter, max_iter,
@@ -288,61 +313,38 @@ def _run_pipeline(model, ind, mask, n, seed, n_per_iter, max_iter,
 @click.option("--bounds", is_flag=True,
               help="Bound p by the frontier's inner and outer sets on the "
                    "final estimate's draws, and check their outcomes.")
-@click.option("--out", "out_dir", default=".", show_default=True)
+@_out_option
 def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
-            n_per_iter, max_iter, max_frontier, rho, seed, bounds, out_dir):
+            n_per_iter, max_iter, max_frontier, rho, seed, bounds, out):
     """Run the iterative IS construction, then a final estimate."""
     t0 = time.time()
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
-    try:
-        state, report, values = _run_pipeline(
-            model, ind, mask, n, seed, n_per_iter, max_iter, max_frontier, rho,
-            bounds)
-    except NonMonotoneOutcomeError as err:
-        _fail(EXIT_MONOTONE, str(err))
-    except (SolverError, PieceBlowupError) as err:
-        _fail(EXIT_SOLVER, str(err))
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "report.json"), report.to_json())
-    _atomic_write(os.path.join(out_dir, "frontier.json"),
-                  fr.frontier_to_json(state.frontier))
-    _atomic_write(os.path.join(out_dir, "dominating_points.csv"),
-                  _dompoints_csv(state))
-    _atomic_write(os.path.join(out_dir, "trace.csv"), _trace_csv(values))
-    _atomic_write(os.path.join(out_dir, "state.json"), state.to_json())
-    _manifest("run", {"model_path": model_path,
-                      "scenario_config": scenario_config,
-                      "analytic": analytic, "analytic_params": analytic_params,
-                      "n": n, "n_per_iter": n_per_iter, "max_iter": max_iter,
-                      "max_frontier": max_frontier, "rho": rho, "seed": seed,
-                      "bounds": bounds, "out": out_dir},
-              time.time() - t0, out_dir)
+    state, report, values = _run_pipeline(model, ind, mask, n, seed, n_per_iter,
+                                          max_iter, max_frontier, rho, bounds)
+    _write_outputs(out, {"report.json": report.to_json(),
+                         "frontier.json": fr.frontier_to_json(state.frontier),
+                         "dominating_points.csv": _dompoints_csv(state),
+                         "trace.csv": _trace_csv(values),
+                         "state.json": state.to_json()}, t0)
     click.echo("p_hat = %.6g  stderr = %.3g  (report: %s)"
                % (report.p_hat, report.stderr,
-                  os.path.join(out_dir, "report.json")))
+                  os.path.join(out, "report.json")))
 
 
 @main.command("crude")
 @_scenario_options(procedure=False)
-@click.option("--out", "out_dir", default=".", show_default=True)
+@_out_option
 def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
-              out_dir):
+              out):
     """Crude Monte Carlo baseline under the fitted model."""
     t0 = time.time()
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
     report, values = accel.crude_mc(ind, model, n, seed=seed,
                                     return_values=True)
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "report.json"), report.to_json())
-    _atomic_write(os.path.join(out_dir, "trace.csv"), _trace_csv(values))
-    _manifest("crude", {"model_path": model_path,
-                        "scenario_config": scenario_config,
-                        "analytic": analytic,
-                        "analytic_params": analytic_params, "n": n,
-                        "seed": seed, "out": out_dir},
-              time.time() - t0, out_dir)
+    _write_outputs(out, {"report.json": report.to_json(),
+                         "trace.csv": _trace_csv(values)}, t0)
     click.echo("p_hat = %.6g  stderr = %.3g" % (report.p_hat, report.stderr))
 
 
@@ -353,14 +355,9 @@ def cmd_bench(model_path, scenario_config, analytic, analytic_params, n,
     """Both estimators at equal n; prints a CSV efficiency table."""
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
-    try:
-        _, is_report, _ = _run_pipeline(model, ind, mask, n, seed, n_per_iter,
-                                        max_iter, max_frontier, rho)
-        crude_report = accel.crude_mc(ind, model, n, seed=seed + 10)
-    except NonMonotoneOutcomeError as err:
-        _fail(EXIT_MONOTONE, str(err))
-    except (SolverError, PieceBlowupError) as err:
-        _fail(EXIT_SOLVER, str(err))
+    _, is_report, _ = _run_pipeline(model, ind, mask, n, seed, n_per_iter,
+                                    max_iter, max_frontier, rho)
+    crude_report = accel.crude_mc(ind, model, n, seed=seed + 10)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["estimator", "p_hat", "stderr", "crude_equiv_n", "efficiency"])

@@ -115,11 +115,18 @@ class TestFit:
         assert r.exit_code == cli.EXIT_INPUT
 
     def test_non_numeric_csv_exit_2(self, runner, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n1.0,oops\n")
-        r = runner.invoke(main, ["fit", str(path)])
-        assert r.exit_code == cli.EXIT_INPUT
-        assert "line 2" in r.output
+        # line numbers are the file's own, blank lines counted
+        good = "1.0,2.0\n3.0,1.0\n"
+        for text, message in [("1.0,2.0\n1.0,oops\n", "line 2: non-numeric"),
+                              ("1,2\n\n1,oops\n", "line 3: non-numeric"),
+                              (good + "5.0,inf\n" + good, "line 3: non-finite"),
+                              (good * 2 + "\nnan,4.0\n", "line 6: non-finite")]:
+            path = tmp_path / "bad.csv"
+            path.write_text(text)
+            r = runner.invoke(main, ["fit", str(path)])
+            assert r.exit_code == cli.EXIT_INPUT, text
+            assert isinstance(r.exception, SystemExit)
+            assert "bad.csv: %s value" % message in r.output
 
     def test_data_outside_support_exit_2(self, runner, data_csv, tmp_path):
         r = runner.invoke(main, ["fit", data_csv, "--support", "0:1,0:1"])
@@ -290,12 +297,23 @@ class TestRun:
                                  '{"w": [1.0, 1.0], "gamma": 2.0}'])
         assert r.exit_code == cli.EXIT_INPUT
 
-    def test_corrupt_model_exit_2(self, runner, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text("{not json")
-        r = runner.invoke(main, ["run", str(path), "--analytic", "mixture-tail",
-                                 "--analytic-params", '{"gamma": 3.0}'])
-        assert r.exit_code == cli.EXIT_INPUT
+    def test_corrupt_model_exit_2(self, runner, model_1d, tmp_path):
+        doc = json.loads(open(model_1d).read())
+        zero_mass = dict(doc, support={"lower": [40.0], "upper": ["inf"]})
+        path = tmp_path / "corrupt.json"
+        for text in ["{not json", json.dumps(dict(doc, components=5)),
+                     json.dumps([doc]), json.dumps(zero_mass)]:
+            path.write_text(text)
+            for command in ("run", "crude", "bench"):
+                out = ([] if command == "bench"
+                       else ["--out", str(tmp_path / "out")])
+                r = runner.invoke(main, [command, str(path), "--analytic",
+                                         "mixture-tail", "--analytic-params",
+                                         '{"gamma": 3.0}'] + out)
+                assert r.exit_code == cli.EXIT_INPUT, (command, text)
+                assert isinstance(r.exception, SystemExit)
+                assert "error: cannot load model" in r.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "crude", "bench"])
     def test_indicator_input_error_exit_2(self, runner, tmp_path, command):
@@ -358,6 +376,27 @@ class TestRun:
         assert r.exit_code == cli.EXIT_SOLVER
         assert isinstance(r.exception, SystemExit)
         assert "error: d^|s0| = 5^12 exceeds 1e6" in r.output
+        assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("command", ["run", "crude", "bench"])
+    def test_degenerate_sampling_exit_5(self, runner, model_1d, tmp_path,
+                                        command):
+        """N(0,1) on [10, inf): the model loads, but rejection sampling from
+        it accepts 7.6e-24 of its draws; run samples only the proposal."""
+        doc = json.loads(open(model_1d).read())
+        model = tmp_path / "tail.json"
+        model.write_text(json.dumps(dict(doc, support={"lower": [10.0],
+                                                       "upper": ["inf"]})))
+        out = [] if command == "bench" else ["--out", str(tmp_path / "out")]
+        r = runner.invoke(main, [command, str(model), "--analytic", "halfspace",
+                                 "--analytic-params", '{"w": [1.0], "gamma": 11.0}',
+                                 "--n", "1000"] + out)
+        if command == "run":
+            assert r.exit_code == 0, r.output
+            return
+        assert r.exit_code == cli.EXIT_SOLVER
+        assert isinstance(r.exception, SystemExit)
+        assert "error: acceptance rate estimate 7.62e-24 below 1e-8" in r.output
         assert "Traceback" not in r.output
 
 
@@ -473,7 +512,8 @@ class TestBench:
     ("crude", "--seed", "-1"), ("crude", "--workers", "1"),
     ("crude", "--n", "0"), ("bench", "--seed", "-1"),
     ("bench", "--workers", "1"), ("bench", "--max-iter", "0"),
-    ("fit", "--seed", "-1"),
+    ("fit", "--seed", "-1"), ("fit", "--k-list", "0"),
+    ("fit", "--k-list", "-1"),
 ])
 def test_out_of_range_option_exit_2(runner, model_1d, data_csv, tmp_path,
                                     command, option, value):
@@ -488,6 +528,45 @@ def test_out_of_range_option_exit_2(runner, model_1d, data_csv, tmp_path,
     assert r.exit_code == cli.EXIT_INPUT, r.output
     assert "Traceback" not in r.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "run", "crude"])
+def test_unusable_out_exit_2(runner, model_1d, data_csv, tmp_path, command):
+    """--out naming a file is rejected as the options are parsed; a path
+    below a file fails when the outputs are written."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if command == "fit":
+        args = ["fit", data_csv, "--k-list", "1"]
+    else:
+        args = [command, model_1d, "--analytic", "mixture-tail",
+                "--analytic-params", '{"gamma": 3.0}', "--n", "500"]
+    for out, message in [(afile, "is a file"), (afile / "sub", "cannot write")]:
+        r = runner.invoke(main, args + ["--out", str(out)])
+        assert r.exit_code == cli.EXIT_INPUT, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert message in r.output
+    assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "run", "crude"])
+def test_manifest_records_click_options(runner, model_1d, data_csv, tmp_path,
+                                        command):
+    out = tmp_path / "out"
+    if command == "fit":
+        args = ["fit", data_csv, "--k-list", "1,2"]
+    else:
+        args = [command, model_1d, "--analytic", "mixture-tail",
+                "--analytic-params", '{"gamma": 3.0}', "--n", "500"]
+    r = runner.invoke(main, args + ["--out", str(out)])
+    assert r.exit_code == 0, r.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    params = [p.name for p in main.commands[command].params]
+    assert manifest["command"] == command
+    assert sorted(manifest["options"]) == sorted(params)
+    assert manifest["options"]["out"] == str(out)
+    if command == "fit":
+        assert manifest["options"]["k_list"] == [1, 2]
 
 
 def test_standardized_model_round_trip(runner, data_csv, tmp_path):
