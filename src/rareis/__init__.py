@@ -2,8 +2,8 @@
 monotone set learning, and dominating-point importance sampling."""
 
 from .gauss import (DegenerateTruncationError, GaussComponent, Rect,
-                    log_density, rect_prob, sample, sample_truncated,
-                    trunc_moments)
+                    log_density, log_densities, rect_prob, sample,
+                    sample_truncated, trunc_moments)
 from .tgmm import (AffineStandardizer, DyingComponentError, FitReport,
                    TruncatedGMM, bic, em_step, fit, gmm_log_density,
                    gmm_sample, model_from_json, model_to_json,

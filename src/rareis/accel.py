@@ -13,7 +13,7 @@ import numpy as np
 from . import dompoints, frontier as fr
 # rect_prob stays bound here: bench/test_bench.py checks that the tracer
 # rebinds it at accel.rect_prob.
-from .gauss import GaussComponent, rect_prob  # noqa: F401
+from .gauss import rect_prob  # noqa: F401
 from .tgmm import TruncatedGMM, gmm_log_density, gmm_sample
 
 
@@ -46,8 +46,8 @@ def build_is(gmm, a_inner, a_outer, rho):
     # depend on the last bits of these weights.
     total = sum(w for w, _, _ in parts)
     return TruncatedGMM([w / total for w, _, _ in parts],
-                        [GaussComponent(mean, gmm.components[i].cov)
-                         for _, mean, i in parts], gmm.support)
+                        [gmm.components[i].moved_to(mean) for _, mean, i in parts],
+                        gmm.support)
 
 
 def likelihood_ratio(x, gmm, q):

@@ -204,8 +204,19 @@ def _scenario_options(procedure):
     return apply
 
 
+def _check_out(ctx, param, value):
+    """Rejects an --out below a file before any work: click.Path checks
+    only a path that exists."""
+    parent = os.path.abspath(value)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise click.BadParameter("%s lies below the file %s" % (value, parent))
+    return value
+
+
 _out_option = click.option("--out", default=".", show_default=True,
-                           type=click.Path(file_okay=False))
+                           type=click.Path(file_okay=False), callback=_check_out)
 
 
 def _parse_k_list(ctx, param, value):

@@ -4,6 +4,11 @@ The M-step follows the truncated-data EM with mean/covariance correction
 terms built from moments of the rectangle-truncated components; with an
 unbounded support the corrections vanish and the update reduces to the
 ordinary GMM M-step.
+
+Mixture densities and the E-step take all components' log densities from
+one gauss.log_densities call, grouped by Cholesky factor (an IS proposal's
+parts share their base component's), so a row's value does not depend on
+the other rows in the call.
 """
 
 import json
@@ -11,7 +16,7 @@ import json
 import numpy as np
 
 from .gauss import (DegenerateTruncationError, GaussComponent, Rect,
-                    log_density, rect_prob, sample_truncated, trunc_moments)
+                    log_densities, rect_prob, sample_truncated, trunc_moments)
 
 
 class DyingComponentError(RuntimeError):
@@ -79,20 +84,33 @@ class TruncatedGMM:
         return self.weights.size
 
 
-def _component_log_dens(y, m):
-    """(n, K) matrix of truncated per-component log densities (rows assumed inside)."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    cols = [log_density(y, c) - np.log(m.norm_consts[k])
-            for k, c in enumerate(m.components)]
-    return np.column_stack(cols)
+def _log_joint(y, m):
+    """(K, n) log weight plus truncated log density per component and row.
+
+    Rows are assumed inside the support.
+    """
+    ld = log_densities(y, m.components)
+    ld -= np.log(m.norm_consts)[:, None]
+    ld += np.log(m.weights)[:, None]
+    return ld
 
 
-def _logsumexp_rows(a):
-    """log(sum(exp(a), axis=1)) for an (n, K) matrix, shifted by each row's max."""
-    top = a.max(axis=1)
+def _logsumexp(a):
+    """log(sum(exp(a), axis=0)) for a (K, n) matrix, shifted by each column's max.
+
+    The components are summed one after another, so column i's value does
+    not depend on the other columns (a numpy sum over a single column would
+    be pairwise).
+    """
+    top = a.max(axis=0)
     shift = np.where(np.isfinite(top), top, 0.0)
+    e = a - shift
+    np.exp(e, out=e)
+    total = e[0].copy()
+    for row in e[1:]:
+        total += row
     with np.errstate(divide="ignore"):
-        return shift + np.log(np.exp(a - shift[:, None]).sum(axis=1))
+        return shift + np.log(total)
 
 
 def gmm_log_density(x, m):
@@ -103,8 +121,7 @@ def gmm_log_density(x, m):
     out = np.full(X.shape[0], -np.inf)
     inside = m.support.contains(X)
     if np.any(inside):
-        ld = _component_log_dens(X[inside], m)
-        out[inside] = _logsumexp_rows(ld + np.log(m.weights))
+        out[inside] = _logsumexp(_log_joint(X[inside], m))
     return float(out[0]) if single else out
 
 
@@ -118,12 +135,13 @@ def responsibilities(y, m, return_totals=False):
     if not np.all(m.support.contains(y)):
         bad = int(np.flatnonzero(~m.support.contains(y))[0])
         raise ValueError("row %d lies outside the support" % bad)
-    ld = _component_log_dens(y, m) + np.log(m.weights)
-    tot = _logsumexp_rows(ld)
+    ld = _log_joint(y, m)
+    tot = _logsumexp(ld)
     if not np.all(np.isfinite(tot)):
         bad = int(np.flatnonzero(~np.isfinite(tot))[0])
         raise ValueError("row %d has zero density under every component" % bad)
-    resp = np.exp(ld - tot[:, None])
+    ld -= tot
+    resp = np.exp(ld, out=ld).T
     return (resp, tot) if return_totals else resp
 
 
@@ -319,7 +337,7 @@ def gmm_sample(n, m, rng):
             parts.append(sample_truncated(counts[k], c, m.support, rng,
                                           mass=m.norm_consts[k]))
     out = np.concatenate(parts, axis=0)
-    return out[rng.permutation(n)]
+    return np.take(out, rng.permutation(n), axis=0)
 
 
 def _encode_bounds(v):

@@ -152,6 +152,52 @@ class TestLikelihoodRatio:
                            rtol=1e-10, atol=0)
 
 
+CORRELATED = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, -0.1], [0.2, -0.1, 1.0]])
+
+
+@pytest.fixture(scope="module")
+def halfspace_proposal():
+    """The final proposal of a 3-D halfspace procedure, gamma 4.75 sd along
+    the diagonal, with correlated coordinates: 25 or more parts sharing
+    one factor, and 1000 draws from it."""
+    d = 3
+    gmm = TruncatedGMM([1.0], [GaussComponent(np.zeros(d), CORRELATED)],
+                       Rect.unbounded(d))
+    ind, _, mask = analytic_scenario("halfspace", {"w": [d ** -0.5] * d,
+                                                   "gamma": 4.753424308822899})
+    _, q = run_procedure(ind, gmm, mask, n_per_iter=2000, seed=1)
+    X = sample_is(1000, q, np.random.default_rng(3))
+    return gmm, q, X
+
+
+class TestProposalLikelihoodRatio:
+    def test_matches_explicit_mixture(self, halfspace_proposal):
+        from scipy.special import logsumexp
+        gmm, q, X = halfspace_proposal
+        assert q.n_components >= 25
+        assert len({c.chol.tobytes() for c in q.components}) == 1
+        inv, const = np.linalg.inv(CORRELATED), 3 * np.log(2 * np.pi)
+        const += np.log(np.linalg.det(CORRELATED))
+        log_f = -0.5 * (const + np.einsum("ni,ij,nj->n", X, inv, X))
+        dev = X[:, None, :] - np.array([c.mean for c in q.components])
+        quad = np.einsum("nki,ij,nkj->nk", dev, inv, dev)
+        log_q = logsumexp(np.log(q.weights) - 0.5 * (const + quad), axis=1)
+        assert np.allclose(likelihood_ratio(X, gmm, q), np.exp(log_f - log_q),
+                           rtol=1e-12, atol=0)
+
+    def test_batch_invariant(self, halfspace_proposal):
+        """Row i's ratio is bit for bit the same in a call of 1, 7 or 1000
+        rows and with the rows reversed, as the exact ordering of the
+        frontier bounds around the estimate requires."""
+        gmm, q, X = halfspace_proposal
+        full = likelihood_ratio(X, gmm, q)
+        assert likelihood_ratio(X[:7], gmm, q).tobytes() == full[:7].tobytes()
+        assert likelihood_ratio(X[::-1], gmm, q).tobytes() == full[::-1].tobytes()
+        for i in range(50):
+            assert likelihood_ratio(X[i:i + 1], gmm, q).tobytes() == full[i:i + 1].tobytes()
+            assert gmm_log_density(X[i], q) == gmm_log_density(X, q)[i]
+
+
 def tail_setup(gamma=4.0):
     gmm = gauss1d()
     ind, truth_fn, mask = analytic_scenario("halfspace", {"w": [1.0], "gamma": gamma})

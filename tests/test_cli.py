@@ -531,9 +531,15 @@ def test_out_of_range_option_exit_2(runner, model_1d, data_csv, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["fit", "run", "crude"])
-def test_unusable_out_exit_2(runner, model_1d, data_csv, tmp_path, command):
-    """--out naming a file is rejected as the options are parsed; a path
-    below a file fails when the outputs are written."""
+def test_unusable_out_exit_2(runner, model_1d, data_csv, tmp_path, command,
+                             monkeypatch):
+    """--out naming a file, or a path below one, is rejected as the options
+    are parsed, before any fit, procedure or sampling runs."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+    for module, name in [(accel, "run_procedure"), (accel, "crude_mc"),
+                         (tgmm, "fit")]:
+        monkeypatch.setattr(module, name, must_not_run)
     afile = tmp_path / "afile"
     afile.write_text("")
     if command == "fit":
@@ -541,7 +547,8 @@ def test_unusable_out_exit_2(runner, model_1d, data_csv, tmp_path, command):
     else:
         args = [command, model_1d, "--analytic", "mixture-tail",
                 "--analytic-params", '{"gamma": 3.0}', "--n", "500"]
-    for out, message in [(afile, "is a file"), (afile / "sub", "cannot write")]:
+    for out, message in [(afile, "is a file"), (afile / "sub", "lies below the file"),
+                         (afile / "sub" / "deeper", "lies below the file")]:
         r = runner.invoke(main, args + ["--out", str(out)])
         assert r.exit_code == cli.EXIT_INPUT, r.output
         assert isinstance(r.exception, SystemExit)

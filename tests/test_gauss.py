@@ -36,6 +36,20 @@ class TestGaussComponent:
         with pytest.raises(ValueError):
             GaussComponent([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
 
+    def test_moved_to_shares_the_factor(self, rng):
+        A = rng.standard_normal((3, 3))
+        c = GaussComponent(np.zeros(3), A @ A.T + 0.5 * np.eye(3))
+        inv = c.chol_inv
+        moved = c.moved_to([1.0, -2.0, 0.5])
+        fresh = GaussComponent([1.0, -2.0, 0.5], c.cov)
+        assert moved.mean.tolist() == [1.0, -2.0, 0.5] and c.mean.tolist() == [0, 0, 0]
+        assert moved.chol is c.chol and moved.chol_inv is inv
+        assert moved.chol.tobytes() == fresh.chol.tobytes()
+        X = rng.standard_normal((50, 3))
+        assert log_density(X, moved).tobytes() == log_density(X, fresh).tobytes()
+        with pytest.raises(ValueError):
+            c.moved_to([1.0, 2.0])
+
 
 class TestLogDensity:
     def test_standard_normal_at_zero(self):

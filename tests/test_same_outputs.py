@@ -60,6 +60,35 @@ def test_a_differing_exit_code(differences, tmp_path):
     assert differences(a, 0, b, 4) == ["exit 0 vs 4"]
 
 
+def test_relative_difference(tool):
+    rel = tool.relative_difference
+    assert rel('{"p": 1.5e-06, "n": 7}', '{"p": 1.5e-06, "n": 7}') == 0.0
+    assert rel("x,-2.0\n", "x,-2.0000000000000004\n") == pytest.approx(2.2e-16, rel=0.01)
+    assert rel("1,2.5e-3\n", "1,2.4e-3\n") == pytest.approx(0.04)
+    assert rel("0.5,inf\n", "0.5,nan\n") is None          # non-numeric text
+    assert rel("rare,1\n", "safe,1\n") is None
+    assert rel("1,2\n", "1,2,3\n") is None                # one more number
+    assert rel("[1.0]", "[1.00]") == 0.0
+
+
+def test_numbers_within_rtol(differences, tmp_path):
+    """Only .json and .csv numbers may move, each by at most rtol relative;
+    exit codes and every other byte must still match."""
+    moved = {"report.json": '{"p_hat": 1.0000000000000002e-06}',
+             "trace.csv": "1,0.5000000000000001\n"}
+    a = write(tmp_path / "a", dict(OUTPUTS, **{"report.json": '{"p_hat": 1e-06}',
+                                               "notes.txt": "0.5"}))
+    b = write(tmp_path / "b", dict(OUTPUTS, **moved, **{"notes.txt": "0.5000000000000001"}))
+    assert differences(a, 0, b, 0, rtol=1e-12) == ["notes.txt differs"]
+    assert differences(a, 0, b, 0) == ["notes.txt differs",
+                                       "report.json max relative difference 2.1e-16",
+                                       "trace.csv max relative difference 2.2e-16"]
+    assert differences(a, 0, b, 4, rtol=1e-12) == ["exit 0 vs 4", "notes.txt differs"]
+    assert differences(a, 0, b, 0, rtol=1e-17) == [
+        "notes.txt differs", "report.json max relative difference 2.1e-16",
+        "trace.csv max relative difference 2.2e-16"]
+
+
 # A stand-in tree: set-up writes model.json (its text given per tree) and a
 # fixed data.csv, and each op's CLI copies the model to report.json.
 TOY_WORKLOADS = """
@@ -119,3 +148,17 @@ def test_each_tree_builds_its_own_setup(tool, tmp_path, capsys):
     assert tool.compare(trees, "toy", 0, 1, str(tmp_path / "moved")) == 2
     assert capsys.readouterr().out.splitlines() == [
         "setup differs: model.json", "toy op 0: report.json differs"]
+
+
+def test_compare_names_files_within_rtol(tool, tmp_path, capsys):
+    """A set-up file must match byte for byte; an output that moves within
+    rtol is named in the op's line, and beyond it is a difference."""
+    trees = {"parent": toy_tree(tmp_path / "p", '{"p": 0.1}'),
+             "change": toy_tree(tmp_path / "c", '{"p": 0.10000000000000002}')}
+    assert tool.compare(trees, "toy", 0, 1, str(tmp_path / "r"), rtol=1e-12) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "setup differs: model.json",
+        "toy op 0: same (exit 0, 1 files; report.json max relative difference 1.4e-16)"]
+    assert tool.compare(trees, "toy", 0, 1, str(tmp_path / "s"), rtol=1e-17) == 2
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "toy op 0: report.json max relative difference 1.4e-16")

@@ -46,6 +46,72 @@ class TestGmmLogDensity:
         assert gmm_log_density(np.array([0.0]), m) == pytest.approx(expected, rel=1e-12)
 
 
+def random_components(rng, d, n_factors, per_factor):
+    """n_factors covariances, each shared by per_factor components."""
+    comps = []
+    for _ in range(n_factors):
+        A = rng.standard_normal((d, d))
+        cov = A @ A.T + 0.3 * np.eye(d)
+        comps += [GaussComponent(rng.normal(0.0, 1.5, d), cov)
+                  for _ in range(per_factor)]
+    return comps
+
+
+def oracle_log_density(X, c):
+    """Explicit inverse covariance and determinant: independent of the kernel."""
+    dev = X - c.mean
+    _, logdet = np.linalg.slogdet(c.cov)
+    quad = np.einsum("ni,ij,nj->n", dev, np.linalg.inv(c.cov), dev)
+    return -0.5 * (c.dim * np.log(2 * np.pi) + logdet + quad)
+
+
+class TestLogDensityKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n_factors,per_factor", [(1, 7), (5, 1), (3, 4)])
+    def test_matches_explicit_inverse(self, d, n_factors, per_factor):
+        rng = np.random.default_rng(100 * d + n_factors)
+        comps = random_components(rng, d, n_factors, per_factor)
+        X = rng.normal(0.0, 2.0, size=(9000, d))  # three row blocks
+        got = gauss.log_densities(X, comps)
+        assert got.shape == (len(comps), X.shape[0])
+        for k, c in enumerate(comps):
+            assert np.allclose(got[k], oracle_log_density(X, c), rtol=1e-12, atol=0)
+        w = rng.uniform(0.5, 1.5, len(comps))
+        support = Rect(np.full(d, -np.inf), np.full(d, np.inf))
+        m = TruncatedGMM(w / w.sum(), comps, support)
+        want = np.log(sum(wk * np.exp(oracle_log_density(X, c))
+                          for wk, c in zip(m.weights, comps)))
+        assert np.allclose(gmm_log_density(X, m), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_batch_invariant(self, d):
+        """Row i and component k are bit for bit the same whatever else is
+        in the call: one row, seven, 1000 or the rows reversed, and the
+        component alone or with others sharing its factor."""
+        rng = np.random.default_rng(200 + d)
+        comps = random_components(rng, d, 3, 4)
+        support = Rect(np.full(d, -2.5), np.full(d, np.inf))
+        m = TruncatedGMM(np.full(len(comps), 1.0 / len(comps)), comps, support)
+        X = rng.normal(0.0, 1.5, size=(1000, d))
+        full = gmm_log_density(X, m)
+        assert np.isneginf(full).any() and np.isfinite(full).any()
+        many = np.concatenate([rng.normal(0.0, 1.5, size=(8000, d)), X])  # row blocks
+        assert gmm_log_density(many, m)[8000:].tobytes() == full.tobytes()
+        assert gmm_log_density(X[:7], m).tobytes() == full[:7].tobytes()
+        assert gmm_log_density(X[::-1], m).tobytes() == full[::-1].tobytes()
+        for i in range(20):
+            assert gmm_log_density(X[i], m) == full[i]
+            assert gmm_log_density(X[i:i + 1], m).tobytes() == full[i:i + 1].tobytes()
+        ld = gauss.log_densities(X, comps)
+        for k in (0, 5, 11):
+            assert gauss.log_densities(X, comps[k:k + 1])[0].tobytes() == ld[k].tobytes()
+
+    def test_dimension_mismatch(self):
+        comps = [GaussComponent(np.zeros(2), np.eye(2))]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gauss.log_densities(np.zeros((4, 3)), comps)
+
+
 class TestResponsibilities:
     def test_single_component_all_ones(self, rng):
         m = single_gaussian()
@@ -83,11 +149,12 @@ class TestResponsibilities:
 
 
 def test_logsumexp_rows_matches_scipy(rng):
+    """One value per observation, from the (K, n) component-major layout."""
     from scipy.special import logsumexp
     a = rng.normal(0.0, 30.0, size=(1000, 3))
     a[0] = -np.inf
     a[1, 0] = -np.inf
-    got = tgmm._logsumexp_rows(a)
+    got = tgmm._logsumexp(a.T.copy())
     want = logsumexp(a, axis=1)
     assert got[0] == -np.inf
     assert np.allclose(got[1:], want[1:], rtol=1e-14, atol=0)

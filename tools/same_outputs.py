@@ -1,9 +1,9 @@
-"""Byte-for-byte comparison of two commits' CLI outputs on one bench workload.
+"""Comparison of two commits' CLI outputs on one bench workload.
 
 Usage, from the repository root:
 
     python3 tools/same_outputs.py --parent HEAD~1 --change HEAD \\
-        --workload tail-halfspace --ops 6 --seed 0
+        --workload tail-halfspace --ops 6 --seed 0 [--rtol 1e-12]
 
 Both trees are extracted with ``bench_pairs.extract``. Each tree's own
 ``bench/workloads.py`` and ``src/`` build the workload's ops and set-up
@@ -15,14 +15,18 @@ that tree's set-up, each as a fresh ``python3 -m rareis.cli ARGS`` process
 with the tree's ``src/`` on the path and one BLAS thread, each side writing
 to its own output directory. CLI arguments, exit codes and every output
 file except ``manifest.json`` (which records wall-clock time) are compared.
-One line is printed per set-up difference and per op, and the exit status
-is 1 if anything differs.
+Files must be byte-identical, except that with ``--rtol R`` a ``.json`` or
+``.csv`` file may differ in its numbers, each by at most R relative, as long
+as its other text is identical; such a file is named in the op's line with
+its largest relative difference. One line is printed per set-up difference
+and per op, and the exit status is 1 if anything differs.
 """
 
 import argparse
 import filecmp
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -31,6 +35,9 @@ import tempfile
 from bench_pairs import extract
 
 IGNORED = {"manifest.json"}
+NUMERIC = (".json", ".csv")
+# A decimal number; the capturing group makes re.split keep the numbers.
+_NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 _SETUP = """
 import json, os, sys
@@ -60,30 +67,57 @@ def _files(root):
     return out
 
 
-def _compare(dir_a, dir_b):
-    """(name, how) of each file that differs between two directory trees."""
+def relative_difference(text_a, text_b):
+    """The largest relative difference between the numbers of two texts, or
+    None unless they have the same numbers of numbers and identical text
+    between them."""
+    parts_a, parts_b = _NUMBER.split(text_a), _NUMBER.split(text_b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return None
+    worst = 0.0
+    for a, b in zip(map(float, parts_a[1::2]), map(float, parts_b[1::2])):
+        if a != b:
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    return worst
+
+
+def _compare(dir_a, dir_b, rtol=0.0):
+    """(name, how, close) of each file whose bytes differ between two
+    directory trees or that one of them lacks; close when, with rtol > 0,
+    only its numbers differ, each by at most rtol relative."""
     files_a, files_b = _files(dir_a), _files(dir_b)
     out = []
     for name in sorted(files_a | files_b):
         if name not in files_b:
-            out.append((name, "only in the first"))
+            out.append((name, "only in the first", False))
         elif name not in files_a:
-            out.append((name, "only in the second"))
+            out.append((name, "only in the second", False))
         elif not filecmp.cmp(os.path.join(dir_a, name), os.path.join(dir_b, name),
                              shallow=False):
-            out.append((name, "differs"))
+            rel = None
+            if name.endswith(NUMERIC):
+                with open(os.path.join(dir_a, name)) as fa, \
+                        open(os.path.join(dir_b, name)) as fb:
+                    rel = relative_difference(fa.read(), fb.read())
+            if rel is None:
+                out.append((name, "differs", False))
+            else:
+                out.append((name, "max relative difference %.2g" % rel,
+                            0 < rtol and rel <= rtol))
     return out
 
 
-def differences(dir_a, exit_a, dir_b, exit_b):
-    """What differs between two runs of one op: exit codes and output files."""
+def differences(dir_a, exit_a, dir_b, exit_b, rtol=0.0):
+    """What differs between two runs of one op: exit codes and output files
+    (numbers in .json and .csv files by more than rtol relative)."""
     out = [] if exit_a == exit_b else ["exit %d vs %d" % (exit_a, exit_b)]
-    return out + ["%s %s" % pair for pair in _compare(dir_a, dir_b)]
+    return out + ["%s %s" % (name, how) for name, how, close
+                  in _compare(dir_a, dir_b, rtol) if not close]
 
 
 def setup_differences(dir_a, dir_b):
     """One line per set-up file whose bytes differ or that one side lacks."""
-    return ["setup differs: %s" % name for name, _ in _compare(dir_a, dir_b)]
+    return ["setup differs: %s" % name for name, _, _ in _compare(dir_a, dir_b)]
 
 
 def build_setup(tree, workload, seed, work, keep):
@@ -116,6 +150,9 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--ops", type=int, required=True, help="ops to compare")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--rtol", type=float, default=0.0,
+                    help="relative tolerance for numbers in .json and .csv "
+                         "outputs; 0 requires identical bytes")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
@@ -123,11 +160,12 @@ def main(argv=None):
         for side in ("parent", "change"):
             trees[side] = os.path.join(tmp, side)
             extract(getattr(args, side), trees[side])
-        different = compare(trees, args.workload, args.seed, args.ops, tmp)
+        different = compare(trees, args.workload, args.seed, args.ops, tmp,
+                            args.rtol)
     return 1 if different else 0
 
 
-def compare(trees, workload, seed, n_ops, tmp):
+def compare(trees, workload, seed, n_ops, tmp, rtol=0.0):
     """Builds the set-up and runs the first n_ops ops of each of the trees
     "parent" and "change", in tmp; prints one line per set-up difference
     and one per op, and returns how many of them report a difference."""
@@ -147,11 +185,15 @@ def compare(trees, workload, seed, n_ops, tmp):
     for i, (op_p, op_c) in enumerate(zip(ops["parent"], ops["change"])):
         dirs = [os.path.join(tmp, "out", side, str(i)) for side in ("parent", "change")]
         diff = [] if op_p == op_c else ["args differ"]
-        diff += differences(dirs[0], codes["parent"][i], dirs[1], codes["change"][i])
+        diff += differences(dirs[0], codes["parent"][i], dirs[1], codes["change"][i],
+                            rtol)
         different += bool(diff)
+        close = ["%s %s" % (name, how) for name, how, ok
+                 in _compare(dirs[0], dirs[1], rtol) if ok]
         print("%s op %d: %s" % (workload, i, "; ".join(diff) if diff else
-                                "same (exit %d, %d files)"
-                                % (codes["parent"][i], len(_files(dirs[0])))),
+                                "same (exit %d, %d files%s)"
+                                % (codes["parent"][i], len(_files(dirs[0])),
+                                   "".join("; " + c for c in close))),
               flush=True)
     return different
 
