@@ -1,8 +1,9 @@
 """Dominating points: Gaussian density maximizers over box pieces.
 
 Each orthant piece intersected with the truncation rectangle is a box, so
-density maximization reduces to a box-constrained quadratic program solved
-with a primal active-set method whose KKT conditions are checked exactly.
+density maximization reduces to a box-constrained quadratic program.  One
+component's boxes are solved together by a primal active-set method run in
+lockstep, and every solution's KKT conditions are checked exactly.
 """
 
 import warnings
@@ -13,11 +14,7 @@ from . import frontier as fr
 
 
 class SolverError(RuntimeError):
-    """Active-set iteration failed to converge."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """A dominating point failed its KKT check."""
 
 
 class DominatingPoint:
@@ -27,66 +24,68 @@ class DominatingPoint:
 
 
 def _box_qp(H, mu, lower, upper):
-    """argmin 0.5 (x-mu)' H (x-mu)  s.t. lower <= x <= upper, H SPD.
+    """Rows of argmin 0.5 (x-mu)' H (x-mu)  s.t. lower <= x <= upper, H SPD.
 
-    Ties in the ratio and release tests go to the lowest coordinate index,
-    lower bounds before upper ones.
+    lower and upper are (m, d), a box per row.  The rows take the steps of one
+    active-set method in lockstep, each on its own arithmetic, so that a row's
+    result does not depend on the other rows; a row retires once its
+    multipliers have the right signs.  Ties in the ratio and release tests go
+    to the lowest coordinate index, lower bounds before upper ones.  Rows still
+    moving after 10 d^2 + 10 steps are returned as they stand, for the KKT
+    check to judge.
     """
     d = mu.size
-    max_iter = 10 * d * d + 10
     x = np.clip(mu, lower, upper)
-    at_lo = x <= lower
-    at_hi = x >= upper
+    at_lo, at_hi = x <= lower, x >= upper
+    live = np.arange(len(x))
     tol = 1e-12
-    for _ in range(max_iter):
-        free = ~(at_lo | at_hi)
-        f = np.flatnonzero(free)
-        if f.size:
-            c = np.flatnonzero(~free)
-            rhs = -H[np.ix_(f, c)] @ (x[c] - mu[c]) if c.size else np.zeros(f.size)
-            # step from x[f] toward the equality-constrained optimum
-            step = mu[f] + np.linalg.solve(H[np.ix_(f, f)], rhs) - x[f]
-            up = step > 0
-            bound = np.where(up, upper[f], lower[f])
-            hits = np.where(up, step > tol, step < -tol) & np.isfinite(bound)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(hits, (bound - x[f]) / step, np.inf)
-            k = np.argmin(ratio)
-            alpha = min(ratio[k], 1.0)
-            x[f] = x[f] + alpha * step
-            if ratio[k] < 1.0:
-                j = f[k]
-                if up[k]:
-                    x[j] = upper[j]
-                    at_hi[j] = True
-                else:
-                    x[j] = lower[j]
-                    at_lo[j] = True
-                continue
-        # full step taken: check multiplier signs on the working set
-        g = H @ (x - mu)
-        signed = np.concatenate([np.where(at_lo, g, np.inf),
-                                 np.where(at_hi, -g, np.inf)])
-        k = np.argmin(signed)
-        if signed[k] >= -tol:
-            return np.clip(x, lower, upper)
-        at_lo[k % d] = False
-        at_hi[k % d] = False
-    raise SolverError("active-set solver did not converge in %d iterations" % max_iter,
-                      last_iterate=x)
+    for _ in range(10 * d * d + 10):
+        if not live.size:
+            break
+        xr, alo, ahi = x[live], at_lo[live], at_hi[live]
+        free = ~(alo | ahi)
+        # step from x[free] toward the equality-constrained optimum: the free
+        # block of H, with identity rows and columns at the fixed coordinates
+        A = np.where(free[:, :, None] & free[:, None, :], H, np.eye(d))
+        rhs = -np.sum(H * np.where(free, 0.0, xr - mu)[:, None, :], axis=2)
+        y = np.linalg.solve(A, np.where(free, rhs, 0.0)[:, :, None])[:, :, 0]
+        step = np.where(free, mu + y - xr, 0.0)
+        up = step > 0
+        bound = np.where(up, upper[live], lower[live])
+        hits = np.where(up, step > tol, step < -tol) & np.isfinite(bound)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(hits, (bound - xr) / step, np.inf)
+        k, rk = np.argmin(ratio, axis=1), np.min(ratio, axis=1)
+        xr = np.where(free, xr + np.minimum(rk, 1.0)[:, None] * step, xr)
+        i = np.flatnonzero(rk < 1.0)
+        j = k[i]
+        xr[i, j] = bound[i, j]
+        ahi[i, j] |= up[i, j]
+        alo[i, j] |= ~up[i, j]
+        # rows that took the full step: check multiplier signs on the working set
+        g = np.sum(H * (xr - mu)[:, None, :], axis=2)
+        signed = np.concatenate([np.where(alo, g, np.inf),
+                                 np.where(ahi, -g, np.inf)], axis=1)
+        k = np.argmin(signed, axis=1)
+        done = (rk >= 1.0) & (np.min(signed, axis=1) >= -tol)
+        r = np.flatnonzero((rk >= 1.0) & ~done)
+        alo[r, k[r] % d] = ahi[r, k[r] % d] = False
+        x[live], at_lo[live], at_hi[live] = xr, alo, ahi
+        live = live[~done]
+    return np.clip(x, lower, upper)
 
 
 def _kkt_residual(H, mu, lower, upper, x):
-    """Largest gradient entry not excused by an active bound, or complementarity gap."""
-    g = H @ (x - mu)
+    """Per row: largest gradient entry not excused by an active bound, or complementarity gap."""
+    g = np.sum(H * (x - mu)[:, None, :], axis=2)
     gap_lo = np.abs(x - lower)
     gap_hi = np.abs(x - upper)
     on_lo = np.isfinite(lower) & (gap_lo <= 1e-9) & (g >= 0)
     on_hi = ~on_lo & np.isfinite(upper) & (gap_hi <= 1e-9) & (g <= 0)
     with np.errstate(invalid="ignore"):  # 0 * inf off the active bounds
         slack = np.where(on_lo, g * gap_lo, np.where(on_hi, -g * gap_hi, 0.0))
-    r = np.max(np.abs(g), where=~(on_lo | on_hi), initial=0.0)
-    return max(r, slack.max(initial=0.0))
+    r = np.max(np.abs(g), axis=1, where=~(on_lo | on_hi), initial=0.0)
+    return np.maximum(r, slack.max(axis=1, initial=0.0))
 
 
 def solve_piece(c, lower, upper):
@@ -102,42 +101,44 @@ def solve_piece(c, lower, upper):
     if not (np.all(lower <= upper) and np.all(lower < np.inf)
             and np.all(upper > -np.inf)):
         raise ValueError("infeasible piece: lower exceeds upper")
-    x = _box_qp(c.precision, c.mean, lower, upper)
-    res = _kkt_residual(c.precision, c.mean, lower, upper, x)
-    if res > 1e-6:
-        raise SolverError("KKT residual %.3g exceeds 1e-6" % res, last_iterate=x)
+    lower, upper = lower[None], upper[None]
+    x = _box_qp(c.precision, c.mean, lower, upper)[0]
+    res = _kkt_residual(c.precision, c.mean, lower, upper, x[None])[0]
+    if not res <= 1e-6:
+        raise SolverError("KKT residual %.3g exceeds 1e-6" % res)
     return DominatingPoint(x, res)
 
 
 def _dedup(points):
-    """Drop points within 1e-6 Euclidean distance of an earlier point."""
-    kept = []
-    for p in points:
-        if all(np.linalg.norm(p - q) > 1e-6 for q in kept):
-            kept.append(p)
-    return kept
+    """The (n, d) points less each row within 1e-6 of an earlier kept row."""
+    dist = np.sqrt(sum((col[:, None] - col) ** 2 for col in points.T))
+    close = np.triu(dist <= 1e-6, 1)  # close[j, i]: j < i, and i lies near j
+    keep = np.ones(len(points), dtype=bool)
+    for i in np.flatnonzero(close.any(axis=0)):
+        keep[i] = not np.any(close[:i, i] & keep[:i])
+    return points[keep]
 
 
 def _solve_set(gmm, corners, mask, context):
-    """Per-component dominating points for an array of canonical corners."""
+    """Per-component dominating points for an array of canonical corners.
+
+    Each component's set is an (n, d) array in lexicographic row order.
+    """
     lower, upper, nonempty = mask.boxes(corners, gmm.support)
     for corner in corners[~nonempty]:
         warnings.warn("%s: piece at corner %s lies outside the support; dropped"
                       % (context, corner.tolist()))
-    kept = np.flatnonzero(nonempty)
+    corners, lower, upper = corners[nonempty], lower[nonempty], upper[nonempty]
     sets = []
     for i, c in enumerate(gmm.components):
-        pts = []
-        for k in kept:
-            try:
-                dp = solve_piece(c, lower[k], upper[k])
-            except SolverError as err:
-                raise SolverError("%s: component %d, corner %s: %s"
-                                  % (context, i, corners[k].tolist(), err),
-                                  last_iterate=err.last_iterate) from err
-            pts.append(dp.point)
-        pts.sort(key=lambda p: tuple(p))
-        sets.append([np.asarray(p) for p in _dedup(pts)])
+        x = _box_qp(c.precision, c.mean, lower, upper)
+        res = _kkt_residual(c.precision, c.mean, lower, upper, x)
+        bad = np.flatnonzero(~(res <= 1e-6))
+        if bad.size:
+            raise SolverError("%s: component %d, corner %s: KKT residual %.3g "
+                              "exceeds 1e-6" % (context, i, corners[bad[0]].tolist(),
+                                                res[bad[0]]))
+        sets.append(_dedup(x[np.lexsort(x.T[::-1])]))
     return sets
 
 

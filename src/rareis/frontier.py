@@ -175,17 +175,16 @@ def outer_pieces(store, cap=4096):
         for i in range(d):
             rows = slice(i, expanded.shape[0], d)
             expanded[rows, i] = np.maximum(expanded[rows, i], b[i])
-        corners = _minimal(np.unique(expanded, axis=0))
-    truncated = False
-    if corners.shape[0] > cap:
-        # keep the pieces closest to the origin of the canonical coordinates:
-        # lower corners with the smallest finite-coordinate sum retain the
-        # most density potential under any centered base model
-        score = np.where(np.isfinite(corners), corners, 0.0).sum(axis=1)
-        corners = corners[np.argsort(score, kind="stable")[:cap]]
-        truncated = True
-    order = np.lexsort(corners.T[::-1])
-    return corners[order], truncated
+        corners = _minimal(expanded)
+    # sorted before the stable score sort, so score ties break lexicographically
+    corners = corners[np.lexsort(corners.T[::-1])]
+    if corners.shape[0] <= cap:
+        return corners, False
+    # keep the pieces closest to the origin of the canonical coordinates:
+    # lower corners with the smallest finite-coordinate sum retain the most
+    # density potential under any centered base model
+    score = np.where(np.isfinite(corners), corners, 0.0).sum(axis=1)
+    return corners[np.sort(np.argsort(score, kind="stable")[:cap])], True
 
 
 def frontier_to_json(store):

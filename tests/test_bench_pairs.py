@@ -1,11 +1,13 @@
 """tools/bench_pairs.py: the pair counts and the gain and bound rules."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
 
 
 def load_tool():
@@ -79,3 +81,45 @@ def test_bound_is_unresolved_when_the_parent_spreads_wider_than_it(change, check
     summarize = load_tool().summarize
     parent = [0.5, 0.8, 1.0, 1.2, 1.5]  # quartile spread 0.4 = 40% of the median
     assert summarize(runs(parent), runs(change), METRIC)["bound_check"] == check
+
+
+def quality_runs(rel_stderr, speedup):
+    return [{"attempted": 10, "failed": 0,
+             "metrics": {"op_p50_ref": 1.0, "rel_stderr": a, "rel_err": None,
+                         "crude_speedup": b}}
+            for a, b in zip(rel_stderr, speedup)]
+
+
+def test_quality_metrics_are_summarized_ungated():
+    tool = load_tool()
+    runs = {"parent": quality_runs([0.02] * 10, [100.0] * 10),
+            "change": quality_runs([0.01] * 10, [300.0] * 9 + [50.0])}
+    s = tool.summarize_workload(runs, [METRIC])
+    assert s["summary"]["op_p50_ref"]["bound_check"] == "within"
+    # rel_err is null in every run and work_norm_var absent: both are left out
+    assert sorted(s["quality"]) == ["crude_speedup", "rel_stderr"]
+    q = s["quality"]["rel_stderr"]
+    assert q["ungated"] and "bound" not in q and "bound_check" not in q
+    assert q["pairs_won"] == 10 and q["gain"]
+    assert q["parent"]["median"] == 0.02 and q["change"]["median"] == 0.01
+    q = s["quality"]["crude_speedup"]  # higher is better: 9 of 10 won
+    assert q["better"] == "higher" and q["pairs_won"] == 9 and q["gain"]
+
+
+def test_rescore_reproduces_stored_summaries(tmp_path):
+    tool = load_tool()
+    runs = {"parent": quality_runs([0.02] * 10, [100.0] * 10),
+            "change": quality_runs([0.021] * 10, [90.0] * 10)}
+    for r in runs["parent"] + runs["change"]:
+        r["metrics"].update(setup_s=0.5, peak_rss_mb=80.0)
+    stored = tmp_path / "BENCH.json"
+    stored.write_text(json.dumps({"workloads": {"w": {"runs": runs}}}))
+    out = tmp_path / "rescored.json"
+    assert tool.main(["--rescore", str(stored), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())["workloads"]["w"]
+    assert doc["runs"] == runs
+    gated = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert doc["summary"] == tool.summarize_workload(runs, gated)["summary"]
+    assert sorted(doc["summary"]) == ["op_p50_ref", "peak_rss_mb", "setup_s"]
+    q = doc["quality"]["rel_stderr"]
+    assert q["ungated"] and q["pairs_won"] == 0 and not q["gain"]

@@ -2,6 +2,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -362,6 +363,30 @@ class TestRun:
         monkeypatch.setattr(cli.accel, "run_procedure", boom)
         r = runner.invoke(main, ["run", model_1d] + self.ARGS)
         assert r.exit_code == cli.EXIT_SOLVER
+
+    def test_kkt_failure_exit_5_names_component_and_corner(self, runner,
+                                                           tmp_path, monkeypatch):
+        gmm = TruncatedGMM([0.5, 0.5], [GaussComponent([0.0], [[1.0]]),
+                                        GaussComponent([0.5], [[2.0]])],
+                           Rect.unbounded(1))
+        model = tmp_path / "model.json"
+        model.write_text(tgmm.model_to_json(gmm))
+        kernel = dompoints._box_qp
+
+        def off_optimum(H, mu, lower, upper):
+            # component 1's first piece gets a point 1 away from its optimum
+            x = kernel(H, mu, lower, upper)
+            if mu[0] == 0.5:
+                x[:1] += 1.0
+            return x
+        monkeypatch.setattr(dompoints, "_box_qp", off_optimum)
+        r = runner.invoke(main, ["run", str(model), "--out",
+                                 str(tmp_path / "run")] + self.ARGS)
+        assert r.exit_code == cli.EXIT_SOLVER
+        assert isinstance(r.exception, SystemExit)
+        assert re.search(r"error: (inner|outer)_dominating: component 1, corner "
+                         r"\[[^]]+\]: KKT residual \S+ exceeds 1e-6", r.output)
+        assert "Traceback" not in r.output
 
     @pytest.mark.parametrize("command", ["run", "bench"])
     def test_piece_blowup_exit_5(self, runner, tmp_path, command):

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from rareis import gauss
-from rareis.dompoints import inner_dominating, outer_dominating, solve_piece
-from rareis.frontier import DirectionMask, FrontierStore, insert
+from rareis import dompoints, gauss
+from rareis.dompoints import (SolverError, _box_qp, _dedup, _solve_set,
+                              inner_dominating, outer_dominating, solve_piece)
+from rareis.frontier import DirectionMask, FrontierStore, insert, outer_pieces
 from rareis.gauss import GaussComponent, Rect, log_density
 from rareis.tgmm import TruncatedGMM
 
@@ -175,9 +176,8 @@ class TestDominatingSets:
         assert outer == {(-1.0, 0.0), (0.0, 2.0)}
 
     def test_dedup_idempotent(self, rng):
-        from rareis.dompoints import _dedup
-        pts = [rng.standard_normal(2) for _ in range(10)]
-        pts += [pts[0] + 1e-9]
+        pts = rng.standard_normal((10, 2))
+        pts = np.vstack([pts, pts[0] + 1e-9])
         once = _dedup(pts)
         twice = _dedup(once)
         assert len(once) == len(twice) == 10
@@ -226,23 +226,195 @@ def face_oracle(c, lower, upper):
     return best
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_matches_exact_face_enumeration(d):
+    # 5 boxes per component, 8 components up to d = 4 and 3 from d = 5 on,
+    # where the oracle visits 243 and 729 faces per box
     rng = np.random.default_rng(2000 + d)
-    for case in range(40):
+    for comp in range(8 if d <= 4 else 3):
         A = rng.standard_normal((d, d))
         c = GaussComponent(rng.normal(0, 1, d), A @ A.T + 0.2 * np.eye(d))
-        lo = rng.normal(0.3, 1, d)
-        hi = lo + rng.uniform(0.2, 2, d)
-        # 0 finite, 1 no lower, 2 no upper, 3 lo == hi; from d = 2 on every
-        # box has an infinite bound and an equal pair
-        kind = rng.integers(0, 4, d) if d > 1 else np.array([case % 4])
-        if d > 1:
-            i, j = rng.permutation(d)[:2]
-            kind[i], kind[j] = rng.integers(1, 3), 3
-        lo = np.where(kind == 1, -np.inf, lo)
-        hi = np.where(kind == 2, np.inf, np.where(kind == 3, lo, hi))
-        dp = solve_piece(c, lo, hi)
-        ref = face_oracle(c, lo, hi)
-        assert np.max(np.abs(dp.point - ref)) <= 1e-10, (d, case)
-        assert dp.kkt_residual <= 1e-9, (d, case)
+        lows, highs = [], []
+        for case in range(5 * comp, 5 * comp + 5):
+            lo = rng.normal(0.3, 1, d)
+            hi = lo + rng.uniform(0.2, 2, d)
+            # 0 finite, 1 no lower, 2 no upper, 3 lo == hi; from d = 2 on
+            # every box has an infinite bound and an equal pair
+            kind = rng.integers(0, 4, d) if d > 1 else np.array([case % 4])
+            if d > 1:
+                i, j = rng.permutation(d)[:2]
+                kind[i], kind[j] = rng.integers(1, 3), 3
+            lows.append(np.where(kind == 1, -np.inf, lo))
+            highs.append(np.where(kind == 2, np.inf, np.where(kind == 3, lo, hi)))
+        lows, highs = np.array(lows), np.array(highs)
+        stacked = _box_qp(c.precision, c.mean, lows, highs)
+        for r in range(5):
+            dp = solve_piece(c, lows[r], highs[r])
+            ref = face_oracle(c, lows[r], highs[r])
+            assert np.max(np.abs(dp.point - ref)) <= 1e-10, (d, comp, r)
+            assert np.max(np.abs(stacked[r] - ref)) <= 1e-10, (d, comp, r)
+            assert dp.kkt_residual <= 1e-9, (d, comp, r)
+
+
+def loop_box_qp(H, mu, lower, upper):
+    """Reference: the one-box active-set loop that _box_qp runs in lockstep."""
+    d = mu.size
+    x = np.clip(mu, lower, upper)
+    at_lo, at_hi = x <= lower, x >= upper
+    tol = 1e-12
+    for _ in range(10 * d * d + 10):
+        free = ~(at_lo | at_hi)
+        f = np.flatnonzero(free)
+        if f.size:
+            c = np.flatnonzero(~free)
+            rhs = -H[np.ix_(f, c)] @ (x[c] - mu[c]) if c.size else np.zeros(f.size)
+            step = mu[f] + np.linalg.solve(H[np.ix_(f, f)], rhs) - x[f]
+            up = step > 0
+            bound = np.where(up, upper[f], lower[f])
+            hits = np.where(up, step > tol, step < -tol) & np.isfinite(bound)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(hits, (bound - x[f]) / step, np.inf)
+            k = np.argmin(ratio)
+            x[f] = x[f] + min(ratio[k], 1.0) * step
+            if ratio[k] < 1.0:
+                j = f[k]
+                x[j] = upper[j] if up[k] else lower[j]
+                (at_hi if up[k] else at_lo)[j] = True
+                continue
+        g = H @ (x - mu)
+        signed = np.concatenate([np.where(at_lo, g, np.inf),
+                                 np.where(at_hi, -g, np.inf)])
+        k = np.argmin(signed)
+        if signed[k] >= -tol:
+            return np.clip(x, lower, upper)
+        at_lo[k % d] = at_hi[k % d] = False
+    raise AssertionError("reference loop did not converge")
+
+
+def loop_solve_set(gmm, corners, mask):
+    """Reference: one loop_box_qp per (component, kept piece), sorted and deduplicated."""
+    lower, upper, nonempty = mask.boxes(corners, gmm.support)
+    sets = []
+    for c in gmm.components:
+        pts = sorted((loop_box_qp(c.precision, c.mean, lower[k], upper[k])
+                      for k in np.flatnonzero(nonempty)), key=tuple)
+        kept = []
+        for p in pts:
+            if all(np.linalg.norm(p - q) > 1e-6 for q in kept):
+                kept.append(p)
+        sets.append(kept)
+    return sets
+
+
+def random_boxes(rng, d, m):
+    lo = rng.normal(0.3, 1, (m, d))
+    hi = lo + rng.uniform(0.2, 2, (m, d))
+    kind = rng.integers(0, 5, (m, d))  # 0 and 4 finite, 1 no lower, 2 no upper, 3 lo == hi
+    return (np.where(kind == 1, -np.inf, lo),
+            np.where(kind == 2, np.inf, np.where(kind == 3, lo, hi)))
+
+
+class TestLockstepKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_rows_match_the_loop_reference(self, d):
+        rng = np.random.default_rng(3000 + d)
+        for _ in range(4):
+            A = rng.standard_normal((d, d))
+            c = GaussComponent(rng.normal(0, 1, d), A @ A.T + 0.2 * np.eye(d))
+            lo, hi = random_boxes(rng, d, 50)
+            x = _box_qp(c.precision, c.mean, lo, hi)
+            for r in range(50):
+                ref = loop_box_qp(c.precision, c.mean, lo[r], hi[r])
+                np.testing.assert_allclose(x[r], ref, rtol=0, atol=1e-12)
+
+    def test_identity_precision_matches_the_loop_bit_for_bit(self, rng):
+        c = GaussComponent(rng.normal(0, 1, 3), np.eye(3))
+        lo, hi = random_boxes(rng, 3, 200)
+        x = _box_qp(c.precision, c.mean, lo, hi)
+        for r in range(200):
+            np.testing.assert_array_equal(
+                x[r], loop_box_qp(c.precision, c.mean, lo[r], hi[r]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_batch_invariant(self, d, monkeypatch):
+        rng = np.random.default_rng(4000 + d)
+        A = rng.standard_normal((d, d))
+        c = GaussComponent(rng.normal(0, 1, d), A @ A.T + 0.2 * np.eye(d))
+        H, mu = c.precision, c.mean
+        lo, hi = random_boxes(rng, d, 120)
+        lo[0], hi[0] = mu - 1.0, mu + 1.0  # the mean inside: retires at once
+        sizes = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: sizes.append(len(a)) or solve(a, b))
+        x = _box_qp(H, mu, lo, hi)
+        monkeypatch.undo()
+        # rows retire at different iterations: the stack shrinks more than once
+        assert sizes[0] == 120 and len(set(sizes)) > 2
+        rev = _box_qp(H, mu, lo[::-1].copy(), hi[::-1].copy())[::-1]
+        np.testing.assert_array_equal(rev, x)
+        for r in range(120):
+            np.testing.assert_array_equal(
+                _box_qp(H, mu, lo[r:r + 1], hi[r:r + 1])[0], x[r])
+
+    def test_empty_stack(self):
+        c = GaussComponent(np.zeros(2), np.eye(2))
+        assert _box_qp(c.precision, c.mean, np.empty((0, 2)),
+                       np.empty((0, 2))).shape == (0, 2)
+
+
+def test_solve_set_matches_the_per_piece_loop():
+    # two correlated components, mask (-1, +1, +1), and a support that
+    # drops the pieces starting above x1 = 1.5: one corner and two rare points
+    comps = [GaussComponent([0.2, -0.3, 0.5], [[1.0, 0.6, -0.3], [0.6, 1.5, 0.4],
+                                               [-0.3, 0.4, 0.8]]),
+             GaussComponent([-1.0, 0.8, 0.0], [[0.7, -0.2, 0.1], [-0.2, 0.9, 0.5],
+                                                [0.1, 0.5, 1.2]])]
+    support = Rect([-np.inf, -np.inf, -2.0], [np.inf, 1.5, np.inf])
+    gmm = TruncatedGMM([0.4, 0.6], comps, support)
+    mask = DirectionMask([-1.0, 1.0, 1.0])
+    rng = np.random.default_rng(11)
+    X = rng.normal(0, 1.5, (30, 3))
+    hits = (mask.canonicalize(X) @ np.array([1.0, 0.7, 0.5]) > 2.0).astype(int)
+    s = insert(FrontierStore(mask), X, hits)
+    corners, _ = outer_pieces(s)
+    dropped = 0
+    for cs in (s.s1, corners):
+        _, _, nonempty = mask.boxes(cs, support)
+        dropped += np.sum(~nonempty)
+        got = _solve_set(gmm, cs, mask, "test")
+        want = loop_solve_set(gmm, cs, mask)
+        for g, w in zip(got, want):
+            assert g.shape == (len(w), 3)
+            np.testing.assert_allclose(g, np.array(w), rtol=0, atol=1e-12)
+    assert dropped == 3
+    # some pieces share their optimum: the sets are smaller than the corners
+    assert len(_solve_set(gmm, corners, mask, "test")[0]) < len(corners) - 1
+
+
+def test_dedup_compares_with_kept_points_only():
+    # b is near a and dropped; c is near b but not near a, so it stays
+    pts = np.array([[0.0], [0.8e-6], [1.6e-6]])
+    np.testing.assert_array_equal(_dedup(pts), pts[[0, 2]])
+
+
+class TestKKTFailure:
+    def gmm(self):
+        comps = [GaussComponent([0.0, 0.0], np.eye(2)),
+                 GaussComponent([1.0, -1.0], [[1.0, 0.5], [0.5, 1.0]])]
+        return TruncatedGMM([0.5, 0.5], comps, Rect.unbounded(2))
+
+    def test_names_the_failing_component_and_corner(self, monkeypatch):
+        gmm = self.gmm()
+        kernel = dompoints._box_qp
+
+        def off_by_one_on_row_1(H, mu, lower, upper):
+            x = kernel(H, mu, lower, upper)
+            if np.array_equal(mu, gmm.components[1].mean):
+                x[1] += 1.0
+            return x
+        monkeypatch.setattr(dompoints, "_box_qp", off_by_one_on_row_1)
+        s1 = [[1.0, 2.0], [2.0, 0.5], [3.0, -1.0]]
+        with pytest.raises(SolverError, match=r"^inner_dominating: component 1, "
+                           r"corner \[2\.0, 0\.5\]: KKT residual .* exceeds 1e-6"):
+            inner_dominating(gmm, store(s1=s1))

@@ -266,6 +266,20 @@ class TestOuterPieces:
         assert corners.shape[0] == 2
         assert truncated
 
+    def test_cap_breaks_score_ties_in_lexicographic_order(self):
+        # 8 corners: one with score 2, six tied at 3, one at 4; a cap of 4
+        # keeps the first three of the tied six in lexicographic order,
+        # whatever the order of the safe points
+        P = rows([1, 3, 2], [3, 1, 2], [2, 2, 1], [0, 2, 3])
+        inf = np.inf
+        want = rows([-inf, -inf, 3], [-inf, 3, -inf], [0, -inf, 2], [1, 1, 1])
+        for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
+            s = FrontierStore(DirectionMask([1.0, 1.0, 1.0]), None, P[perm])
+            assert outer_pieces(s)[0].shape[0] == 8
+            corners, truncated = outer_pieces(s, cap=4)
+            assert truncated
+            np.testing.assert_array_equal(corners, want)
+
 
 class TestBoundIndicators:
     def test_empty_store_vacuous(self):

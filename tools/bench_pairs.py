@@ -17,8 +17,16 @@ change first in odd ones. The output file holds each run's end-to-end
 metrics and, per workload and gated metric of BENCHMARK.json, each side's
 median and quartiles, the share of pairs the change won (ties count for
 neither), whether that is a gain and how the change stands against the
-metric's regression bound (see ``summarize``). Runs are sequential, one
-process at a time.
+metric's regression bound (see ``summarize``). Under ``quality`` it holds
+the same figures, marked ungated and without a bound, for the estimator
+quality metrics that every run of the workload stored (``QUALITY``). Runs
+are sequential, one process at a time.
+
+    python3 tools/bench_pairs.py --rescore BENCH_15.json --out FILE
+
+runs nothing: it writes FILE with the stored runs of an earlier output and
+their summaries recomputed by this version, against the metrics and bounds
+of the working tree's BENCHMARK.json.
 """
 
 import argparse
@@ -34,6 +42,12 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+# Estimator quality that bench/run.py stores for run workloads (null for
+# fit ones). No bound gates them; a speed-up should not cost them.
+QUALITY = [{"name": "rel_stderr", "unit": "ratio", "better": "lower"},
+           {"name": "rel_err", "unit": "ratio", "better": "lower"},
+           {"name": "work_norm_var", "unit": "s", "better": "lower"},
+           {"name": "crude_speedup", "unit": "ratio", "better": "higher"}]
 
 
 def _git(*args):
@@ -83,28 +97,50 @@ def summarize(parent_runs, change_runs, metric):
     "unresolved" when the parent's quartile spread over its median exceeds
     the bound, unless every change run is better than every parent run;
     otherwise
-    "within" or "beyond" by how much worse the change's median is.
+    "within" or "beyond" by how much worse the change's median is. A metric
+    without a bound is marked ``ungated`` and gets no bound check.
     """
     name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
     p = [r["metrics"][name] for r in parent_runs]
     c = [r["metrics"][name] for r in change_runs]
     won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
     ps, cs = _spread(p), _spread(c)
-    bound, iqr = metric["bound"], ps["q3"] - ps["q1"]
+    iqr = ps["q3"] - ps["q1"]
+    out = {"unit": metric["unit"], "better": metric["better"],
+           "parent": ps, "change": cs,
+           "change_over_parent": cs["median"] / ps["median"],
+           "pairs_won": won, "pairs": len(p), "share_won": won / len(p),
+           "gain": (len(p) >= PAIRS and won >= 0.9 * len(p)
+                    and sign * (ps["median"] - cs["median"]) > iqr
+                    and _failed_share(change_runs) <= _failed_share(parent_runs))}
+    bound = metric.get("bound")
+    if bound is None:
+        return dict(out, ungated=True)
     if (iqr / ps["median"] > bound
             and max(sign * v for v in c) >= min(sign * v for v in p)):
         check = "unresolved"
     else:
         worse_by = sign * (cs["median"] / ps["median"] - 1)
         check = "within" if worse_by <= bound else "beyond"
-    return {"unit": metric["unit"], "better": metric["better"],
-            "parent": ps, "change": cs,
-            "change_over_parent": cs["median"] / ps["median"],
-            "pairs_won": won, "pairs": len(p), "share_won": won / len(p),
-            "gain": (len(p) >= PAIRS and won >= 0.9 * len(p)
-                     and sign * (ps["median"] - cs["median"]) > iqr
-                     and _failed_share(change_runs) <= _failed_share(parent_runs)),
-            "bound": bound, "bound_check": check}
+    return dict(out, bound=bound, bound_check=check)
+
+
+def summarize_workload(runs, end_to_end):
+    """``summary`` of the gated metrics; ``quality`` of the QUALITY metrics
+    that every run stored."""
+    both = runs["parent"] + runs["change"]
+    stored = [m for m in QUALITY
+              if all(r["metrics"].get(m["name"]) is not None for r in both)]
+    return {"summary": {m["name"]: summarize(runs["parent"], runs["change"], m)
+                        for m in end_to_end},
+            "quality": {m["name"]: summarize(runs["parent"], runs["change"], m)
+                        for m in stored}}
+
+
+def _write(doc, path):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv=None):
@@ -115,9 +151,20 @@ def main(argv=None):
                     help="repeatable; default: every workload BENCHMARK.json "
                          "lists")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--rescore", metavar="FILE",
+                    help="summarize FILE's stored runs again; run nothing")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
+    if args.rescore:
+        with open(args.rescore) as fh:
+            doc = json.load(fh)
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+            end_to_end = json.load(fh)["end_to_end"]
+        for w in doc["workloads"].values():
+            w.update(summarize_workload(w["runs"], end_to_end))
+        _write(doc, args.out)
+        return 0
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees, revs = {}, {}
         for side in ("parent", "change"):
@@ -146,13 +193,9 @@ def main(argv=None):
                       % (w, k, runs["parent"][-1]["metrics"]["op_p50_ref"],
                          runs["change"][-1]["metrics"]["op_p50_ref"]),
                       file=sys.stderr, flush=True)
-            doc["workloads"][w] = {
-                "runs": runs,
-                "summary": {m["name"]: summarize(runs["parent"], runs["change"], m)
-                            for m in spec["end_to_end"]}}
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            doc["workloads"][w] = dict(
+                summarize_workload(runs, spec["end_to_end"]), runs=runs)
+    _write(doc, args.out)
     return 0
 
 
