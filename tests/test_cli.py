@@ -145,10 +145,31 @@ class TestFit:
     def test_non_finite_loglik_exit_3(self, runner, data_csv, monkeypatch):
         far = TruncatedGMM([1.0], [GaussComponent([1e200, 0.0], np.eye(2))],
                            Rect.unbounded(2))
-        monkeypatch.setattr(tgmm, "em_step", lambda y, m, resp=None: far)
+        def to_far(y, m, resp):
+            return far
+            yield  # a generator, like the EM update task it stands in for
+        monkeypatch.setattr(tgmm, "_em_update", to_far)
         r = runner.invoke(main, ["fit", data_csv, "--k-list", "1"])
         assert r.exit_code == cli.EXIT_FIT
         assert "non-finite log-likelihood" in r.output
+
+    def test_degenerate_restart_exit_3(self, runner, data_csv, monkeypatch):
+        # restart 1's start model puts component 1 where the support has no
+        # mass; the error names that component, not its place in the
+        # restarts' shared kernel call
+        real = tgmm._init_model
+
+        def spoiled(y, K, rng):
+            w, comps = real(y, K, rng)
+            if rng.bit_generator.seed_seq.spawn_key == (1,):
+                comps[1] = comps[1].moved_to(np.full(y.shape[1], -60.0))
+            return w, comps
+        monkeypatch.setattr(tgmm, "_init_model", spoiled)
+        r = runner.invoke(main, ["fit", data_csv, "--k-list", "2",
+                                 "--support", "-5:10,-5:10"])
+        assert r.exit_code == cli.EXIT_FIT
+        assert ("fit failed at K=2: component 1: rectangle probability"
+                in r.output)
 
 
 class TestRun:

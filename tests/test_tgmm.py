@@ -15,6 +15,14 @@ def single_gaussian(mu=0.0, var=1.0):
     return TruncatedGMM([1.0], [GaussComponent([mu], [[var]])], Rect.unbounded(1))
 
 
+def updates_to(model):
+    """An EM update task, like tgmm._em_update, that returns model."""
+    def update(y, m, resp):
+        return model
+        yield  # a generator, like the tasks it stands in for
+    return update
+
+
 def count_calls(monkeypatch, *names):
     """Wraps each named tgmm function; returns name -> calls so far."""
     calls = dict.fromkeys(names, 0)
@@ -263,22 +271,28 @@ class TestFit:
                                            monkeypatch):
         # two SQUAREM cycles and one more EM update: 7 EM updates, 8 entries,
         # and the extrapolated models are scored but not recorded
-        calls = count_calls(monkeypatch, "em_step", "responsibilities")
+        calls = count_calls(monkeypatch, "_em_update", "_e_step")
         y = gmm_sample(500, truncated_2comp_2d, rng)
         _, rep = fit(y, 2, truncated_2comp_2d.support, max_iter=7, tol=0.0,
                      restarts=1)
-        assert rep.iterations == calls["em_step"] == 7
+        assert rep.iterations == calls["_em_update"] == 7
         assert len(rep.loglik_trace) == 8
-        assert calls["responsibilities"] > 8
+        assert calls["_e_step"] > 8
         assert not rep.converged
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_loglik_raises(self, rng, monkeypatch):
         # a component mean so far out that every row's density is 0
         far = TruncatedGMM([1.0], [GaussComponent([1e200], [[1.0]])], Rect.unbounded(1))
-        monkeypatch.setattr(tgmm, "em_step", lambda y, m, resp=None: far)
+        monkeypatch.setattr(tgmm, "_em_update", updates_to(far))
         with pytest.raises(RuntimeError, match="non-finite log-likelihood at iter"):
             fit(rng.standard_normal((50, 1)), 1, Rect.unbounded(1), restarts=1)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one(self, rng, restarts):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            fit(rng.standard_normal((50, 1)), 1, Rect.unbounded(1),
+                restarts=restarts)
 
     def test_sample_floor(self, rng):
         with pytest.raises(ValueError):
@@ -293,7 +307,8 @@ def plain_em(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3):
     """
     best, steps = None, 0
     for child in np.random.SeedSequence(init_seed).spawn(restarts):
-        m = tgmm._init_model(y, K, support, np.random.default_rng(child), None)
+        m = TruncatedGMM(*tgmm._init_model(y, K, np.random.default_rng(child)),
+                         support)
         resp, tot = responsibilities(y, m, return_totals=True)
         trace = [float(np.sum(tot))]
         for _ in range(max_iter):
@@ -348,10 +363,10 @@ class TestSquarem:
     def test_beats_plain_em_in_fewer_steps(self, plain_em_fits, support,
                                            monkeypatch):
         y, rect, plain_model, plain_trace, plain_steps = plain_em_fits[support]
-        calls = count_calls(monkeypatch, "em_step")
+        calls = count_calls(monkeypatch, "_em_update")
         m, rep = fit(y, 2, rect)
         assert_plain_em_answer(m, rep, plain_model, plain_trace)
-        assert calls["em_step"] < plain_steps
+        assert calls["_em_update"] < plain_steps
 
 
 # Ways to make fit's first extrapolated model invalid, each with the error it
@@ -369,8 +384,12 @@ SPOILERS = {
 }
 
 
-def spoil_first_extrapolation(monkeypatch, spoiler):
-    """Applies SPOILERS[spoiler]; returns the first extrapolation's errors."""
+def spoil_first_extrapolation(monkeypatch, spoiler, start=None):
+    """Applies SPOILERS[spoiler]; returns the first extrapolation's errors.
+
+    With start, the _params vector of a restart's start model, only that
+    restart's first extrapolation is spoiled.
+    """
     error, where, values = SPOILERS[spoiler]
     if where is None:
         monkeypatch.setattr(tgmm, "_s3_step_length", lambda r, v: -1e6)
@@ -378,14 +397,15 @@ def spoil_first_extrapolation(monkeypatch, spoiler):
     calls, raised = [], []
 
     def spoiled(m, t):
+        if calls or (start is not None
+                     and tgmm._params(m).tobytes() != start.tobytes()):
+            return (yield from real(m, t))
         calls.append(None)
-        if len(calls) > 1:
-            return real(m, t)
         if where is not None:
             t = t.copy()
             t[where] = values
         try:
-            return real(m, t)
+            return (yield from real(m, t))
         except error as err:
             raised.append(err)
             raise
@@ -414,6 +434,227 @@ class TestSquaremSafeguard:
                                       str(tmp_path / "fit")])
         assert r.exit_code == 0, r.output
         assert len(raised) == 1
+
+
+def loop_scored(y, m):
+    resp, tot = responsibilities(y, m, return_totals=True)
+    return m, resp, float(np.sum(tot))
+
+
+def loop_squarem_update(y, s0, s1, s2):
+    t0, t1, t2 = (tgmm._params(s[0]) for s in (s0, s1, s2))
+    r, v = t1 - t0, t2 - 2.0 * t1 + t0
+    alpha = tgmm._s3_step_length(r, v)
+    while alpha < -1.0:
+        try:
+            m = tgmm._run(y, s0[0].support, tgmm._from_params(
+                s0[0], t0 - 2.0 * alpha * r + alpha ** 2 * v))
+            m, resp, ll = loop_scored(y, m)
+            if ll >= s2[2]:
+                return loop_scored(y, em_step(y, m, resp))
+        except (ValueError, gauss.DegenerateTruncationError,
+                tgmm.DyingComponentError):
+            pass
+        alpha = (alpha - 1.0) / 2.0 if alpha < -1.1 else -1.0
+    return loop_scored(y, em_step(y, *s2[:2]))
+
+
+def loop_restart(y, K, support, rng, max_iter, tol):
+    cycle = [loop_scored(y, TruncatedGMM(*tgmm._init_model(y, K, rng), support))]
+    trace = [cycle[0][2]]
+    converged = False
+    while len(trace) <= max_iter and not converged:
+        try:
+            if len(cycle) < 3:
+                cycle.append(loop_scored(y, em_step(y, *cycle[-1][:2])))
+            else:
+                cycle = [loop_squarem_update(y, *cycle)]
+        except ValueError as err:
+            raise RuntimeError("non-finite log-likelihood at iteration %d: %s"
+                               % (len(trace), err))
+        trace.append(cycle[-1][2])
+        converged = abs(trace[-1] - trace[-2]) < tol * abs(trace[-1])
+    return cycle[-1][0], trace, converged
+
+
+def loop_fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3):
+    """fit with its restarts run one after another, each model alone through
+    em_step and responsibilities: the reference for the lockstep restarts."""
+    best = None
+    for child in np.random.SeedSequence(init_seed).spawn(restarts):
+        out = loop_restart(y, K, support, np.random.default_rng(child),
+                           max_iter, tol)
+        if best is None or out[1][-1] > best[1][-1]:
+            best = out
+    model, trace, converged = best
+    return model, tgmm.FitReport(trace, converged,
+                                 bic(model, y, loglik=trace[-1]))
+
+
+def assert_same_fit(got, want):
+    (m, rep), (m0, rep0) = got, want
+    assert rep.loglik_trace == rep0.loglik_trace
+    assert (rep.iterations, rep.converged, rep.bic) == (
+        rep0.iterations, rep0.converged, rep0.bic)
+    assert m.weights.tobytes() == m0.weights.tobytes()
+    for c, c0 in zip(m.components, m0.components, strict=True):
+        assert c.mean.tobytes() == c0.mean.tobytes()
+        assert c.cov.tobytes() == c0.cov.tobytes()
+
+
+def watch_restarts(monkeypatch):
+    """Gives restart i's models their own standardizer tags[i] and records
+    each restart's outcome, (model, trace, converged) or its error."""
+    tags, outcomes = [], []
+    real = tgmm._restart
+
+    def watched(y, K, support, rng, standardizer, *args):
+        i = len(tags)
+        tags.append(AffineStandardizer(np.zeros(y.shape[1]), np.ones(y.shape[1])))
+        outcomes.append(None)
+        try:
+            outcomes[i] = yield from real(y, K, support, rng, tags[i], *args)
+        except Exception as err:
+            outcomes[i] = err
+            raise
+        return outcomes[i]
+    monkeypatch.setattr(tgmm, "_restart", watched)
+    return tags, outcomes
+
+
+def spoil_start_model(monkeypatch, restart, component):
+    """Moves one component of one restart's start model to (-60, -60)."""
+    real = tgmm._init_model
+
+    def spoiled(y, K, rng):
+        w, comps = real(y, K, rng)
+        if rng.bit_generator.seed_seq.spawn_key == (restart,):
+            comps[component] = comps[component].moved_to(np.full(y.shape[1], -60.0))
+        return w, comps
+    monkeypatch.setattr(tgmm, "_init_model", spoiled)
+
+
+def start_params(y, K, support, restart, init_seed=0):
+    child = np.random.SeedSequence(init_seed).spawn(restart + 1)[restart]
+    w, comps = tgmm._init_model(y, K, np.random.default_rng(child))
+    return tgmm._params(TruncatedGMM(w, comps, support))
+
+
+# Draws of the plain-EM mixture on the cut-in box, so inside every support;
+# an odd row count puts each restart's rows of a lockstep kernel call at an
+# offset that is not a multiple of 16 bytes.
+LOCKSTEP_SUPPORTS = dict(PLAIN_EM_SUPPORTS, unbounded=Rect.unbounded(2))
+LOCKSTEP_MAX_ITER = 20
+
+
+@pytest.fixture(scope="module")
+def lockstep_rows():
+    comps = [GaussComponent([1.0, 0.8], [[0.5, 0.2], [0.2, 0.4]]),
+             GaussComponent([3.0, 2.5], [[0.6, -0.15], [-0.15, 0.5]])]
+    return gmm_sample(201, TruncatedGMM([0.4, 0.6], comps,
+                                        PLAIN_EM_SUPPORTS["cut-in box"]),
+                      np.random.default_rng(11))
+
+
+@pytest.fixture(scope="module")
+def clean_restarts(lockstep_rows):
+    """Each restart's outcome of a K = 2 fit of lockstep_rows on the cut-in box."""
+    with pytest.MonkeyPatch.context() as mp:
+        _, outcomes = watch_restarts(mp)
+        fit(lockstep_rows, 2, PLAIN_EM_SUPPORTS["cut-in box"],
+            max_iter=LOCKSTEP_MAX_ITER)
+    return outcomes
+
+
+class TestLockstepRestarts:
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("support", sorted(LOCKSTEP_SUPPORTS))
+    def test_matches_loop_fit(self, lockstep_rows, support, K, restarts):
+        rect = LOCKSTEP_SUPPORTS[support]
+        kw = dict(init_seed=1, max_iter=LOCKSTEP_MAX_ITER, restarts=restarts)
+        assert_same_fit(fit(lockstep_rows, K, rect, **kw),
+                        loop_fit(lockstep_rows, K, rect, **kw))
+
+    @pytest.mark.parametrize("spoiler", [s for s in SPOILERS
+                                         if SPOILERS[s][1] is not None])
+    def test_spoiled_restart_leaves_the_others(self, lockstep_rows,
+                                               clean_restarts, spoiler,
+                                               monkeypatch):
+        # only restart 1's first extrapolation is spoiled; restarts 0 and 2
+        # share its kernel calls
+        y, rect = lockstep_rows, PLAIN_EM_SUPPORTS["cut-in box"]
+        start = start_params(y, 2, rect, 1)
+        with monkeypatch.context() as mp:
+            raised = spoil_first_extrapolation(mp, spoiler, start)
+            want = loop_fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+            assert len(raised) == 1
+        with monkeypatch.context() as mp:
+            raised = spoil_first_extrapolation(mp, spoiler, start)
+            _, spoiled = watch_restarts(mp)
+            assert_same_fit(fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER), want)
+            assert len(raised) == 1
+        if SPOILERS[spoiler][0] is gauss.DegenerateTruncationError:
+            # component 0 of restart 1, the call's component 2
+            assert str(raised[0]).startswith("component 0: ")
+        for i in (0, 2):
+            assert spoiled[i][1] == clean_restarts[i][1]
+
+    def test_degenerate_restart_fails_alone(self, lockstep_rows, clean_restarts,
+                                            monkeypatch):
+        y, rect = lockstep_rows, PLAIN_EM_SUPPORTS["cut-in box"]
+        spoil_start_model(monkeypatch, restart=1, component=1)
+        with pytest.raises(gauss.DegenerateTruncationError) as want:
+            loop_fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+        _, outcomes = watch_restarts(monkeypatch)
+        with pytest.raises(gauss.DegenerateTruncationError) as got:
+            fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+        # the call's component 3 is component 1 of restart 1
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("component 1: rectangle probability")
+        assert outcomes[1] is got.value
+        for i in (0, 2):
+            assert outcomes[i][1] == clean_restarts[i][1]
+
+    def test_error_naming_no_component_reruns_each_restart(
+            self, lockstep_rows, clean_restarts, monkeypatch):
+        y, rect = lockstep_rows, PLAIN_EM_SUPPORTS["cut-in box"]
+        real = tgmm.rect_prob
+
+        def picky(components, r):
+            if any(c.mean[0] < -50 for c in components):
+                raise ValueError("a mean below -50")
+            return real(components, r)
+        monkeypatch.setattr(tgmm, "rect_prob", picky)
+        spoil_start_model(monkeypatch, restart=1, component=1)
+        _, outcomes = watch_restarts(monkeypatch)
+        with pytest.raises(ValueError, match="a mean below -50"):
+            fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+        for i in (0, 2):
+            assert outcomes[i][1] == clean_restarts[i][1]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_lowest_failing_restart_raises(self, lockstep_rows, monkeypatch):
+        # restart 2 fails first, at iteration 1; restart 1 fails at
+        # iteration 2, and the one-after-another loop would raise its error
+        y, rect = lockstep_rows, PLAIN_EM_SUPPORTS["cut-in box"]
+        far = TruncatedGMM([1.0], [GaussComponent([1e200, 0.0], np.eye(2))],
+                           Rect.unbounded(2))
+        tags, outcomes = watch_restarts(monkeypatch)
+        real, updates, fail_at = tgmm._em_update, [0, 0, 0], {1: 2, 2: 1}
+
+        def failing(y, m, resp):
+            i = tags.index(m.standardizer)
+            updates[i] += 1
+            if updates[i] == fail_at.get(i):
+                return far
+            return (yield from real(y, m, resp))
+        monkeypatch.setattr(tgmm, "_em_update", failing)
+        with pytest.raises(RuntimeError,
+                           match="non-finite log-likelihood at iteration 2: "):
+            fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+        assert "at iteration 1: " in str(outcomes[2])
+        assert len(outcomes[0][1]) > 3
 
 
 class TestBic:
