@@ -207,7 +207,7 @@ def _kernel(kind, y, support, requests):
 
 
 def _blame(err, sizes):
-    """The request, of a call with sizes components each, that err names.
+    """The request that err names, in a call whose requests have sizes components.
 
     Returns the request's position and err with the request's own component
     index, or None when err is not a DegenerateTruncationError naming one.

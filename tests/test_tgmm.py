@@ -544,7 +544,8 @@ def start_params(y, K, support, restart, init_seed=0):
 # an odd row count puts each restart's rows of a lockstep kernel call at an
 # offset that is not a multiple of 16 bytes.
 LOCKSTEP_SUPPORTS = dict(PLAIN_EM_SUPPORTS, unbounded=Rect.unbounded(2))
-LOCKSTEP_MAX_ITER = 20
+# Four SQUAREM cycles; a few fits converge before the cap.
+LOCKSTEP_MAX_ITER = 12
 
 
 @pytest.fixture(scope="module")
