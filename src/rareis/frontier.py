@@ -79,9 +79,9 @@ class FrontierStore:
         return self.mask.dim
 
 
-# Rows folded into the running frontier per step of _minimal; 128 was
-# fastest on the frontiers of the analytic and lane-change runs.
-_BLOCK = 128
+# Rows taken per round of _minimal; 64 was fastest on the frontiers of the
+# analytic and lane-change runs.
+_BLOCK = 64
 
 
 def _leq(A, B, strict=False):
@@ -93,26 +93,31 @@ def _leq(A, B, strict=False):
     return out
 
 
-def _minimal(P):
-    """Rows of P that no other row is <= componentwise, in row order.
+def _minimal(P, old=None):
+    """Rows of old, then of P, that no other row is <= componentwise, in row order.
 
-    Of equal rows only the first is kept.  P is folded into the frontier in
-    _BLOCK-row blocks.  A block row survives unless a frontier row is <= it,
-    or another block row is <= it and either differs from it or comes first.
-    A frontier row survives unless a block row is <= it and differs from it.
-    Frontier rows are never compared with each other again, so one fold
-    costs O(|frontier| x _BLOCK x d).
+    old, if given, must itself be minimal, as a store's frontier is; the
+    result then equals _minimal(np.vstack([old, P])), where of equal rows
+    only the first is kept.  Rows of P that an old row is <= go in one call.
+    The rest are taken in stable lexicographic order, in which a row that is
+    <= another and differs from it comes first, and equal rows keep their
+    row order; so a row that no earlier row is <= is final.  Each round
+    keeps those of the next _BLOCK live rows that no earlier row of the
+    block is <=, and drops the later live rows that a kept row is <=.  Last,
+    the old rows that a kept row is <= go.
     """
-    front = P[:0]
-    for start in range(0, P.shape[0], _BLOCK):
-        blk = P[start:start + _BLOCK]
-        fb = _leq(front, blk)
-        bb = _leq(blk, blk)
-        earlier = np.triu(np.ones(bb.shape, dtype=bool), 1)  # bb[j, i] with j < i
-        keep_blk = ~(fb.any(axis=0) | np.any(bb & (~bb.T | earlier), axis=0))
-        keep_front = ~np.any(_leq(blk, front) & ~fb.T, axis=0)
-        front = np.vstack([front[keep_front], blk[keep_blk]])
-    return front
+    old = P[:0] if old is None else old
+    live = np.flatnonzero(~_leq(old, P).any(axis=0))
+    live = live[np.lexsort(P[live].T[::-1])]
+    kept = [live[:0]]
+    while live.size:
+        blk, live = live[:_BLOCK], live[_BLOCK:]
+        earlier = np.arange(blk.size)[:, None] < np.arange(blk.size)  # [j, i]: j < i
+        kept.append(blk[~np.any(_leq(P[blk], P[blk]) & earlier, axis=0)])
+        if live.size:
+            live = live[~_leq(P[kept[-1]], P[live]).any(axis=0)]
+    new = P[np.sort(np.concatenate(kept))]
+    return np.concatenate([old[~_leq(new, old).any(axis=0)], new])
 
 
 def insert(store, X, hits):
@@ -131,8 +136,8 @@ def insert(store, X, hits):
         raise ValueError("want (n, d) points and (n,) outcomes in {0, 1}; got "
                          "shapes %s and %s" % (X.shape, hits.shape))
     Z = store.mask.canonicalize(X)
-    s1 = _minimal(np.vstack([store.s1, Z[hits == 1]]))
-    s0 = -_minimal(-np.vstack([store.s0, Z[hits == 0]]))
+    s1 = _minimal(Z[hits == 1], store.s1)
+    s0 = -_minimal(-Z[hits == 0], -store.s0)
     conflict = _leq(s1, s0)
     if np.any(conflict):
         i, j = np.argwhere(conflict)[0]

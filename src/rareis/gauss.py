@@ -323,7 +323,8 @@ def _rect_probs2(a, b, r):
     coordinate is reflected, if need be, so that its interval's midpoint is
     >= 0; the four upper-orthant corner terms then stay as small as the
     rectangle allows and inclusion-exclusion keeps its relative accuracy far
-    in the tail.
+    in the tail.  A corner at +inf in either coordinate is exactly 0, so a
+    corner that is there in every rectangle is not evaluated.
     """
     with np.errstate(invalid="ignore"):  # -inf + inf: not flipped
         flip = a + b < 0
@@ -333,7 +334,10 @@ def _rect_probs2(a, b, r):
     g, m = r.shape
     h = np.stack([lo[..., 0], lo[..., 0], hi[..., 0], hi[..., 0]], 1)
     k = np.stack([lo[..., 1], hi[..., 1], lo[..., 1], hi[..., 1]], 1)
-    u = _bvnu(h.reshape(g, -1), k.reshape(g, -1), np.tile(r, 4)).reshape(g, 4, m)
+    live = np.any((h < np.inf) & (k < np.inf), axis=(0, 2))
+    u = np.zeros(h.shape)
+    u[:, live] = _bvnu(h[:, live].reshape(g, -1), k[:, live].reshape(g, -1),
+                       np.tile(r, live.sum())).reshape(g, -1, m)
     return np.clip(u[:, 0] - u[:, 1] - u[:, 2] + u[:, 3], 0.0, 1.0)
 
 

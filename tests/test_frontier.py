@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rareis import frontier
 from rareis.frontier import (DirectionMask, FrontierStore,
                              NonMonotoneOutcomeError, PieceBlowupError,
                              bound_indicators, frontier_from_json,
@@ -172,6 +173,30 @@ class TestInsert:
         s = insert(store2d(), np.array(X).reshape(-1, 2), hits)
         assert {tuple(r) for r in s.s1} == brute_minima(rare)
         assert {tuple(r) for r in s.s0} == brute_maxima(safe)
+
+
+class TestScreeningFilter:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_refold_and_ordered_oracle(self, data):
+        # blocks of 2 to 4 rows make a batch cross many rounds; -inf entries
+        # are as in outer_pieces corners
+        d = data.draw(st.integers(1, 3))
+        value = st.one_of(st.integers(0, 4).map(float), st.just(-np.inf))
+        row = st.lists(value, min_size=d, max_size=d).map(tuple)
+        old = ordered_minima(data.draw(st.lists(row, max_size=12)))
+        # duplicate rows, and rows equal to old rows
+        new = data.draw(st.lists(st.one_of(row, st.sampled_from(old)) if old else row,
+                                 max_size=40))
+        O = np.array(old, dtype=float).reshape(-1, d)
+        P = np.array(new, dtype=float).reshape(-1, d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frontier, "_BLOCK", data.draw(st.integers(2, 4)))
+            got = frontier._minimal(P, O)
+            refold = frontier._minimal(np.vstack([O, P]))
+        assert got.tobytes() == refold.tobytes()
+        assert [tuple(r) for r in got] == ordered_minima(old + new)
+        assert [tuple(r) for r in frontier._minimal(P)] == ordered_minima(new)
 
 
 def region(store, x):

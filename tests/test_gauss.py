@@ -558,3 +558,48 @@ def test_batch_invariance(d):
         assert q.tobytes() == p[i].tobytes()
         assert n1.tobytes() == m1[i].tobytes()
         assert n2.tobytes() == m2[i].tobytes()
+
+
+def test_batch_invariance_with_one_sided_rectangles(monkeypatch):
+    # Component 0 integrates over coordinate 0 and component 1, whose
+    # coordinate 0 is close to coordinate 1, over another one: so the shared
+    # bivariate call holds rectangles with and without a +inf corner
+    kinds = []
+    rect2 = gauss._rect_probs2
+
+    def record(a, b, r):
+        one_sided = np.isinf(b).any(axis=-1)
+        kinds.append((one_sided.any(), (~one_sided).any()))
+        return rect2(a, b, r)
+    monkeypatch.setattr(gauss, "_rect_probs2", record)
+    comps = [GaussComponent(np.zeros(3), np.eye(3)),
+             GaussComponent([0.2, 0.0, 0.1], [[1.0, 0.95, 0.1], [0.95, 1.0, 0.1],
+                                              [0.1, 0.1, 1.0]])]
+    r = Rect([0.5, -1.0, -0.5], [np.inf, 1.0, 1.5])
+    p = rect_prob(comps, r)
+    assert kinds == [(True, True)]
+    for i, c in enumerate(comps):
+        assert rect_prob([c], r)[0].tobytes() == p[i].tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rectangle_kernel_rows_mix_one_and_two_sided(d):
+    # the row kernel that rect_prob and trunc_moments share: a row's value
+    # does not depend on whether the other rows' rectangles are one-sided
+    rng = np.random.default_rng(70 + d)
+    n = 12
+    A = rng.standard_normal((n, d, d))
+    cov = A @ A.transpose(0, 2, 1) + 0.3 * np.eye(d)
+    a = rng.uniform(-1.5, 0.5, (n, d))
+    b = a + rng.uniform(0.5, 2.5, (n, d))
+    one_sided = np.arange(n) % 3 > 0
+    b[one_sided & (np.arange(n) % 3 == 1), 0] = np.inf
+    a[one_sided & (np.arange(n) % 3 == 2), d - 1] = -np.inf
+    p = gauss._rect_probs(cov, a, b)
+    assert np.all((p > 0) & (p < 1))
+    for rows in (one_sided, ~one_sided):
+        q = gauss._rect_probs(cov[rows], a[rows], b[rows])
+        assert q.tobytes() == p[rows].tobytes()
+    for i in range(n):
+        q = gauss._rect_probs(cov[i:i + 1], a[i:i + 1], b[i:i + 1])
+        assert q.tobytes() == p[i:i + 1].tobytes()
