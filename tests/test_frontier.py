@@ -178,7 +178,7 @@ class TestInsert:
 class TestScreeningFilter:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_refold_and_ordered_oracle(self, data):
+    def test_matches_joint_filter_and_ordered_oracle(self, data):
         # blocks of 2 to 4 rows make a batch cross many rounds; -inf entries
         # are as in outer_pieces corners
         d = data.draw(st.integers(1, 3))
@@ -193,8 +193,8 @@ class TestScreeningFilter:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(frontier, "_BLOCK", data.draw(st.integers(2, 4)))
             got = frontier._minimal(P, O)
-            refold = frontier._minimal(np.vstack([O, P]))
-        assert got.tobytes() == refold.tobytes()
+            joint = frontier._minimal(np.vstack([O, P]))
+        assert got.tobytes() == joint.tobytes()
         assert [tuple(r) for r in got] == ordered_minima(old + new)
         assert [tuple(r) for r in frontier._minimal(P)] == ordered_minima(new)
 
