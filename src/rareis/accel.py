@@ -168,7 +168,8 @@ def estimate(indicator, gmm, q, n, seed, return_values=False, frontier=None):
 
 
 def crude_mc(indicator, gmm, n, seed, return_values=False):
-    """Plain Monte Carlo under the base model: IS with the base as proposal."""
+    """Plain Monte Carlo under the base model: the hit rate, its binomial
+    stderr sqrt(p(1 - p) / n), and n as ESS and crude-equivalent n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     hits = _draws(indicator, gmm, n, seed)[1].astype(float)

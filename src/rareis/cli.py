@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-Commands: fit (EM + BIC sweep), run (iterative IS procedure + estimate),
-crude (plain Monte Carlo baseline), bench (side-by-side efficiency table).
-fit, run and crude write a manifest of the options click parsed; bench only
-prints its table. Re-running with the same options reproduces all outputs
-byte-identically (the manifest's wall-clock field aside).
+Commands: fit (EM + BIC sweep), run (iterative IS procedure + estimate)
+and crude (plain Monte Carlo baseline). Each writes its outputs and a
+manifest of the options click parsed to --out. Re-running with the same
+options reproduces all outputs byte-identically (the manifest's wall-clock
+field aside).
 """
 
 import csv
@@ -176,7 +176,7 @@ def _load_scenario(model_path, scenario_config, analytic, analytic_params):
 
 
 def _scenario_options(procedure):
-    """Options of run, crude and bench; procedure adds the IS-construction ones."""
+    """Options of run and crude; procedure adds the IS-construction ones."""
     opts = [click.argument("model_path", type=click.Path()),
             click.option("--scenario-config", type=click.Path(), default=None),
             click.option("--analytic", default=None,
@@ -308,17 +308,6 @@ def cmd_fit(csv_path, k_list, support, coords, seed, out):
                % (best[0].n_components, os.path.join(out, "bic.csv")))
 
 
-def _run_pipeline(model, ind, mask, n, seed, n_per_iter, max_iter,
-                  max_frontier, rho, bounds=False):
-    state, q = accel.run_procedure(ind, model, mask, n_per_iter=n_per_iter,
-                                   max_iter=max_iter, max_frontier=max_frontier,
-                                   final_rho=rho, seed=seed)
-    report, values = accel.estimate(ind, model, q, n, seed=seed + 1,
-                                    return_values=True,
-                                    frontier=state.frontier if bounds else None)
-    return state, report, values
-
-
 @main.command("run")
 @_scenario_options(procedure=True)
 @click.option("--bounds", is_flag=True,
@@ -331,8 +320,12 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
     t0 = time.time()
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
-    state, report, values = _run_pipeline(model, ind, mask, n, seed, n_per_iter,
-                                          max_iter, max_frontier, rho, bounds)
+    state, q = accel.run_procedure(ind, model, mask, n_per_iter=n_per_iter,
+                                   max_iter=max_iter, max_frontier=max_frontier,
+                                   final_rho=rho, seed=seed)
+    report, values = accel.estimate(ind, model, q, n, seed=seed + 1,
+                                    return_values=True,
+                                    frontier=state.frontier if bounds else None)
     _write_outputs(out, {"report.json": report.to_json(),
                          "frontier.json": fr.frontier_to_json(state.frontier),
                          "dominating_points.csv": _dompoints_csv(state),
@@ -357,25 +350,6 @@ def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
     _write_outputs(out, {"report.json": report.to_json(),
                          "trace.csv": _trace_csv(values)}, t0)
     click.echo("p_hat = %.6g  stderr = %.3g" % (report.p_hat, report.stderr))
-
-
-@main.command("bench")
-@_scenario_options(procedure=True)
-def cmd_bench(model_path, scenario_config, analytic, analytic_params, n,
-              n_per_iter, max_iter, max_frontier, rho, seed):
-    """Both estimators at equal n; prints a CSV efficiency table."""
-    model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
-                                      analytic_params)
-    _, is_report, _ = _run_pipeline(model, ind, mask, n, seed, n_per_iter,
-                                    max_iter, max_frontier, rho)
-    crude_report = accel.crude_mc(ind, model, n, seed=seed + 10)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["estimator", "p_hat", "stderr", "crude_equiv_n", "efficiency"])
-    for name, rep in (("is", is_report), ("crude", crude_report)):
-        w.writerow([name, repr(rep.p_hat), repr(rep.stderr), rep.crude_equiv_n,
-                    repr(rep.crude_equiv_n / rep.n_samples)])
-    click.echo(buf.getvalue(), nl=False)
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ MAX_RECT_DIM = 10
 
 class DegenerateTruncationError(RuntimeError):
     """Raised when a truncation region carries (numerically) no mass."""
+    component = None  # index of the component the message names, if any
 
 
 class Rect:
@@ -435,8 +436,10 @@ def _check_mass(p, floor, message):
     """Raises DegenerateTruncationError naming the first component below floor."""
     low = np.flatnonzero(p < floor)
     if low.size:
-        raise DegenerateTruncationError("component %d: " % low[0]
+        err = DegenerateTruncationError("component %d: " % low[0]
                                         + message % p[low[0]])
+        err.component = int(low[0])
+        raise err
 
 
 def rect_prob(components, r):

@@ -24,7 +24,6 @@ em_step and responsibilities are the one-model case.
 """
 
 import json
-import re
 
 import numpy as np
 
@@ -212,14 +211,15 @@ def _blame(err, sizes):
     Returns the request's position and err with the request's own component
     index, or None when err is not a DegenerateTruncationError naming one.
     """
-    hit = re.match(r"component (\d+): ", str(err))
-    if not isinstance(err, DegenerateTruncationError) or hit is None:
+    k = getattr(err, "component", None)
+    if not isinstance(err, DegenerateTruncationError) or k is None:
         return None
-    k = int(hit.group(1))
     starts = np.cumsum([0] + sizes)
     j = int(np.searchsorted(starts, k, side="right")) - 1
-    return j, DegenerateTruncationError("component %d: %s" % (
-        k - starts[j], str(err)[hit.end():]))
+    own = DegenerateTruncationError("component %d: %s" % (
+        k - starts[j], str(err).split(": ", 1)[1]))
+    own.component = int(k - starts[j])
+    return j, own
 
 
 def _run(y, support, task):

@@ -326,18 +326,17 @@ class TestRun:
         for text in ["{not json", json.dumps(dict(doc, components=5)),
                      json.dumps([doc]), json.dumps(zero_mass)]:
             path.write_text(text)
-            for command in ("run", "crude", "bench"):
-                out = ([] if command == "bench"
-                       else ["--out", str(tmp_path / "out")])
+            for command in ("run", "crude"):
                 r = runner.invoke(main, [command, str(path), "--analytic",
                                          "mixture-tail", "--analytic-params",
-                                         '{"gamma": 3.0}'] + out)
+                                         '{"gamma": 3.0}', "--out",
+                                         str(tmp_path / "out")])
                 assert r.exit_code == cli.EXIT_INPUT, (command, text)
                 assert isinstance(r.exception, SystemExit)
                 assert "error: cannot load model" in r.output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "crude", "bench"])
+    @pytest.mark.parametrize("command", ["run", "crude"])
     def test_indicator_input_error_exit_2(self, runner, tmp_path, command):
         """Proposals with 1/ttc <= 0 end in exit 2 with a message."""
         gmm = TruncatedGMM([1.0], [GaussComponent([20.0, 0.0, 0.2],
@@ -409,22 +408,22 @@ class TestRun:
                          r"\[[^]]+\]: KKT residual \S+ exceeds 1e-6", r.output)
         assert "Traceback" not in r.output
 
-    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_piece_blowup_exit_5(self, runner, tmp_path, command):
         # the default --max-frontier 12 at d = 5: 5^12 outer pieces
         model = tmp_path / "model.json"
         model.write_text(tgmm.model_to_json(TruncatedGMM(
             [1.0], [GaussComponent(np.zeros(5), np.eye(5))], Rect.unbounded(5))))
         params = json.dumps({"w": [5 ** -0.5] * 5, "gamma": 4.0})
-        extra = ["--out", str(tmp_path / "run")] if command == "run" else []
         r = runner.invoke(main, [command, str(model), "--analytic", "halfspace",
-                                 "--analytic-params", params] + extra)
+                                 "--analytic-params", params,
+                                 "--out", str(tmp_path / "run")])
         assert r.exit_code == cli.EXIT_SOLVER
         assert isinstance(r.exception, SystemExit)
         assert "error: d^|s0| = 5^12 exceeds 1e6" in r.output
         assert "Traceback" not in r.output
 
-    @pytest.mark.parametrize("command", ["run", "crude", "bench"])
+    @pytest.mark.parametrize("command", ["run", "crude"])
     def test_degenerate_sampling_exit_5(self, runner, model_1d, tmp_path,
                                         command):
         """N(0,1) on [10, inf): the model loads, but rejection sampling from
@@ -433,10 +432,9 @@ class TestRun:
         model = tmp_path / "tail.json"
         model.write_text(json.dumps(dict(doc, support={"lower": [10.0],
                                                        "upper": ["inf"]})))
-        out = [] if command == "bench" else ["--out", str(tmp_path / "out")]
         r = runner.invoke(main, [command, str(model), "--analytic", "halfspace",
                                  "--analytic-params", '{"w": [1.0], "gamma": 11.0}',
-                                 "--n", "1000"] + out)
+                                 "--n", "1000", "--out", str(tmp_path / "out")])
         if command == "run":
             assert r.exit_code == 0, r.output
             return
@@ -527,40 +525,27 @@ class TestCrude:
                            shallow=False)
 
 
-class TestBench:
-    def test_table_and_efficiency(self, runner, model_1d):
-        r = runner.invoke(main, ["bench", model_1d, "--analytic",
-                                 "mixture-tail", "--analytic-params",
-                                 '{"gamma": 3.0}', "--n", "5000",
-                                 "--n-per-iter", "300", "--max-iter", "3",
-                                 "--seed", "4"])
-        assert r.exit_code == 0, r.output
-        lines = r.output.strip().splitlines()
-        assert lines[0] == "estimator,p_hat,stderr,crude_equiv_n,efficiency"
-        rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
-        assert set(rows) == {"is", "crude"}
-        assert float(rows["is"][4]) > 10 * float(rows["crude"][4])
+COMMANDS = sorted(main.commands)
 
-    def test_small_n_exit_2(self, runner, model_1d):
-        r = runner.invoke(main, ["bench", model_1d, "--analytic",
-                                 "mixture-tail", "--analytic-params",
-                                 '{"gamma": 3.0}', "--n", "50"])
-        assert r.exit_code == cli.EXIT_INPUT
+# Out-of-range or removed options, by command; a command missing here fails
+# this module's collection.
+BAD_OPTIONS = {
+    "run": [("--workers", "1"), ("--max-iter", "0"), ("--max-iter", "-1"),
+            ("--bound-n", "99"), ("--bound-n", "-5"), ("--n-per-iter", "0"),
+            ("--rho", "2"), ("--rho", "-0.1"), ("--seed", "-1"),
+            ("--max-frontier", "-3"), ("--n", "99")],
+    "crude": [("--seed", "-1"), ("--workers", "1"), ("--n", "0")],
+    "fit": [("--seed", "-1"), ("--k-list", "0"), ("--k-list", "-1")],
+}
+
+
+def test_commands_are_fit_run_and_crude():
+    assert set(main.commands) == {"fit", "run", "crude"}
 
 
 @pytest.mark.parametrize("command, option, value", [
-    ("run", "--workers", "1"), ("run", "--max-iter", "0"),
-    ("run", "--max-iter", "-1"), ("run", "--bound-n", "99"),
-    ("run", "--bound-n", "-5"),
-    ("run", "--n-per-iter", "0"), ("run", "--rho", "2"),
-    ("run", "--rho", "-0.1"), ("run", "--seed", "-1"),
-    ("run", "--max-frontier", "-3"), ("run", "--n", "99"),
-    ("crude", "--seed", "-1"), ("crude", "--workers", "1"),
-    ("crude", "--n", "0"), ("bench", "--seed", "-1"),
-    ("bench", "--workers", "1"), ("bench", "--max-iter", "0"),
-    ("fit", "--seed", "-1"), ("fit", "--k-list", "0"),
-    ("fit", "--k-list", "-1"),
-])
+    (command, option, value) for command in COMMANDS
+    for option, value in BAD_OPTIONS[command]])
 def test_out_of_range_option_exit_2(runner, model_1d, data_csv, tmp_path,
                                     command, option, value):
     if command == "fit":
@@ -568,15 +553,14 @@ def test_out_of_range_option_exit_2(runner, model_1d, data_csv, tmp_path,
     else:
         args = [command, model_1d, "--analytic", "mixture-tail",
                 "--analytic-params", '{"gamma": 3.0}']
-    if command != "bench":
-        args += ["--out", str(tmp_path / "out")]
-    r = runner.invoke(main, args + [option, value])
+    r = runner.invoke(main, args + ["--out", str(tmp_path / "out"), option,
+                                    value])
     assert r.exit_code == cli.EXIT_INPUT, r.output
     assert "Traceback" not in r.output
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "run", "crude"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_unusable_out_exit_2(runner, model_1d, data_csv, tmp_path, command,
                              monkeypatch):
     """--out naming a file, or a path below one, is rejected as the options
@@ -602,7 +586,7 @@ def test_unusable_out_exit_2(runner, model_1d, data_csv, tmp_path, command,
     assert afile.read_text() == ""
 
 
-@pytest.mark.parametrize("command", ["fit", "run", "crude"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_manifest_records_click_options(runner, model_1d, data_csv, tmp_path,
                                         command):
     out = tmp_path / "out"

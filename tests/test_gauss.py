@@ -126,8 +126,10 @@ class TestRectProb:
 
     def test_underflow_names_first_degenerate_component(self):
         comps = [GaussComponent([m], [[1.0]]) for m in (40.0, 38.0, 0.0, -5.0)]
-        with pytest.raises(DegenerateTruncationError, match="^component 2: "):
+        with pytest.raises(DegenerateTruncationError,
+                           match="^component 2: ") as err:
             rect_prob(comps, Rect([40.0], [41.0]))
+        assert err.value.component == 2
 
 
 def _grid_moments_2d(c, r, hi=6.0, step=0.005):
@@ -217,10 +219,14 @@ class TestTruncMoments:
     def test_vanishing_mass_names_first_degenerate_component(self):
         comps = [GaussComponent([m, m], np.eye(2)) for m in (12.0, 0.0, 7.0)]
         r = Rect([12.0, 12.0], [13.0, 13.0])
-        with pytest.raises(DegenerateTruncationError, match="^component 1: "):
+        with pytest.raises(DegenerateTruncationError,
+                           match="^component 1: ") as err:
             trunc_moments(comps, r)
-        with pytest.raises(DegenerateTruncationError, match="^component 2: "):
+        assert err.value.component == 1
+        with pytest.raises(DegenerateTruncationError,
+                           match="^component 2: ") as err:
             trunc_moments(comps, r, mass=[0.5, 0.5, 1e-13])
+        assert err.value.component == 2
 
 
 class TestSampleTruncated:
@@ -254,8 +260,9 @@ class TestSampleTruncated:
 
     def test_degenerate_region_error(self, rng):
         c = GaussComponent([0.0], [[1.0]])
-        with pytest.raises(DegenerateTruncationError):
+        with pytest.raises(DegenerateTruncationError) as err:
             sample_truncated(10, c, Rect([8.0], [8.1]), rng)
+        assert err.value.component is None  # names no component
 
 
 def test_truncated_density_normalizes_on_grid():

@@ -598,6 +598,7 @@ class TestLockstepRestarts:
         if SPOILERS[spoiler][0] is gauss.DegenerateTruncationError:
             # component 0 of restart 1, the call's component 2
             assert str(raised[0]).startswith("component 0: ")
+            assert raised[0].component == 0
         for i in (0, 2):
             assert spoiled[i][1] == clean_restarts[i][1]
 
@@ -613,6 +614,7 @@ class TestLockstepRestarts:
         # the call's component 3 is component 1 of restart 1
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("component 1: rectangle probability")
+        assert got.value.component == 1
         assert outcomes[1] is got.value
         for i in (0, 2):
             assert outcomes[i][1] == clean_restarts[i][1]
