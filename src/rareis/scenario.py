@@ -79,21 +79,23 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
     and a settled row retires early with outcome 0.  The loop returns once
     every row has crashed or retired, or at the horizon.
 
-    Retirement is exact, not an approximation.  While AEB has not fired and
-    the ACC command is inside (-max_decel, ACC_MAX_ACCEL), one step is the
-    affine map d' = M d of the offset d = (gap - gap*, v_f - v) from the
-    fixed point gap* = acc_time_gap v + STANDSTILL_MARGIN, v_f* = v.  In
-    the coordinates y = V^-1 d of M's real-Jordan basis V, M is a rotation
-    scaled by its spectral radius rho, or a diagonal whose entries are at
-    most rho in size, so |y| never grows when rho < 1: the ellipse
-    |V^-1 d| <= |V^-1 d_k| holds every later state.  Every CHECK_EVERY
-    steps, _settled retires the rows whose ellipse keeps the gap above
-    crash_range (no crash), gap + aeb_ttc_trigger range_rate above 0 (AEB
-    never fires), the ACC command unsaturated and v_f above 0 (the clamp
-    never acts), so the affine map holds at every later step by induction
-    and the row cannot crash.  Each bound must clear RETIRE_MARGIN times the
-    row's scale, which covers float rounding: _certificate refuses configs
-    whose contraction is too slow for that.
+    Retirement is exact, not an approximation.  Every CHECK_EVERY steps,
+    _settled retires two kinds of row.  A row whose AEB has not fired
+    retires when its own unsaturated trajectory is safe for good: while AEB
+    is off and the ACC command is inside (-max_decel, ACC_MAX_ACCEL), one
+    step is the affine map d' = M d of the offset d = (gap - gap*, v_f - v)
+    from the fixed point gap* = acc_time_gap v + STANDSTILL_MARGIN,
+    v_f* = v, so the row's later states are M^t d.  _trajectory_sup bounds
+    five functionals over all real t >= 0 of that trajectory: the gap stays
+    above crash_range (no crash), gap + aeb_ttc_trigger range_rate above 0
+    (AEB never fires), the command below ACC_MAX_ACCEL and above -max_decel
+    and v_f above 0 (no clamp acts).  Then the affine map holds at every
+    later step by induction and the row cannot crash.  Each bound must
+    clear RETIRE_MARGIN times the row's scale, which covers float rounding:
+    _certificate refuses configs whose contraction is too slow for that.
+    A row whose AEB is engaged retires once range_rate >= 0 and the gap is
+    above crash_range: v_f can only fall, so range_rate and the gap can only
+    rise, and float rounding is monotone, so the gap never shrinks.
     """
     v_lead, ttc, gap = (np.array(a, dtype=float, ndmin=1) for a in (v, ttc, range_))
     if np.any(ttc <= 0) or np.any(gap <= 0):
@@ -110,7 +112,7 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
             crashed = gap <= cfg.crash_range
             done = crashed
             if cert is not None and step % CHECK_EVERY == 0:
-                done = crashed | _settled(cert, cfg, v_lead, v_f, gap, aeb_at)
+                done = crashed | _settled(cert, cfg, t, v_lead, v_f, gap, aeb_at)
             if np.count_nonzero(done):
                 out[rows[crashed]] = 1
                 keep = ~done
@@ -139,60 +141,95 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
 
 @functools.lru_cache(maxsize=32)
 def _certificate(cfg):
-    """cfg's contraction certificate (V^-1, widths), or None if it has none.
+    """cfg's trajectory certificate (V^-1, G, log_lam, theta), or None.
 
-    V is the real-Jordan basis of the unsaturated ACC step M: for a complex
-    pair m +- iw with eigenvector x + iy, V = [x, y] and rho = |m + iw|;
-    for real eigenvalues V holds unit eigenvectors and rho is the larger
-    |eigenvalue|.  widths[i] = |V^T c_i| is how far the i-th bounded
-    functional c_i^T d can move while |V^-1 d| <= 1.  There is no
-    certificate when rho >= 1, or when M contracts so slowly that the
-    rounding it accumulates, at most a few ulp of the state per step summed
-    over 1/(1 - rho) steps, could reach RETIRE_MARGIN / 10 of the state's
-    scale.  The 2 x 2 algebra is written out: LAPACK's eigen-solvers would
-    add about 1 MB to the resident set.
+    V is the real-Jordan basis of the unsaturated ACC step M, and one step
+    moves the coordinates z = V^-1 d of an offset to R z.  For a complex
+    pair m +- iw = rho e^(+-i theta) with eigenvector x + iy, V = [x, y] and
+    R turns z by -theta and scales it by rho; log_lam is (ln rho, ln rho).
+    For real eigenvalues 0 < lam_1, lam_2 < 1, V holds unit eigenvectors,
+    R = diag(lam), log_lam is (ln lam_1, ln lam_2) and theta is 0.  Row i of
+    G = C V maps z to _settled's i-th bounded functional c_i^T d.  There is
+    no certificate when rho >= 1, when an eigenvalue is real and <= 0 (lam^t
+    has no real-t extension to take a supremum over), or when M contracts
+    so slowly that the rounding it accumulates, at most a few ulp of the
+    state per step summed over 1/(1 - rho) steps, could reach
+    RETIRE_MARGIN / 10 of the state's scale.  The 2 x 2 algebra is written
+    out: LAPACK's eigen-solvers would add about 1 MB to the resident set.
     """
     dt, kp = cfg.dt, cfg.acc_spacing_gain
     accel_grad = np.array([kp, -(kp * cfg.acc_time_gap + cfg.acc_speed_gain)])
     keep = 1.0 + dt * accel_grad[1]
     a, b, c, e = 1.0 - dt * dt * kp, -dt * keep, dt * kp, keep  # M, row-major
     mid, disc = 0.5 * (a + e), 0.25 * (a - e) ** 2 + b * c
+    theta = 0.0
     if disc < 0:  # eigenvalues mid +- iw, eigenvectors (mid - e +- iw, c)
         w = math.sqrt(-disc)
         rho, V = math.hypot(mid, w), np.array([[mid - e, w], [c, 0.0]])
+        theta = math.atan2(w, mid)
+        lam = np.array([rho, rho])
     else:  # eigenvalues lam, unit eigenvectors along (lam - e, c)
         lam = mid + np.array([1.0, -1.0]) * math.sqrt(disc)
         rho, V = float(np.max(np.abs(lam))), np.array([lam - e, [c, c]])
         if rho < 1.0:  # so kp != 0, and no column is zero
             V /= np.hypot(*V)
     det = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
-    if not (rho < 1.0 and det):  # no contraction, or no eigenvector basis
-        return None
+    if not (rho < 1.0 and det and np.min(lam) > 0.0):
+        return None  # no contraction, no eigenvector basis, or oscillation
     V_inv = np.array([[V[1, 1], -V[0, 1]], [-V[1, 0], V[0, 0]]]) / det
-    grads = np.array([[1.0, 0.0], [1.0, -cfg.aeb_ttc_trigger], accel_grad,
-                      [0.0, 1.0]])
-    widths = np.sqrt(np.sum((grads @ V) ** 2, axis=1))
+    # in _settled's order: crash gap, AEB trigger, ACC cap, ACC floor, speed
+    C = np.array([[-1.0, 0.0], [-1.0, cfg.aeb_ttc_trigger], accel_grad,
+                  -accel_grad, [0.0, -1.0]])
+    G = C @ V
     drift = (8.0 * np.finfo(float).eps * math.sqrt(np.sum(V_inv ** 2))
-             * np.max(widths) / (1.0 - rho))
+             * np.max(np.hypot(G[:, 0], G[:, 1])) / (1.0 - rho))
     if not drift <= 0.1 * RETIRE_MARGIN:
         return None
-    V_inv.flags.writeable = widths.flags.writeable = False  # shared by the cache
-    return V_inv, widths
+    log_lam = np.log(lam)
+    for arr in (V_inv, G, log_lam):
+        arr.flags.writeable = False  # shared by the cache
+    return V_inv, G, log_lam, theta
 
 
-def _settled(cert, cfg, v_lead, v_f, gap, aeb_at):
-    """Rows that simulate_batch's certificate proves safe for good."""
-    V_inv, (w_crash, w_aeb, w_accel, w_speed) = cert
+def _trajectory_sup(cert, d_gap, d_v):
+    """(5, n) suprema over real t >= 0 of the certificate's functionals
+    along the unsaturated trajectories M^t d of the offsets d = (d_gap, d_v).
+    """
+    V_inv, G, (l1, l2), theta = cert
+    z0 = V_inv[0, 0] * d_gap + V_inv[0, 1] * d_v
+    z1 = V_inv[1, 0] * d_gap + V_inv[1, 1] * d_v
+    p, q = G[:, :1] * z0, G[:, 1:] * z1
+    with np.errstate(all="ignore"):
+        if theta:
+            # f(t) = A rho^t cos(alpha - t theta) peaks first at
+            # t* = ((alpha - beta) mod 2 pi) / theta, beta = atan(-ln rho / theta),
+            # with value A rho^t* cos(beta) > 0; later peaks are smaller
+            kappa = -l1 / theta
+            beta = math.atan(kappa)
+            alpha = np.arctan2(z1, z0) - np.arctan2(G[:, 1:], G[:, :1])
+            peak = (np.hypot(G[:, :1], G[:, 1:]) * np.hypot(z0, z1)
+                    * np.exp(-kappa * np.mod(alpha - beta, 2.0 * math.pi))
+                    * math.cos(beta))
+            return np.maximum(p + q, peak)
+        # f(t) = p lam_1^t + q lam_2^t is stationary at most once, and tends
+        # to 0; a NaN or non-positive t_c is replaced by 0
+        t_c = np.log(-(q * l2) / (p * l1)) / (l1 - l2)
+        t_c = np.where(t_c > 0.0, t_c, 0.0)
+        at_t_c = p * np.exp(l1 * t_c) + q * np.exp(l2 * t_c)
+        return np.maximum(np.maximum(p + q, at_t_c), 0.0)
+
+
+def _settled(cert, cfg, t, v_lead, v_f, gap, aeb_at):
+    """Rows that simulate_batch can retire with outcome 0 at time t."""
     gap_star = cfg.acc_time_gap * v_lead + STANDSTILL_MARGIN
     d_gap, d_v = gap - gap_star, v_f - v_lead
-    r = np.hypot(V_inv[0, 0] * d_gap + V_inv[0, 1] * d_v,
-                 V_inv[1, 0] * d_gap + V_inv[1, 1] * d_v)
-    slack = RETIRE_MARGIN * (1.0 + gap_star + v_lead)
-    return ((aeb_at == np.inf)
-            & (gap_star - cfg.crash_range - w_crash * r > slack)
-            & (gap_star - w_aeb * r > slack)
-            & (min(cfg.max_decel, ACC_MAX_ACCEL) - w_accel * r > slack)
-            & (v_lead - w_speed * r > slack))
+    slack = RETIRE_MARGIN * (1.0 + gap_star + v_lead + np.abs(d_gap) + np.abs(d_v))
+    crash, aeb, cap, floor, speed = _trajectory_sup(cert, d_gap, d_v) + slack
+    steady = ((aeb_at == np.inf) & (crash < gap_star - cfg.crash_range)
+              & (aeb < gap_star) & (cap < ACC_MAX_ACCEL) & (floor < cfg.max_decel)
+              & (speed < v_lead))
+    braking = (t >= aeb_at) & (v_lead - v_f >= 0.0) & (gap > cfg.crash_range)
+    return steady | braking
 
 
 def simulate(v, ttc, range_, cfg=AVConfig()):
