@@ -341,9 +341,10 @@ class TestTrajectorySup:
     @settings(max_examples=60, deadline=None)
     def test_bounds_the_stepped_map_tightly(self, cfg, d_gap, d_v):
         """The supremum over real t is at least the maximum over 20,000
-        float steps of the affine map (up to 1e-10 of the state's scale for
-        rounding, far inside RETIRE_MARGIN) and within 1e-5 of it; the
-        first peak falls inside those steps for all three configs."""
+        float steps of the affine map, up to 1e-10 of the largest
+        |functional| for rounding (far inside RETIRE_MARGIN), and exceeds
+        it by at most 1e-5 of that; the first peak falls inside those
+        steps for all three configs."""
         f = _stepped_functionals(cfg, d_gap, d_v, 20_000)
         sup = scenario._trajectory_sup(scenario._certificate(cfg),
                                        np.array([d_gap]), np.array([d_v]))
