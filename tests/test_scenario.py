@@ -335,9 +335,11 @@ def _stepped_functionals(cfg, d_gap, d_v, steps):
 
 class TestTrajectorySup:
     CONFIGS = [AVConfig(), AVConfig(dt=0.005), AVConfig(acc_speed_gain=1.0)]
+    # subnormal offsets carry no relative precision: their float steps round
+    # to zero and stall, so neither side of a relative bound means anything
+    OFFSET = st.floats(-50.0, 50.0, allow_subnormal=False)
 
-    @given(st.sampled_from(CONFIGS), st.floats(-50.0, 50.0),
-           st.floats(-50.0, 50.0))
+    @given(st.sampled_from(CONFIGS), OFFSET, OFFSET)
     @settings(max_examples=60, deadline=None)
     def test_bounds_the_stepped_map_tightly(self, cfg, d_gap, d_v):
         """The supremum over real t is at least the maximum over 20,000
