@@ -7,6 +7,7 @@ options reproduces all outputs byte-identically (the manifest's wall-clock
 field aside).
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -36,7 +37,8 @@ def _fail(code, message):
 
 
 def _write_outputs(out, files, t0):
-    """Writes files ({name: text}) and the command's manifest into out, atomically."""
+    """Writes files ({name: text}) and the command's manifest into out, each
+    file atomically but not the set; a failed write leaves no .tmp file."""
     ctx = click.get_current_context()
     files["manifest.json"] = json.dumps(
         {"command": ctx.info_name, "options": ctx.params,
@@ -46,9 +48,14 @@ def _write_outputs(out, files, t0):
         os.makedirs(out, exist_ok=True)
         for name, text in files.items():
             path = os.path.join(out, name)
-            with open(path + ".tmp", "w") as fh:
-                fh.write(text)
-            os.replace(path + ".tmp", path)
+            try:
+                with open(path + ".tmp", "w") as fh:
+                    fh.write(text)
+                os.replace(path + ".tmp", path)
+            except OSError:
+                with contextlib.suppress(OSError):  # the open may have failed
+                    os.remove(path + ".tmp")
+                raise
     except OSError as err:
         _fail(EXIT_INPUT, "cannot write --out %s: %s" % (out, err))
 
@@ -113,17 +120,15 @@ def _trace_csv(values):
     x = np.asarray(values, dtype=float)
     n = x.size
     idx = np.arange(1, n + 1)
-    csum = np.cumsum(x)
-    csq = np.cumsum(x * x)
-    mean = csum / idx
-    var = np.maximum(csq / idx - mean ** 2, 0.0)
+    if n > _TRACE_ROWS:
+        idx = np.unique(np.rint(np.geomspace(1, n, _TRACE_ROWS)).astype(int))
+    mean = np.cumsum(x)[idx - 1] / idx
+    var = np.maximum(np.cumsum(x * x)[idx - 1] / idx - mean ** 2, 0.0)
     with np.errstate(invalid="ignore"):
         se = np.sqrt(var / np.maximum(idx - 1, 1))
     se[0] = 0.0
-    if n > _TRACE_ROWS:
-        idx = np.unique(np.rint(np.geomspace(1, n, _TRACE_ROWS)).astype(int))
-    rows = ["%d,%r,%r\n" % (i, float(mean[i - 1]), float(1.96 * se[i - 1]))
-            for i in idx]
+    rows = map("%d,%r,%r\n".__mod__,
+               zip(idx.tolist(), mean.tolist(), (1.96 * se).tolist()))
     return "sample_index,running_p_hat,running_ci_half_width\n" + "".join(rows)
 
 

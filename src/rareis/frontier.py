@@ -79,17 +79,20 @@ class FrontierStore:
         return self.mask.dim
 
 
-# Rows taken per round of _minimal; 48 to 128 timed alike, and 32 slower, on
-# the inserts of the analytic and lane-change runs.
+# Rows taken per round of _minimal.  With _leq comparing contiguous columns,
+# 64 and 128 timed within 3% of each other on the inserts of tail-halfspace
+# runs, and 32 was 6-10% slower.
 _BLOCK = 64
 
 
 def _leq(A, B, strict=False):
     """(len(A), len(B)) matrix of A[i] <= B[j] (< if strict) in every coordinate."""
     op = np.less if strict else np.less_equal
-    out = op(A[:, None, 0], B[None, :, 0])
+    cols = np.ascontiguousarray(B.T)  # B's coordinates as contiguous rows
+    out = op(A[:, 0, None], cols[0])
+    scratch = np.empty_like(out)
     for k in range(1, A.shape[1]):
-        out &= op(A[:, None, k], B[None, :, k])
+        out &= op(A[:, k, None], cols[k], out=scratch)
     return out
 
 
@@ -192,9 +195,24 @@ def outer_pieces(store, cap=4096):
     return corners[np.sort(np.argsort(score, kind="stable")[:cap])], True
 
 
+def _json_list(items, level):
+    """json.dumps(list, indent=2) text, level lists deep, of encoded items."""
+    pad = "\n" + "  " * level
+    if not items:
+        return "[]"
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
 def frontier_to_json(store):
-    return json.dumps({"mask": store.mask.signs.tolist(), "s1": store.s1.tolist(),
-                       "s0": store.s0.tolist()}, sort_keys=True, indent=2)
+    """json.dumps({mask, s1, s0}, sort_keys=True, indent=2), without json's
+    pure-Python indenting encoder: finite floats encode as their repr."""
+    def rows(a):
+        cells, d = list(map(repr, a.ravel().tolist())), a.shape[1]
+        return _json_list([_json_list(cells[i:i + d], 2)
+                           for i in range(0, len(cells), d)], 1)
+    mask = _json_list(list(map(repr, store.mask.signs.tolist())), 1)
+    return '{\n  "mask": %s,\n  "s0": %s,\n  "s1": %s\n}' % (
+        mask, rows(store.s0), rows(store.s1))
 
 
 def frontier_from_json(text):

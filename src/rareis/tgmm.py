@@ -473,12 +473,13 @@ def gmm_sample(n, m, rng):
     if n < 1:
         raise ValueError("n must be >= 1")
     counts = rng.multinomial(n, m.weights)
-    parts = []
+    out = np.empty((n, m.dim))
+    end = 0
     for k, c in enumerate(m.components):
         if counts[k] > 0:
-            parts.append(sample_truncated(counts[k], c, m.support, rng,
-                                          mass=m.norm_consts[k]))
-    out = np.concatenate(parts, axis=0)
+            out[end:end + counts[k]] = sample_truncated(
+                counts[k], c, m.support, rng, mass=m.norm_consts[k])
+            end += counts[k]
     return np.take(out, rng.permutation(n), axis=0)
 
 

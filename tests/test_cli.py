@@ -586,6 +586,27 @@ def test_unusable_out_exit_2(runner, model_1d, data_csv, tmp_path, command,
     assert afile.read_text() == ""
 
 
+@pytest.mark.parametrize("failing_call", [1, 3])
+def test_failed_replace_exit_2_leaves_no_tmp(runner, model_1d, tmp_path,
+                                             monkeypatch, failing_call):
+    real, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(src)
+        if len(calls) == failing_call:
+            raise OSError("disk full")
+        real(src, dst)
+    monkeypatch.setattr(os, "replace", replace)
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["run", model_1d, "--out", str(out)]
+                      + TestRun.ARGS + ["--n", "500"])
+    assert r.exit_code == cli.EXIT_INPUT, r.output
+    assert "cannot write --out" in r.output and "Traceback" not in r.output
+    assert len(calls) == failing_call
+    assert not list(out.glob("*.tmp"))
+    assert len(os.listdir(out)) == failing_call - 1
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_manifest_records_click_options(runner, model_1d, data_csv, tmp_path,
                                         command):

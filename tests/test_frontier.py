@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -401,6 +403,45 @@ def test_json_round_trip():
     assert back.mask.signs.tolist() == [-1.0, 1.0]
     assert back.s1.tolist() == s.s1.tolist()
     assert back.s0.tolist() == s.s0.tolist()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("n1, n0", [(0, 0), (0, 3), (4, 0), (5, 7)])
+def test_json_is_indented_dumps(d, n1, n0):
+    rng = np.random.default_rng(10 * d + n1 + n0)
+    special = [-0.0, 0.0, 5e-324, -2.2e-308, 1e308, -1e308, 1.0 / 3.0]
+    s1, s0 = (rng.normal(size=(k, d)) for k in (n1, n0))
+    for a in (s1, s0):
+        a.flat[:len(special)] = special[:a.size]
+    signs = np.where(np.arange(d) % 2 == 1, -1.0, 1.0)
+    store = FrontierStore(DirectionMask(signs), s1, s0)
+    want = json.dumps({"mask": signs.tolist(), "s1": store.s1.tolist(),
+                       "s0": store.s0.tolist()}, sort_keys=True, indent=2)
+    assert frontier_to_json(store) == want
+
+
+def leq_reference(A, B, strict=False):
+    op = np.less if strict else np.less_equal
+    out = op(A[:, None, 0], B[None, :, 0])
+    for k in range(1, A.shape[1]):
+        out &= op(A[:, None, k], B[None, :, k])
+    return out
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("na, nb", [(0, 4), (5, 0), (0, 0), (1, 1), (9, 13)])
+def test_leq_matches_broadcast_reference(strict, d, na, nb):
+    # small integers make ties in single coordinates and whole rows
+    rng = np.random.default_rng(100 * d + 10 * na + nb)
+    A = rng.integers(0, 3, size=(na, d)).astype(float)
+    B = rng.integers(0, 3, size=(nb, d)).astype(float)
+    if na and nb:
+        B[0] = A[0]
+    got = frontier._leq(A, B, strict)
+    want = leq_reference(A, B, strict)
+    assert got.shape == want.shape == (na, nb)
+    assert np.array_equal(got, want)
 
 
 def test_canonicalize_involution(rng):

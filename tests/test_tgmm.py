@@ -725,6 +725,28 @@ class TestGmmSample:
         y = gmm_sample(300, m, np.random.default_rng(5))
         assert y.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bounded", [True, False])
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_matches_concatenated_parts(self, bounded, n):
+        # reference: each part's draws in a list, concatenated, then
+        # permuted; small weights leave some parts with zero rows
+        rng = np.random.default_rng(11)
+        comps = [GaussComponent(rng.uniform(0.0, 2.0, 3), np.eye(3) * s)
+                 for s in (0.3, 0.6, 1.0, 1.5, 0.8)]
+        support = (Rect([0.0, -np.inf, 0.5], [np.inf, 2.0, np.inf]) if bounded
+                   else Rect.unbounded(3))
+        m = TruncatedGMM([0.45, 1e-4, 0.3, 0.24989, 1e-5], comps, support)
+        ref = np.random.default_rng(n)
+        counts = ref.multinomial(n, m.weights)
+        assert np.any(counts == 0)
+        parts = [gauss.sample_truncated(k, c, support, ref, mass=mass)
+                 for k, c, mass in zip(counts, comps, m.norm_consts) if k > 0]
+        want = np.take(np.concatenate(parts), ref.permutation(n), axis=0)
+        got = np.random.default_rng(n)
+        y = gmm_sample(n, m, got)
+        assert y.shape == (n, 3) and y.tobytes() == want.tobytes()
+        assert got.random() == ref.random()
+
 
 class TestStandardize:
     def test_columns_standardized(self, rng):
