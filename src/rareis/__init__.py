@@ -2,15 +2,15 @@
 monotone set learning, and dominating-point importance sampling."""
 
 from .gauss import (DegenerateTruncationError, GaussComponent, Rect,
-                    log_density, log_densities, rect_prob, sample,
-                    sample_truncated, trunc_moments)
+                    log_densities, rect_prob, sample, sample_truncated,
+                    trunc_moments)
 from .tgmm import (AffineStandardizer, DyingComponentError, FitReport,
                    TruncatedGMM, bic, em_step, fit, gmm_log_density,
                    gmm_sample, model_from_json, model_to_json,
                    responsibilities, standardize)
 from .frontier import (DirectionMask, FrontierStore, NonMonotoneOutcomeError,
-                       PieceBlowupError, bound_indicators, frontier_from_json,
-                       frontier_to_json, insert, outer_pieces)
+                       PieceBlowupError, bound_indicators, frontier_to_json,
+                       insert, outer_pieces)
 from .dompoints import (DominatingPoint, SolverError, inner_dominating,
                         outer_dominating, solve_piece)
 from .accel import (EstimateReport, ProcedureState, build_is, crude_equiv_n,

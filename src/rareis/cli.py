@@ -158,7 +158,7 @@ def _load_scenario(model_path, scenario_config, analytic, analytic_params):
         try:
             params = json.loads(analytic_params) if analytic_params else {}
             base, _, mask = scenario.analytic_scenario(analytic, params)
-        except (ValueError, KeyError) as err:
+        except ValueError as err:
             _fail(EXIT_INPUT, "bad analytic scenario: %s" % err)
     else:
         try:

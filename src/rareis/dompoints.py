@@ -6,8 +6,6 @@ component's boxes are solved together by a primal active-set method run in
 lockstep, and every solution's KKT conditions are checked exactly.
 """
 
-import warnings
-
 import numpy as np
 
 from . import frontier as fr
@@ -122,12 +120,10 @@ def _dedup(points):
 def _solve_set(gmm, corners, mask, context):
     """Per-component dominating points for an array of canonical corners.
 
-    Each component's set is an (n, d) array in lexicographic row order.
+    Each component's set is an (n, d) array in lexicographic row order.  A
+    piece whose box misses the support holds no mass and is dropped.
     """
     lower, upper, nonempty = mask.boxes(corners, gmm.support)
-    for corner in corners[~nonempty]:
-        warnings.warn("%s: piece at corner %s lies outside the support; dropped"
-                      % (context, corner.tolist()))
     corners, lower, upper = corners[nonempty], lower[nonempty], upper[nonempty]
     sets = []
     for i, c in enumerate(gmm.components):
@@ -143,9 +139,10 @@ def _solve_set(gmm, corners, mask, context):
 
 
 def initial_sets(gmm):
-    """Initialization: each component contributes its own (support-clipped) mean."""
+    """Initialization: each component's set is its own (support-clipped) mean,
+    a (1, d) array."""
     lo, up = gmm.support.lower, gmm.support.upper
-    return [[np.clip(c.mean, lo, up)] for c in gmm.components]
+    return [np.clip(c.mean, lo, up)[None] for c in gmm.components]
 
 
 def inner_dominating(gmm, store):

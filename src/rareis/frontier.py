@@ -8,8 +8,6 @@ the underlying monotone set.  Coordinates are canonicalized by a sign mask
 so the set is non-decreasing internally.
 """
 
-import json
-
 import numpy as np
 
 
@@ -213,12 +211,3 @@ def frontier_to_json(store):
     mask = _json_list(list(map(repr, store.mask.signs.tolist())), 1)
     return '{\n  "mask": %s,\n  "s0": %s,\n  "s1": %s\n}' % (
         mask, rows(store.s0), rows(store.s1))
-
-
-def frontier_from_json(text):
-    doc = json.loads(text)
-    mask = DirectionMask(np.array(doc["mask"]))
-    d = mask.dim
-    s1 = np.array(doc["s1"], dtype=float).reshape(-1, d)
-    s0 = np.array(doc["s0"], dtype=float).reshape(-1, d)
-    return FrontierStore(mask, s1, s0)

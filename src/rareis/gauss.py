@@ -26,7 +26,7 @@ and its means once with the inverse factor; the (K, n) squared distances
 then follow one coordinate at a time.  Every step is an elementwise
 product or sum in a fixed order, so row i's values are bit for bit those
 of a call with row i alone, and rows go in fixed blocks at no cost in
-accuracy.  log_density is its one-component case.
+accuracy.
 """
 
 import copy
@@ -187,13 +187,6 @@ def log_densities(x, components):
             q *= -0.5
             out[ks, lo:lo + _ROW_BLOCK] = q
     return out
-
-
-def log_density(x, c):
-    """Log density of N(mean, cov) at x (vector) or each row of x (matrix)."""
-    x = np.asarray(x, dtype=float)
-    out = log_densities(np.atleast_2d(x), [c])[0]
-    return float(out[0]) if x.ndim == 1 else out
 
 
 def sample(n, c, rng):
@@ -409,9 +402,7 @@ def _rect_probs(cov, a, b):
     Exact at d <= 2, 64-point Gauss-Legendre over an exact bivariate at
     d = 3, quasi-random integration at d >= 4.
     """
-    n, d = a.shape
-    if d == 0:
-        return np.ones(n)
+    d = a.shape[1]
     s = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
     if d == 1:
         return _interval_probs(a[:, 0] / s[:, 0], b[:, 0] / s[:, 0])

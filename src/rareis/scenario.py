@@ -47,6 +47,9 @@ class AVConfig:
                 raise ValueError("AVConfig.%s must be finite" % f.name)
         if self.dt <= 0 or self.horizon < 10 * self.dt:
             raise ValueError("need dt > 0 and horizon >= 10*dt")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError("step count horizon / dt = %g / %g must be finite"
+                             % (self.horizon, self.dt))
         if not 0 < self.aeb_decel <= self.max_decel:
             raise ValueError("need 0 < aeb_decel <= max_decel")
         if self.crash_range < 0:
@@ -320,6 +323,8 @@ def _grid_truth(gmm, indicator, lo, up, steps=400):
 
 def _param(params, key, ndim):
     """params[key] as a finite number (ndim 0) or a nonempty finite 1-D vector."""
+    if key not in params:
+        raise ValueError("missing parameter %r" % key)
     try:
         v = np.asarray(params[key], dtype=float)
         ok = v.ndim == ndim and v.size > 0 and np.all(np.isfinite(v))
@@ -344,7 +349,7 @@ def analytic_scenario(kind, params):
         raise ValueError("scenario params must be a JSON object, not %s"
                          % type(params).__name__)
     if kind == "mixture-tail":
-        kind, params = "halfspace", {"w": [1.0], "gamma": params["gamma"]}
+        kind, params = "halfspace", {"w": [1.0], "gamma": _param(params, "gamma", 0)}
     if kind == "halfspace":
         w = _param(params, "w", 1)
         gamma = float(_param(params, "gamma", 0))

@@ -17,9 +17,9 @@ normalizers (rect_prob), an M-step's truncation corrections
 serves each round's pending requests of a kind with one call on all their
 components.  Those kernels are batch invariant, so every restart takes,
 bit for bit, the path it takes alone; its logsumexp, M-step, SQUAREM
-safeguard and stop rule stay its own.  A DegenerateTruncationError names
-its component: the restart that owns it receives the error with its own
-component index, and the call is repeated without that restart.
+safeguard and stop rule stay its own.  A call that raises is repeated
+once per restart, so each restart receives the error, with its own
+component index, that its own call raises.
 em_step and responsibilities are the one-model case.
 """
 
@@ -146,10 +146,9 @@ def _lockstep(y, support, tasks):
     sent the rect_prob, trunc_moments or log_densities values of its
     components, on the rows y and the rectangle support that all tasks
     share.  Each round serves the pending requests kind by kind, in the
-    order of an EM update, with one kernel call per kind.  An error that
-    names a component goes to the task that owns it and the call is
-    repeated without that task; any other error of a call with several
-    tasks repeats it for each task alone.
+    order of an EM update, with one kernel call per kind.  A call with
+    several tasks that raises is repeated for each task alone, and a task's
+    own call sends it the error.
     """
     outcomes = [None] * len(tasks)
     pending = {}
@@ -175,14 +174,11 @@ def _lockstep(y, support, tasks):
                 try:
                     values = _kernel(kind, y, support, [r for _, r in batch])
                 except Exception as err:
-                    blamed = _blame(err, [len(r[1]) for _, r in batch])
-                    if blamed is None and len(batch) > 1:
+                    if len(batch) > 1:
                         queue += [[one] for one in batch]
-                        continue
-                    j, err = blamed or (0, err)
-                    i, _ = batch.pop(j)
-                    advance(i, tasks[i].throw, err)
-                    queue.append(batch)
+                    else:
+                        (i, _), = batch
+                        advance(i, tasks[i].throw, err)
                     continue
                 for (i, _), value in zip(batch, values):
                     advance(i, tasks[i].send, value)
@@ -203,23 +199,6 @@ def _kernel(kind, y, support, requests):
     if kind == "moments":
         return list(zip(*(np.split(a, cuts) for a in out)))
     return np.split(out, cuts)
-
-
-def _blame(err, sizes):
-    """The request that err names, in a call whose requests have sizes components.
-
-    Returns the request's position and err with the request's own component
-    index, or None when err is not a DegenerateTruncationError naming one.
-    """
-    k = getattr(err, "component", None)
-    if not isinstance(err, DegenerateTruncationError) or k is None:
-        return None
-    starts = np.cumsum([0] + sizes)
-    j = int(np.searchsorted(starts, k, side="right")) - 1
-    own = DegenerateTruncationError("component %d: %s" % (
-        k - starts[j], str(err).split(": ", 1)[1]))
-    own.component = int(k - starts[j])
-    return j, own
 
 
 def _run(y, support, task):

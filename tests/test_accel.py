@@ -6,7 +6,7 @@ from rareis import accel, analytic_scenario, dompoints
 from rareis.accel import (build_is, crude_equiv_n, crude_mc, estimate,
                           likelihood_ratio, run_procedure, sample_is)
 from rareis.frontier import DirectionMask, FrontierStore, insert
-from rareis.gauss import GaussComponent, Rect, log_density, rect_prob
+from rareis.gauss import GaussComponent, Rect, log_densities, rect_prob
 from rareis.tgmm import TruncatedGMM, gmm_log_density, gmm_sample
 
 
@@ -60,7 +60,7 @@ class TestIsLogDensity:
         q = build_is(gmm, [[]], [[np.array([1.0])]], 0.0)
         x = np.array([0.7])
         c = GaussComponent([1.0], [[1.0]])
-        expected = log_density(x, c) - np.log(rect_prob([c], support)[0])
+        expected = log_densities([x], [c])[0, 0] - np.log(rect_prob([c], support)[0])
         assert gmm_log_density(x, q) == pytest.approx(expected, abs=1e-10)
 
     def test_outside_support(self):
@@ -138,7 +138,7 @@ class TestLikelihoodRatio:
         assert q.n_components == 8
 
         def trunc_dens(X, c):
-            return np.exp(log_density(X, c)) / rect_prob([c], support)[0]
+            return np.exp(log_densities(X, [c])[0]) / rect_prob([c], support)[0]
 
         X = rng.uniform(support.lower, support.upper, size=(200, 2))
         num = sum(w * trunc_dens(X, c) for w, c in zip(weights, base))

@@ -125,7 +125,7 @@ def test_criterion_4_em_parameter_recovery(truncated_2comp_2d):
 
 def _leggauss_moments(c, r, nodes=48):
     """Independent oracle: tensor Gauss-Legendre quadrature on a finite box."""
-    from rareis.gauss import log_density
+    from rareis.gauss import log_densities
     x1, w1 = np.polynomial.legendre.leggauss(nodes)
     axes, wts = [], []
     for lo, up in zip(r.lower, r.upper):
@@ -135,7 +135,7 @@ def _leggauss_moments(c, r, nodes=48):
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     wmesh = np.meshgrid(*wts, indexing="ij")
     weight = np.prod(np.stack([m.ravel() for m in wmesh], axis=1), axis=1)
-    dens = weight * np.exp(log_density(pts, c))
+    dens = weight * np.exp(log_densities(pts, [c])[0])
     z = dens.sum()
     m1 = (dens[:, None] * pts).sum(axis=0) / z
     m2 = (dens[:, None, None] * pts[:, :, None] * pts[:, None, :]).sum(axis=0) / z
@@ -212,7 +212,7 @@ def test_criterion_6_monotone_learner_exactness():
 
 
 def _grid_argmax(c, lower, upper, span=6.0, stages=4, coarse=60):
-    from rareis.gauss import log_density
+    from rareis.gauss import log_densities
     lo = np.where(np.isfinite(lower), lower, c.mean - span)
     hi = np.where(np.isfinite(upper), upper, c.mean + span)
     best = None
@@ -221,7 +221,7 @@ def _grid_argmax(c, lower, upper, span=6.0, stages=4, coarse=60):
         axes = [np.linspace(l, h, coarse) for l, h in zip(lo, hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        best = pts[np.argmax(log_density(pts, c))]
+        best = pts[np.argmax(log_densities(pts, [c])[0])]
         width = width / coarse * 4.0
         lo = np.maximum(np.where(np.isfinite(lower), lower, -np.inf),
                         best - width)

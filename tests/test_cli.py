@@ -288,6 +288,19 @@ class TestRun:
         assert "error: bad analytic scenario" in r.output
         assert "Traceback" not in r.output
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("halfspace", {"gamma": 3.0}, "w"), ("halfspace", {"w": [1.0]}, "gamma"),
+        ("orthant", {}, "corner"), ("mixture-tail", {}, "gamma")])
+    def test_missing_analytic_param_exit_2(self, runner, model_1d, tmp_path,
+                                           kind, params, key):
+        r = runner.invoke(main, ["run", model_1d, "--analytic", kind,
+                                 "--analytic-params", json.dumps(params),
+                                 "--out", str(tmp_path / "run")])
+        assert r.exit_code == cli.EXIT_INPUT
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.splitlines() == [
+            "error: bad analytic scenario: missing parameter '%s'" % key]
+
     def test_byte_identical_reruns(self, runner, model_1d, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -353,7 +366,8 @@ class TestRun:
         assert "error: 1/ttc and 1/range must be positive" in r.output
         assert "Traceback" not in r.output
 
-    @pytest.mark.parametrize("config", ['{"horizon": Infinity}', '{"dt": NaN}'])
+    @pytest.mark.parametrize("config", ['{"horizon": Infinity}', '{"dt": NaN}',
+                                        '{"dt": 1e-300, "horizon": 1e10}'])
     def test_non_finite_scenario_config_exit_2(self, runner, tmp_path, config):
         gmm = TruncatedGMM([1.0], [GaussComponent([20.0, 0.3, 0.2],
                                                   np.diag([4.0, 0.01, 0.01]))],

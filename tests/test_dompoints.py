@@ -7,7 +7,7 @@ from rareis import dompoints, gauss
 from rareis.dompoints import (SolverError, _box_qp, _dedup, _solve_set,
                               inner_dominating, outer_dominating, solve_piece)
 from rareis.frontier import DirectionMask, FrontierStore, insert, outer_pieces
-from rareis.gauss import GaussComponent, Rect, log_density
+from rareis.gauss import GaussComponent, Rect, log_densities
 from rareis.tgmm import TruncatedGMM
 
 
@@ -21,7 +21,7 @@ def grid_argmax(c, lower, upper, span=6.0, stages=3, coarse=60):
         axes = [np.linspace(l, h, coarse) for l, h in zip(lo, hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        best = pts[np.argmax(log_density(pts, c))]
+        best = pts[np.argmax(log_densities(pts, [c])[0])]
         width = width / coarse * 4.0
         lo = np.maximum(np.where(np.isfinite(lower), lower, -np.inf), best - width)
         hi = np.minimum(np.where(np.isfinite(upper), upper, np.inf), best + width)
@@ -65,11 +65,11 @@ class TestSolvePiece:
         A = rng.standard_normal((3, 3))
         c = GaussComponent(rng.normal(0, 1, 3), A @ A.T + 0.3 * np.eye(3))
         dp = solve_piece(c, [0.5, 0.0, -np.inf], [np.inf, 3.0, 1.0])
-        best = log_density(dp.point, c)
+        best = log_densities([dp.point], [c])[0, 0]
         X = np.column_stack([rng.uniform(0.5, 4, 1000),
                              rng.uniform(0.0, 3, 1000),
                              rng.uniform(-4, 1, 1000)])
-        assert np.all(best >= log_density(X, c) - 1e-9)
+        assert np.all(best >= log_densities(X, [c])[0] - 1e-9)
 
     def test_scale_equivariance(self, rng):
         c = GaussComponent([1.0, -0.5], [[2.0, 0.6], [0.6, 1.5]])
@@ -123,6 +123,14 @@ class TestDominatingSets:
         sets = outer_dominating(self.gmm(), store(s1=[[5.0, 5.0]]))
         assert np.allclose(sets[0][0], [0.0, 0.0])
         assert np.allclose(sets[1][0], [1.0, 1.0])
+
+    def test_empty_store_gives_one_row_arrays(self):
+        # like every other set: an (n, d) array per component
+        gmm = self.gmm()
+        empty = FrontierStore(DirectionMask(np.ones(2)))
+        for sets in (inner_dominating(gmm, empty), outer_dominating(gmm, empty)):
+            assert [type(s) for s in sets] == [np.ndarray, np.ndarray]
+            assert [s.tolist() for s in sets] == [[[0.0, 0.0]], [[1.0, 1.0]]]
 
     def test_identity_cov_clamp(self):
         gmm = TruncatedGMM([1.0], [GaussComponent([0.0, 0.0], np.eye(2))],

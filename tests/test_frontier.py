@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from rareis import frontier
 from rareis.frontier import (DirectionMask, FrontierStore,
                              NonMonotoneOutcomeError, PieceBlowupError,
-                             bound_indicators, frontier_from_json,
-                             frontier_to_json, insert, outer_pieces)
+                             bound_indicators, frontier_to_json, insert,
+                             outer_pieces)
 from rareis.gauss import Rect
 
 
@@ -394,15 +394,6 @@ class TestBoxes:
         assert upper.tolist() == [[1.0, 0.0], [1.0, 0.0], [1.0, -1.0]]
         # -0.0 against the support's 0.0 bounds: the support's sign survives
         assert not np.signbit(lower[0, 0]) and not np.signbit(upper[0, 1])
-
-
-def test_json_round_trip():
-    s = FrontierStore(DirectionMask([-1.0, 1.0]))
-    s = insert(s, rows((2, 3), (5, 1)), [1, 0])
-    back = frontier_from_json(frontier_to_json(s))
-    assert back.mask.signs.tolist() == [-1.0, 1.0]
-    assert back.s1.tolist() == s.s1.tolist()
-    assert back.s0.tolist() == s.s0.tolist()
 
 
 @pytest.mark.parametrize("d", range(1, 7))

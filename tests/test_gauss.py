@@ -5,7 +5,7 @@ from scipy.special import ndtr
 
 from rareis import gauss
 from rareis.gauss import (DegenerateTruncationError, GaussComponent, Rect,
-                          log_density, rect_prob, sample, sample_truncated,
+                          log_densities, rect_prob, sample, sample_truncated,
                           trunc_moments)
 
 
@@ -46,7 +46,7 @@ class TestGaussComponent:
         assert moved.chol is c.chol and moved.chol_inv is inv
         assert moved.chol.tobytes() == fresh.chol.tobytes()
         X = rng.standard_normal((50, 3))
-        assert log_density(X, moved).tobytes() == log_density(X, fresh).tobytes()
+        assert log_densities(X, [moved]).tobytes() == log_densities(X, [fresh]).tobytes()
         with pytest.raises(ValueError):
             c.moved_to([1.0, 2.0])
 
@@ -54,12 +54,12 @@ class TestGaussComponent:
 class TestLogDensity:
     def test_standard_normal_at_zero(self):
         c = GaussComponent([0.0], [[1.0]])
-        assert log_density(np.array([0.0]), c) == pytest.approx(-0.9189385332046727)
+        assert log_densities([[0.0]], [c])[0, 0] == pytest.approx(-0.9189385332046727)
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_at_mean_identity_cov(self, d):
         c = GaussComponent(np.zeros(d), np.eye(d))
-        assert log_density(np.zeros(d), c) == pytest.approx(-0.5 * d * np.log(2 * np.pi))
+        assert log_densities(np.zeros((1, d)), [c])[0, 0] == pytest.approx(-0.5 * d * np.log(2 * np.pi))
 
     def test_bivariate_hand_formula(self):
         # oracle: explicit 2x2 inverse and determinant
@@ -68,12 +68,12 @@ class TestLogDensity:
         x = np.array([1.0, 1.0])
         inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         expected = -0.5 * (2 * np.log(2 * np.pi) + np.log(3.0) + x @ inv @ x)
-        assert log_density(x, c) == pytest.approx(expected, rel=1e-12)
+        assert log_densities([x], [c])[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         c = GaussComponent([0.0, 0.0], np.eye(2))
         with pytest.raises(ValueError):
-            log_density(np.zeros(3), c)
+            log_densities(np.zeros((1, 3)), [c])
 
 
 class TestSample:
@@ -137,7 +137,7 @@ def _grid_moments_2d(c, r, hi=6.0, step=0.005):
     ys = np.arange(max(r.lower[1], -hi), min(r.upper[1], hi), step) + step / 2
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    w = np.exp(log_density(pts, c)) * step * step
+    w = np.exp(log_densities(pts, [c])[0]) * step * step
     Z = w.sum()
     m1 = (pts * w[:, None]).sum(axis=0) / Z
     m2 = (pts[:, :, None] * pts[:, None, :] * w[:, None, None]).sum(axis=0) / Z
@@ -266,7 +266,7 @@ class TestSampleTruncated:
 
 
 def test_truncated_density_normalizes_on_grid():
-    # truncated log-density = log_density - log rect_prob integrates to 1
+    # truncated log-density = log density - log rect_prob integrates to 1
     c = GaussComponent([0.3, -0.2], [[1.0, 0.4], [0.4, 0.8]])
     r = Rect([-1.0, -1.5], [2.0, 1.0])
     p = rect_prob([c], r)[0]
@@ -275,7 +275,7 @@ def test_truncated_density_normalizes_on_grid():
     ys = np.arange(r.lower[1], r.upper[1], step) + step / 2
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    mass = np.sum(np.exp(log_density(pts, c) - np.log(p))) * step * step
+    mass = np.sum(np.exp(log_densities(pts, [c])[0] - np.log(p))) * step * step
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 

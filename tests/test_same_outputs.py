@@ -150,6 +150,26 @@ def test_each_tree_builds_its_own_setup(tool, tmp_path, capsys):
         "setup differs: model.json", "toy op 0: report.json differs"]
 
 
+def test_all_workloads_of_the_change_tree(tool, tmp_path, capsys):
+    """--workload all compares each of the change tree's workloads in turn."""
+    trees = {"parent": toy_tree(tmp_path / "p", "{}"),
+             "change": toy_tree(tmp_path / "c", '{"K": 1}')}
+    for tree in trees.values():
+        with open(pathlib.Path(tree) / "bench" / "workloads.py", "a") as fh:
+            fh.write("SETUPS['other'] = toy\n")
+    assert tool.workload_names(trees["change"]) == ["toy", "other"]
+    assert tool.compare_workloads(trees, "all", 0, 1, str(tmp_path / "all")) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "setup differs: model.json", "toy op 0: report.json differs",
+        "setup differs: model.json", "other op 0: report.json differs"]
+    trees["parent"] = trees["change"]
+    assert tool.compare_workloads(trees, "all", 0, 1, str(tmp_path / "same")) == 0
+    assert tool.compare_workloads(trees, "toy", 0, 1, str(tmp_path / "one")) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "toy op 0: same (exit 0, 1 files)", "other op 0: same (exit 0, 1 files)",
+        "toy op 0: same (exit 0, 1 files)"]
+
+
 def test_compare_names_files_within_rtol(tool, tmp_path, capsys):
     """A set-up file must match byte for byte; an output that moves within
     rtol is named in the op's line, and beyond it is a difference."""

@@ -355,6 +355,13 @@ class TestTrajectorySup:
         assert np.all(sup[:, 0] <= f.max(axis=1) + 1e-5 * scale)
 
 
+# An analytic scenario's params lacking one key, and that key.
+MISSING_PARAMS = [("halfspace", {"gamma": 3.0}, "w"),
+                  ("halfspace", {"w": [1.0]}, "gamma"),
+                  ("orthant", {}, "corner"),
+                  ("mixture-tail", {}, "gamma")]
+
+
 class TestAVConfig:
     def test_json_round_trip(self):
         cfg = AVConfig(aeb_decel=7.0, dt=0.02)
@@ -369,6 +376,11 @@ class TestAVConfig:
             AVConfig(dt=-0.01)
         with pytest.raises(ValueError):
             AVConfig(aeb_decel=9.0, max_decel=8.0)
+
+    def test_step_count_must_be_finite(self):
+        with pytest.raises(ValueError, match="step count .* must be finite"):
+            AVConfig(dt=1e-300, horizon=1e10)
+        AVConfig(dt=1e-290, horizon=1e10)  # huge but finite: the caller's cost
 
     @pytest.mark.parametrize("field", [f.name for f in
                                        dataclasses.fields(AVConfig)])
@@ -471,3 +483,8 @@ class TestAnalyticScenarios:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             analytic_scenario("ellipse", {})
+
+    @pytest.mark.parametrize("kind, params, key", MISSING_PARAMS)
+    def test_missing_parameter_named(self, kind, params, key):
+        with pytest.raises(ValueError, match="missing parameter '%s'" % key):
+            analytic_scenario(kind, params)

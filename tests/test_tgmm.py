@@ -4,7 +4,7 @@ from click.testing import CliRunner
 
 from rareis import gauss, tgmm
 from rareis.cli import main
-from rareis.gauss import GaussComponent, Rect, log_density
+from rareis.gauss import GaussComponent, Rect, log_densities
 from rareis.tgmm import (AffineStandardizer, TruncatedGMM, bic, em_step, fit,
                          gmm_log_density, gmm_sample, model_from_json,
                          model_to_json, n_free_parameters, responsibilities,
@@ -39,7 +39,7 @@ class TestGmmLogDensity:
         m = single_gaussian(0.3, 1.5)
         x = np.array([0.9])
         assert gmm_log_density(x, m) == pytest.approx(
-            log_density(x, m.components[0]), abs=1e-12)
+            log_densities([x], m.components)[0, 0], abs=1e-12)
 
     def test_outside_support_sentinel(self):
         support = Rect([0.0], [np.inf])
@@ -50,7 +50,7 @@ class TestGmmLogDensity:
         comps = [GaussComponent([-1.0], [[1.0]]), GaussComponent([1.0], [[1.0]])]
         m = TruncatedGMM([0.5, 0.5], comps, Rect.unbounded(1))
         # both components contribute the same density at the midpoint
-        expected = log_density(np.array([0.0]), comps[0])
+        expected = log_densities([[0.0]], comps[:1])[0, 0]
         assert gmm_log_density(np.array([0.0]), m) == pytest.approx(expected, rel=1e-12)
 
 
@@ -618,6 +618,30 @@ class TestLockstepRestarts:
         assert outcomes[1] is got.value
         for i in (0, 2):
             assert outcomes[i][1] == clean_restarts[i][1]
+
+    def test_two_degenerate_restarts_in_one_call(self, lockstep_rows,
+                                                 clean_restarts, monkeypatch):
+        # the start models' rect_prob call holds both: its components 1
+        # (restart 0's component 1) and 2 (restart 1's component 0)
+        y, rect = lockstep_rows, PLAIN_EM_SUPPORTS["cut-in box"]
+        spoil_start_model(monkeypatch, restart=0, component=1)
+        spoil_start_model(monkeypatch, restart=1, component=0)
+        with pytest.raises(gauss.DegenerateTruncationError) as want:
+            loop_fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+        _, outcomes = watch_restarts(monkeypatch)
+        with pytest.raises(gauss.DegenerateTruncationError) as got:
+            fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+        for i, k in ((0, 1), (1, 0)):
+            child = np.random.SeedSequence(0).spawn(i + 1)[i]
+            _, comps = tgmm._init_model(y, 2, np.random.default_rng(child))
+            with pytest.raises(gauss.DegenerateTruncationError) as own:
+                gauss.rect_prob(comps, rect)
+            assert str(outcomes[i]) == str(own.value)
+            assert outcomes[i].component == own.value.component == k
+        assert outcomes[2][1] == clean_restarts[2][1]
+        assert outcomes[0] is got.value
+        assert str(got.value) == str(want.value)
+        assert got.value.component == want.value.component
 
     def test_error_naming_no_component_reruns_each_restart(
             self, lockstep_rows, clean_restarts, monkeypatch):

@@ -1,9 +1,12 @@
-"""Comparison of two commits' CLI outputs on one bench workload.
+"""Comparison of two commits' CLI outputs on one bench workload or all of them.
 
 Usage, from the repository root:
 
     python3 tools/same_outputs.py --parent HEAD~1 --change HEAD \\
         --workload tail-halfspace --ops 6 --seed 0 [--rtol 1e-12]
+
+``--workload all`` compares every workload of the change tree's
+``bench/workloads.py`` SETUPS, one after another.
 
 Both trees are extracted with ``bench_pairs.extract``. Each tree's own
 ``bench/workloads.py`` and ``src/`` build the workload's ops and set-up
@@ -19,7 +22,7 @@ Files must be byte-identical, except that with ``--rtol R`` a ``.json`` or
 ``.csv`` file may differ in its numbers, each by at most R relative, as long
 as its other text is identical; such a file is named in the op's line with
 its largest relative difference. One line is printed per set-up difference
-and per op, and the exit status is 1 if anything differs.
+and per op, and the exit status is 1 if anything differs in any workload.
 """
 
 import argparse
@@ -48,6 +51,13 @@ inputs = workloads.SETUPS[name](int(seed), work, rareis.cli.main)
 with open(out, "w") as fh:
     json.dump({"ops": [{"args": op.args, "out_dir": op.out_dir} for op in inputs.ops],
                "files": [os.path.relpath(f, work) for f in inputs.files]}, fh)
+"""
+
+_NAMES = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import workloads
+print(json.dumps(list(workloads.SETUPS)))
 """
 
 
@@ -135,6 +145,14 @@ def build_setup(tree, workload, seed, work, keep):
     return doc["ops"]
 
 
+def workload_names(tree):
+    """The names of tree's bench workloads, in SETUPS order."""
+    out = subprocess.run([sys.executable, "-c", _NAMES, os.path.join(tree, "src"),
+                          os.path.join(tree, "bench")], cwd=tree, env=_env(tree),
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out)
+
+
 def run_op(tree, op, out_dir):
     """Runs op's CLI arguments in tree, writing to out_dir; returns the exit code."""
     args = [out_dir if a == op["out_dir"] else a for a in op["args"]]
@@ -147,7 +165,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", default="HEAD~1", help="git tree-ish")
     ap.add_argument("--change", default="HEAD", help="git tree-ish")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True,
+                    help='a workload name, or "all" for every workload')
     ap.add_argument("--ops", type=int, required=True, help="ops to compare")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rtol", type=float, default=0.0,
@@ -160,9 +179,18 @@ def main(argv=None):
         for side in ("parent", "change"):
             trees[side] = os.path.join(tmp, side)
             extract(getattr(args, side), trees[side])
-        different = compare(trees, args.workload, args.seed, args.ops, tmp,
-                            args.rtol)
+        different = compare_workloads(trees, args.workload, args.seed, args.ops,
+                                      tmp, args.rtol)
     return 1 if different else 0
+
+
+def compare_workloads(trees, workload, seed, n_ops, tmp, rtol=0.0):
+    """compare on workload, or with "all" on each workload of the change
+    tree in turn, each in its own subdirectory of tmp; returns how many
+    lines report a difference."""
+    names = workload_names(trees["change"]) if workload == "all" else [workload]
+    return sum(compare(trees, name, seed, n_ops, os.path.join(tmp, name), rtol)
+               for name in names)
 
 
 def compare(trees, workload, seed, n_ops, tmp, rtol=0.0):
