@@ -92,9 +92,16 @@ def _read_csv(path, expect_header=None):
             header = [c.strip() for c in rows.pop(0)[1]]
     if not rows:
         raise ValueError("%s: no data rows" % path)
+    # numpy converts a str cell with float(); the scan below finds the
+    # first bad line, where a row is non-numeric, ragged or non-finite
+    try:
+        data = np.array([r for _, r in rows], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))[:1]
+    except ValueError:
+        bad = range(len(rows))
     width = len(rows[0][1])
-    data = []
-    for lineno, r in rows:
+    for i in bad:
+        lineno, r = rows[i]
         try:
             values = [float(c) for c in r]
         except ValueError:
@@ -104,10 +111,9 @@ def _read_csv(path, expect_header=None):
                              % (path, lineno, width))
         if not all(map(math.isfinite, values)):
             raise ValueError("%s: line %d: non-finite value" % (path, lineno))
-        data.append(values)
     if expect_header is not None and header != expect_header:
         raise ValueError("%s: expected header %s" % (path, expect_header))
-    return header, np.array(data)
+    return header, data
 
 
 # Row cap of trace.csv: a row per sample cost more than the estimate at n = 1e5.
@@ -232,6 +238,8 @@ def _parse_k_list(ctx, param, value):
     if not k_values or min(k_values) < 1:
         raise click.BadParameter("want comma-separated integers >= 1, got %r"
                                  % value)
+    if len(set(k_values)) < len(k_values):
+        raise click.BadParameter("K values must be distinct, got %r" % value)
     return k_values
 
 
@@ -293,12 +301,15 @@ def cmd_fit(csv_path, k_list, support, coords, seed, out):
         _fail(EXIT_INPUT, str(err))
     rows = []
     best = None
-    for K in k_list:
+    for K, fitted in zip(k_list, tgmm.fit_sweep(z, k_list, z_support,
+                                                init_seed=seed,
+                                                standardizer=std)):
         try:
-            model, report = tgmm.fit(z, K, z_support, init_seed=seed,
-                                     standardizer=std)
+            if isinstance(fitted, Exception):
+                raise fitted
         except (DyingComponentError, ValueError, RuntimeError) as err:
             _fail(EXIT_FIT, "fit failed at K=%d: %s" % (K, err))
+        model, report = fitted
         rows.append((K, report.bic, report.loglik_trace[-1], report.iterations))
         if best is None or report.bic < best[1]:
             best = (model, report.bic)

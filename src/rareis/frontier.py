@@ -107,8 +107,9 @@ def _minimal(P, old=None):
     block is <=, and drops the later live rows that a kept row is <=.  Last,
     the old rows that a kept row is <= go.
     """
-    old = P[:0] if old is None else old
-    live = np.flatnonzero(~_leq(old, P).any(axis=0))
+    fresh = old is None or not old.shape[0]  # no old rows to test against
+    live = (np.arange(P.shape[0]) if fresh
+            else np.flatnonzero(~_leq(old, P).any(axis=0)))
     live = live[np.lexsort(P[live].T[::-1])]
     kept = [live[:0]]
     while live.size:
@@ -118,6 +119,8 @@ def _minimal(P, old=None):
         if live.size:
             live = live[~_leq(P[kept[-1]], P[live]).any(axis=0)]
     new = P[np.sort(np.concatenate(kept))]
+    if fresh:
+        return new
     return np.concatenate([old[~_leq(new, old).any(axis=0)], new])
 
 

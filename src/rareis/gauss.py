@@ -106,6 +106,14 @@ class GaussComponent:
         self.cov = cov
         self.chol = np.linalg.cholesky(cov)
 
+    @classmethod
+    def factored(cls, mean, cov, chol):
+        """N(mean, cov) for a symmetric float cov whose lower Cholesky factor
+        chol the caller has already taken: no checks, no factorization."""
+        c = cls.__new__(cls)
+        c.mean, c.cov, c.chol = mean, cov, chol
+        return c
+
     @property
     def dim(self):
         return self.mean.size

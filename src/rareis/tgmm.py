@@ -10,17 +10,19 @@ one gauss.log_densities call, grouped by Cholesky factor (an IS proposal's
 parts share their base component's), so a row's value does not depend on
 the other rows in the call.
 
-fit runs its restarts in lockstep.  A restart's EM code is a generator
-that yields the gauss kernel calls it needs: a new or extrapolated model's
-normalizers (rect_prob), an M-step's truncation corrections
-(trunc_moments) and an E-step's log densities (log_densities).  _lockstep
-serves each round's pending requests of a kind with one call on all their
-components.  Those kernels are batch invariant, so every restart takes,
-bit for bit, the path it takes alone; its logsumexp, M-step, SQUAREM
-safeguard and stop rule stay its own.  A call that raises is repeated
-once per restart, so each restart receives the error, with its own
-component index, that its own call raises.
-em_step and responsibilities are the one-model case.
+fit_sweep runs every restart of every K of a BIC sweep in one lockstep,
+and fit is its one-K case.  A restart's EM code is a generator that yields
+the gauss kernel calls it needs: a new or extrapolated model's normalizers
+(rect_prob), an M-step's truncation corrections (trunc_moments) and an
+E-step's log densities (log_densities).  _lockstep serves each round's
+pending requests of a kind with one call on all their components, whatever
+their K.  Those kernels are batch invariant, so every restart takes, bit
+for bit, the path it takes alone; its logsumexp, M-step, SQUAREM safeguard
+and stop rule stay its own.  A call that raises is repeated once per
+restart, so each restart receives the error, with its own component index,
+that its own call raises.  em_step and responsibilities are the one-model
+case.  The M-step builds each component from the Cholesky factor that its
+covariance repair took, so no component is factored twice.
 """
 
 import json
@@ -195,10 +197,11 @@ def _kernel(kind, y, support, requests):
     else:
         out = trunc_moments(components, support,
                             mass=np.concatenate([r[2] for r in requests]))
-    cuts = np.cumsum([len(r[1]) for r in requests])[:-1]
+    ends = np.cumsum([len(r[1]) for r in requests]).tolist()
+    parts = [slice(a, b) for a, b in zip([0] + ends, ends)]
     if kind == "moments":
-        return list(zip(*(np.split(a, cuts) for a in out)))
-    return np.split(out, cuts)
+        return [(out[0][s], out[1][s]) for s in parts]
+    return [out[s] for s in parts]
 
 
 def _run(y, support, task):
@@ -245,17 +248,23 @@ def responsibilities(y, m, return_totals=False):
     return (resp, tot) if return_totals else resp
 
 
-def _spd_cholesky(cov):
-    """Cholesky with escalating diagonal jitter; returns repaired covariance."""
+def _spd_factor(cov):
+    """Cholesky with escalating diagonal jitter; returns the repaired
+    covariance and its factor."""
     cov = 0.5 * (cov + cov.T)
     step = 1e-8 * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
     for jitter in (0.0, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5):
+        repaired = cov + jitter * step
         try:
-            np.linalg.cholesky(cov + jitter * step)
-            return cov + jitter * step
+            return repaired, np.linalg.cholesky(repaired)
         except np.linalg.LinAlgError:
             pass
     raise np.linalg.LinAlgError("covariance could not be regularized to SPD")
+
+
+def _spd_cholesky(cov):
+    """Cholesky with escalating diagonal jitter; returns repaired covariance."""
+    return _spd_factor(cov)[0]
 
 
 def _em_update(y, m, resp):
@@ -275,8 +284,8 @@ def _em_update(y, m, resp):
         mu = ybar - mk[k]
         dev = y - mu
         scatter = (resp[:, k][:, None] * dev).T @ dev / nk[k]
-        cov = _spd_cholesky(scatter + (c.cov - m2[k]))
-        new_components.append(GaussComponent(mu, cov))
+        cov, chol = _spd_factor(scatter + (c.cov - m2[k]))
+        new_components.append(GaussComponent.factored(mu, cov, chol))
     return (yield from _mixture(new_w, new_components, m.support, m.standardizer))
 
 
@@ -404,6 +413,46 @@ def _restart(y, K, support, rng, standardizer, max_iter, tol):
     return cycle[-1][0], trace, converged
 
 
+def _fit_error(y, K, support):
+    """The error that fit raises for K before any EM, or None."""
+    if y.shape[0] < 10 * K:
+        return ValueError("need at least 10*K observations (heuristic floor)")
+    if not np.all(support.contains(y)):
+        return ValueError("data rows must lie inside the support")
+    return None
+
+
+def fit_sweep(y, k_list, support, init_seed=0, max_iter=500, tol=1e-7,
+              restarts=3, standardizer=None):
+    """fit(y, K, support, ...) for each K of k_list, in list order: its
+    (model, FitReport), or the error it raises.
+
+    The restarts of every K run in one lockstep (see the module docstring),
+    so a K's result is bit for bit what fit gives it alone.
+    """
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    errors = [_fit_error(y, K, support) for K in k_list]
+    runs = [[] if err else
+            [_restart(y, K, support, np.random.default_rng(child), standardizer,
+                      max_iter, tol)
+             for child in np.random.SeedSequence(init_seed).spawn(restarts)]
+            for K, err in zip(k_list, errors)]
+    outcomes = iter(_lockstep(y, support, [task for run in runs for task in run]))
+    results = []
+    for err, run in zip(errors, runs):
+        outs = [next(outcomes) for _ in run]
+        err = err or next((o for o in outs if isinstance(o, Exception)), None)
+        if err:
+            results.append(err)
+            continue
+        model, trace, converged = max(outs, key=lambda out: out[1][-1])
+        results.append((model, FitReport(trace, converged,
+                                         bic(model, y, loglik=trace[-1]))))
+    return results
+
+
 def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3,
         standardizer=None):
     """EM fit with restarts; deterministic given (y, K, init_seed, options).
@@ -411,25 +460,14 @@ def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3,
     Every third EM update starts from an extrapolation (_squarem_update);
     max_iter caps the EM updates.  The restarts run in lockstep (see the
     module docstring) and the best one is returned, the first of equals.
-    When restarts fail, the lowest-index failure is raised.
+    When restarts fail, the lowest-index failure is raised.  The one-K case
+    of fit_sweep.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    n = y.shape[0]
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if n < 10 * K:
-        raise ValueError("need at least 10*K observations (heuristic floor)")
-    if not np.all(support.contains(y)):
-        raise ValueError("data rows must lie inside the support")
-    tasks = [_restart(y, K, support, np.random.default_rng(child), standardizer,
-                      max_iter, tol)
-             for child in np.random.SeedSequence(init_seed).spawn(restarts)]
-    outcomes = _lockstep(y, support, tasks)
-    for out in outcomes:
-        if isinstance(out, Exception):
-            raise out
-    model, trace, converged = max(outcomes, key=lambda out: out[1][-1])
-    return model, FitReport(trace, converged, bic(model, y, loglik=trace[-1]))
+    out, = fit_sweep(y, [K], support, init_seed, max_iter, tol, restarts,
+                     standardizer)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def n_free_parameters(K, d):

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import math
@@ -115,6 +116,40 @@ class TestFit:
         r = runner.invoke(main, ["fit", data_csv, "--k-list", "two"])
         assert r.exit_code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("k_list", ["1,1", "2,1,2"])
+    def test_repeated_k_exit_2(self, runner, data_csv, tmp_path, k_list):
+        r = runner.invoke(main, ["fit", data_csv, "--k-list", k_list,
+                                 "--out", str(tmp_path / "fit")])
+        assert r.exit_code == cli.EXIT_INPUT
+        assert "K values must be distinct, got %r" % k_list in r.output
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("k_list, message", [
+        ("1,2,3", "K=2: component 1 weight collapsed to 0"),
+        ("1,3,2", "K=3: need at least 10*K observations (heuristic floor)")])
+    def test_first_failing_k_in_list_order_exit_3(self, runner, tmp_path,
+                                                  monkeypatch, k_list,
+                                                  message):
+        # 25 rows: K = 3 is below the 10*K floor, and every K = 2 start
+        # model has a component at -60 whose weight dies; all K share one
+        # lockstep, and the error is the first failing K's, in list order
+        path = tmp_path / "small.csv"
+        np.savetxt(path, np.random.default_rng(3).normal(size=(25, 2)),
+                   delimiter=",")
+        real = tgmm._init_model
+
+        def spoiled(y, K, rng):
+            w, comps = real(y, K, rng)
+            if K == 2:
+                comps[1] = comps[1].moved_to(np.full(y.shape[1], -60.0))
+            return w, comps
+        monkeypatch.setattr(tgmm, "_init_model", spoiled)
+        r = runner.invoke(main, ["fit", str(path), "--k-list", k_list,
+                                 "--out", str(tmp_path / "fit")])
+        assert r.exit_code == cli.EXIT_FIT
+        assert r.output == "error: fit failed at %s\n" % message
+        assert not (tmp_path / "fit").exists()
+
     def test_non_numeric_csv_exit_2(self, runner, tmp_path):
         # line numbers are the file's own, blank lines counted
         good = "1.0,2.0\n3.0,1.0\n"
@@ -170,6 +205,78 @@ class TestFit:
         assert r.exit_code == cli.EXIT_FIT
         assert ("fit failed at K=2: component 1: rectangle probability"
                 in r.output)
+
+
+def reference_read_csv(path, expect_header=None):
+    """cli._read_csv before its rows went through one numpy conversion:
+    float() on each cell, row by row."""
+    with open(path) as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
+    header = None
+    if rows:
+        try:
+            [float(c) for c in rows[0][1]]
+        except ValueError:
+            header = [c.strip() for c in rows.pop(0)[1]]
+    if not rows:
+        raise ValueError("%s: no data rows" % path)
+    width = len(rows[0][1])
+    data = []
+    for lineno, r in rows:
+        try:
+            values = [float(c) for c in r]
+        except ValueError:
+            raise ValueError("%s: line %d: non-numeric value" % (path, lineno))
+        if len(values) != width:
+            raise ValueError("%s: line %d: expected %d columns"
+                             % (path, lineno, width))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("%s: line %d: non-finite value" % (path, lineno))
+        data.append(values)
+    if expect_header is not None and header != expect_header:
+        raise ValueError("%s: expected header %s" % (path, expect_header))
+    return header, np.array(data)
+
+
+CSV_TEXTS = {
+    "blank and empty-cell lines": "a,b\n\n1.5,2\n,,\n \n-3e-5,4\n",
+    "quoted cells": '"x","y"\n"1.5","2"\n"-0.0",3\n',
+    "spaces and underscores": "1.0,2\n 1.5, 2 \n1_000,\t7\n",
+    "no header, full precision": "0.1,1e-300\n2.5e+10,%r\n" % (1 / 3),
+    "inf": "1,2\n3,inf\n",
+    "nan in the first row": "nan,1\n2,3\n",
+    "-Infinity after a blank line": "1,2\n\n-Infinity,2\n",
+    "ragged, short": "1,2\n3\n4,5\n",
+    "ragged, long": "v,w\n1,2\n3,4,5\n",
+    "empty cell": "1,2\n3,\n",
+    "non-numeric after non-finite": "1,2\n3,nan\n4,x\n",
+    "non-finite after non-numeric": "1,2\n4,x\n3,nan\n",
+    "ragged after non-finite": "1,2\ninf,2\n5\n",
+    "non-numeric in a ragged row": "1,2\nx\n",
+    "header only": "v,ttc,range\n",
+    "blank file": "\n\n",
+    "header, then a bad header-like row": "v,ttc\nv,ttc\n",
+}
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize("name", list(CSV_TEXTS))
+    @pytest.mark.parametrize("expect_header", [None, ["a", "b"]])
+    def test_matches_row_by_row_reader(self, tmp_path, name, expect_header):
+        path = tmp_path / "data.csv"
+        path.write_text(CSV_TEXTS[name])
+        try:
+            want = reference_read_csv(str(path), expect_header)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                cli._read_csv(str(path), expect_header)
+            assert str(got.value) == str(err)
+            return
+        header, data = cli._read_csv(str(path), expect_header)
+        assert header == want[0]
+        assert data.dtype == want[1].dtype and data.shape == want[1].shape
+        assert data.tobytes() == want[1].tobytes()
 
 
 class TestRun:

@@ -200,6 +200,24 @@ class TestScreeningFilter:
         assert [tuple(r) for r in got] == ordered_minima(old + new)
         assert [tuple(r) for r in frontier._minimal(P)] == ordered_minima(new)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_old_rows_keeps_the_rows_bit_for_bit(self, data):
+        # 0.0 and -0.0 compare equal, so of such rows only the first stays,
+        # with its own sign bits
+        d = data.draw(st.integers(1, 3))
+        value = st.sampled_from([0.0, -0.0, 1.0, 2.0, -np.inf])
+        P = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                        max_size=40)), dtype=float).reshape(-1, d)
+        keep = [i for i, p in enumerate(P)
+                if not any(np.all(q <= p) and (np.any(q != p) or j < i)
+                           for j, q in enumerate(P) if j != i)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frontier, "_BLOCK", data.draw(st.integers(2, 4)))
+            for got in (frontier._minimal(P), frontier._minimal(P, P[:0])):
+                assert got.shape == (len(keep), d)
+                assert got.tobytes() == P[keep].tobytes()
+
 
 def region(store, x):
     """(inner, outer) bound indicators at one point: (1, 1) is inside the

@@ -684,6 +684,59 @@ class TestLockstepRestarts:
         assert len(outcomes[0][1]) > 3
 
 
+def kill_last_component(monkeypatch, K):
+    """Moves the last component of every start model with K components to
+    (-60, -60), so far from the rows that its weight dies unless a
+    truncation to the rows' box fails first."""
+    real = tgmm._init_model
+
+    def spoiled(y, k, rng):
+        w, comps = real(y, k, rng)
+        if k == K:
+            comps[-1] = comps[-1].moved_to(np.full(y.shape[1], -60.0))
+        return w, comps
+    monkeypatch.setattr(tgmm, "_init_model", spoiled)
+
+
+class TestFitSweep:
+    @pytest.mark.parametrize("support", sorted(LOCKSTEP_SUPPORTS))
+    def test_matches_per_k_fits(self, lockstep_rows, support):
+        # fit is the one-K sweep, and test_matches_loop_fit pins it to the
+        # one-after-another reference
+        rect = LOCKSTEP_SUPPORTS[support]
+        kw = dict(init_seed=1, max_iter=LOCKSTEP_MAX_ITER)
+        k_list = [2, 1, 3]
+        got = tgmm.fit_sweep(lockstep_rows, k_list, rect, **kw)
+        for K, result in zip(k_list, got, strict=True):
+            assert_same_fit(result, fit(lockstep_rows, K, rect, **kw))
+
+    def test_failing_ks_keep_their_own_errors(self, lockstep_rows, monkeypatch):
+        # 25 rows: K = 3 is below the 10*K floor, and K = 2's last component
+        # dies in its first M-step; K = 1 still fits
+        y, rect = lockstep_rows[:25], LOCKSTEP_SUPPORTS["unbounded"]
+        kill_last_component(monkeypatch, 2)
+        k_list = [3, 1, 2]
+        got = tgmm.fit_sweep(y, k_list, rect, max_iter=LOCKSTEP_MAX_ITER)
+        assert_same_fit(got[1], fit(y, 1, rect, max_iter=LOCKSTEP_MAX_ITER))
+        for K, kind in ((3, ValueError), (2, tgmm.DyingComponentError)):
+            with pytest.raises(kind) as alone:
+                fit(y, K, rect, max_iter=LOCKSTEP_MAX_ITER)
+            err = got[k_list.index(K)]
+            assert type(err) is kind and str(err) == str(alone.value)
+        assert "10*K" in str(got[0])
+        assert str(got[2]) == "component 1 weight collapsed to 0"
+
+    def test_every_k_shares_the_kernel_calls(self, lockstep_rows, monkeypatch):
+        rect = PLAIN_EM_SUPPORTS["cut-in box"]
+        calls = count_calls(monkeypatch, "_kernel")
+        for K in (1, 2):
+            fit(lockstep_rows, K, rect, max_iter=LOCKSTEP_MAX_ITER)
+        per_k = calls["_kernel"]
+        calls["_kernel"] = 0
+        tgmm.fit_sweep(lockstep_rows, [1, 2], rect, max_iter=LOCKSTEP_MAX_ITER)
+        assert calls["_kernel"] < per_k
+
+
 class TestBic:
     def test_parameter_counts(self):
         assert n_free_parameters(1, 1) == 2
