@@ -14,8 +14,8 @@ from .frontier import (DirectionMask, FrontierStore, NonMonotoneOutcomeError,
 from .dompoints import (DominatingPoint, SolverError, inner_dominating,
                         outer_dominating, solve_piece)
 from .accel import (EstimateReport, ProcedureState, build_is, crude_equiv_n,
-                    crude_mc, estimate, likelihood_ratio, run_procedure,
-                    sample_is, thin_frontier)
+                    estimate, likelihood_ratio, run_procedure, sample_is,
+                    thin_frontier)
 from .scenario import (AVConfig, analytic_scenario, check_monotone,
                        lane_change_coords, lane_change_indicator,
                        lane_change_mask, simulate)

@@ -2,8 +2,8 @@
 
 Builds mean-shifted mixture sampling distributions from dominating-point
 sets, evaluates exact truncated likelihood ratios, and wraps everything in
-the frontier-driven construction loop plus estimators with confidence
-intervals and crude Monte Carlo comparisons.
+the frontier-driven construction loop plus one estimator with confidence
+intervals, which with the base model as its proposal is crude Monte Carlo.
 """
 
 import json
@@ -68,18 +68,21 @@ def sample_is(n, q, rng):
 
 
 class EstimateReport:
-    def __init__(self, p_hat, stderr, n_samples, max_likelihood_ratio,
-                 effective_sample_size, crude_equiv_n, zero_hits=False,
-                 method="is"):
-        self.p_hat = float(p_hat)
-        self.stderr = float(stderr)
+    """Summary of an estimate's weighted outcomes il, kept as values: each
+    draw's likelihood ratio where it hit, else 0."""
+
+    def __init__(self, il, method="is"):
+        self.values = il
+        self.n_samples = il.size
+        self.p_hat = float(il.mean())
+        self.stderr = float(il.std(ddof=1) / np.sqrt(il.size))
         self.ci95 = (self.p_hat - 1.96 * self.stderr, self.p_hat + 1.96 * self.stderr)
-        self.n_samples = int(n_samples)
-        self.max_likelihood_ratio = float(max_likelihood_ratio)
-        self.effective_sample_size = float(effective_sample_size)
-        self.crude_equiv_n = int(crude_equiv_n)
+        self.zero_hits = not np.any(il > 0)
+        self.max_likelihood_ratio = 0.0 if self.zero_hits else float(il.max())
+        self.effective_sample_size = (
+            0.0 if self.zero_hits else float(il.sum() ** 2 / np.sum(il ** 2)))
+        self.crude_equiv_n = crude_equiv_n(self.p_hat, self.stderr)
         self.bounds, self.bounds_stderr = (0.0, 1.0), None  # see estimate
-        self.zero_hits = bool(zero_hits)
         self.method = method
 
     def to_dict(self):
@@ -120,23 +123,20 @@ def crude_equiv_n(p_hat, stderr):
     return int(np.ceil(p_hat * (1.0 - p_hat) / stderr ** 2))
 
 
-def _draws(indicator, q, n, seed):
-    """(X, hits) for n draws from q and their indicator outcomes."""
-    # spawn(1)[0], not the seed itself: seeded outputs match earlier releases.
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    X = sample_is(n, q, rng)
-    return X, apply_indicator(indicator, X)
-
-
-def estimate(indicator, gmm, q, n, seed, return_values=False, frontier=None):
+def estimate(indicator, gmm, q, n, seed, frontier=None):
     """Importance-sampling estimate of P(indicator = 1) under the base model.
 
-    Given a FrontierStore, the same draws also estimate its inner and outer
+    With q the base model itself every likelihood ratio is exactly 1: this
+    is crude Monte Carlo, and the report's method reads "crude".  Given a
+    FrontierStore, the same draws also estimate its inner and outer
     probabilities (report.bounds) and must not contradict it.
     """
     if n < 100:
         raise ValueError("n must be >= 100")
-    X, hits = _draws(indicator, q, n, seed)
+    # spawn(1)[0], not the seed itself: seeded outputs match earlier releases.
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    X = sample_is(n, q, rng)
+    hits = apply_indicator(indicator, X)
     rows = hits == 1
     if frontier is not None:
         # the likelihood ratio then covers the outer rows, every hit among them
@@ -148,15 +148,8 @@ def estimate(indicator, gmm, q, n, seed, return_values=False, frontier=None):
     lr = np.zeros(n)
     if np.any(rows):
         lr[rows] = likelihood_ratio(X[rows], gmm, q)
-    il = np.where(hits == 1, lr, 0.0)
-    p_hat = float(il.mean())
-    stderr = float(il.std(ddof=1) / np.sqrt(n))
-    hits = il > 0
-    max_lr = float(il.max()) if np.any(hits) else 0.0
-    ess = float(il.sum() ** 2 / np.sum(il ** 2)) if np.any(hits) else 0.0
-    report = EstimateReport(p_hat, stderr, n, max_lr, ess,
-                            crude_equiv_n(p_hat, stderr),
-                            zero_hits=not np.any(hits), method="is")
+    report = EstimateReport(np.where(hits == 1, lr, 0.0),
+                            "crude" if q is gmm else "is")
     if frontier is not None:
         # lr is 0 outside the outer rows; an empty s1 gives exactly 0
         sides = [(min(float(v.mean()), 1.0), float(v.std(ddof=1) / np.sqrt(n)))
@@ -164,21 +157,7 @@ def estimate(indicator, gmm, q, n, seed, return_values=False, frontier=None):
         if frontier.s0.shape[0] == 0:
             sides[1] = (1.0, 0.0)
         report.bounds, report.bounds_stderr = zip(*sides)
-    return (report, il) if return_values else report
-
-
-def crude_mc(indicator, gmm, n, seed, return_values=False):
-    """Plain Monte Carlo under the base model: the hit rate, its binomial
-    stderr sqrt(p(1 - p) / n), and n as ESS and crude-equivalent n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    hits = _draws(indicator, gmm, n, seed)[1].astype(float)
-    p_hat = float(hits.mean())
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
-    report = EstimateReport(p_hat, stderr, n, 1.0 if p_hat > 0 else 0.0,
-                            float(n), n, zero_hits=p_hat == 0.0,
-                            method="crude")
-    return (report, hits) if return_values else report
+    return report
 
 
 class ProcedureState:

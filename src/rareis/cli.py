@@ -195,7 +195,7 @@ def _scenario_options(procedure):
             click.option("--analytic-params", default=None,
                          help="JSON scenario parameters."),
             click.option("--n", default=10000, show_default=True,
-                         type=click.IntRange(min=100 if procedure else 1))]
+                         type=click.IntRange(min=100))]
     if procedure:
         opts += [click.option("--n-per-iter", default=500, show_default=True,
                               type=click.IntRange(min=1)),
@@ -339,13 +339,12 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
     state, q = accel.run_procedure(ind, model, mask, n_per_iter=n_per_iter,
                                    max_iter=max_iter, max_frontier=max_frontier,
                                    final_rho=rho, seed=seed)
-    report, values = accel.estimate(ind, model, q, n, seed=seed + 1,
-                                    return_values=True,
-                                    frontier=state.frontier if bounds else None)
+    report = accel.estimate(ind, model, q, n, seed=seed + 1,
+                            frontier=state.frontier if bounds else None)
     _write_outputs(out, {"report.json": report.to_json(),
                          "frontier.json": fr.frontier_to_json(state.frontier),
                          "dominating_points.csv": _dompoints_csv(state),
-                         "trace.csv": _trace_csv(values),
+                         "trace.csv": _trace_csv(report.values),
                          "state.json": state.to_json()}, t0)
     click.echo("p_hat = %.6g  stderr = %.3g  (report: %s)"
                % (report.p_hat, report.stderr,
@@ -357,14 +356,13 @@ def cmd_run(model_path, scenario_config, analytic, analytic_params, n,
 @_out_option
 def cmd_crude(model_path, scenario_config, analytic, analytic_params, n, seed,
               out):
-    """Crude Monte Carlo baseline under the fitted model."""
+    """Crude Monte Carlo baseline: the estimate with the model as proposal."""
     t0 = time.time()
     model, ind, mask = _load_scenario(model_path, scenario_config, analytic,
                                       analytic_params)
-    report, values = accel.crude_mc(ind, model, n, seed=seed,
-                                    return_values=True)
+    report = accel.estimate(ind, model, model, n, seed)
     _write_outputs(out, {"report.json": report.to_json(),
-                         "trace.csv": _trace_csv(values)}, t0)
+                         "trace.csv": _trace_csv(report.values)}, t0)
     click.echo("p_hat = %.6g  stderr = %.3g" % (report.p_hat, report.stderr))
 
 

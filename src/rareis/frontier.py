@@ -174,7 +174,7 @@ def outer_pieces(store, cap=4096):
     n0, d = store.s0.shape
     if n0 < 1:
         raise ValueError("outer_pieces requires at least one safe frontier point")
-    if n0 * np.log(d if d > 1 else 2) > np.log(1e6) and d ** min(n0, 64) > 10 ** 6:
+    if d ** n0 > 10 ** 6:
         raise PieceBlowupError(
             "d^|s0| = %d^%d exceeds 1e6; reduce |s0| (frontier stop criterion)"
             % (d, n0))

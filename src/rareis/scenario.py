@@ -9,6 +9,7 @@ estimation machinery.
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -43,7 +44,11 @@ class AVConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError("AVConfig.%s must be a number, not %s"
+                                 % (f.name, type(value).__name__))
+            if not math.isfinite(value):
                 raise ValueError("AVConfig.%s must be finite" % f.name)
         if self.dt <= 0 or self.horizon < 10 * self.dt:
             raise ValueError("need dt > 0 and horizon >= 10*dt")
@@ -65,6 +70,9 @@ class AVConfig:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("AVConfig must be a JSON object, not %s"
+                             % type(doc).__name__)
         names = {f.name for f in fields(cls)}
         unknown = set(doc) - names
         if unknown:
@@ -98,7 +106,8 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
     _certificate refuses configs whose contraction is too slow for that.
     A row whose AEB is engaged retires once range_rate >= 0 and the gap is
     above crash_range: v_f can only fall, so range_rate and the gap can only
-    rise, and float rounding is monotone, so the gap never shrinks.
+    rise, and float rounding is monotone, so the gap never shrinks.  That
+    rule needs no certificate, so it holds for every config.
     """
     v_lead, ttc, gap = (np.array(a, dtype=float, ndmin=1) for a in (v, ttc, range_))
     if np.any(ttc <= 0) or np.any(gap <= 0):
@@ -114,7 +123,7 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
         for step in range(int(round(cfg.horizon / cfg.dt))):
             crashed = gap <= cfg.crash_range
             done = crashed
-            if cert is not None and step % CHECK_EVERY == 0:
+            if step % CHECK_EVERY == 0:
                 done = crashed | _settled(cert, cfg, t, v_lead, v_f, gap, aeb_at)
             if np.count_nonzero(done):
                 out[rows[crashed]] = 1
@@ -223,7 +232,11 @@ def _trajectory_sup(cert, d_gap, d_v):
 
 
 def _settled(cert, cfg, t, v_lead, v_f, gap, aeb_at):
-    """Rows that simulate_batch can retire with outcome 0 at time t."""
+    """Rows that simulate_batch can retire with outcome 0 at time t; without
+    a certificate only braking ones."""
+    braking = (t >= aeb_at) & (v_lead - v_f >= 0.0) & (gap > cfg.crash_range)
+    if cert is None:
+        return braking
     gap_star = cfg.acc_time_gap * v_lead + STANDSTILL_MARGIN
     d_gap, d_v = gap - gap_star, v_f - v_lead
     slack = RETIRE_MARGIN * (1.0 + gap_star + v_lead + np.abs(d_gap) + np.abs(d_v))
@@ -231,7 +244,6 @@ def _settled(cert, cfg, t, v_lead, v_f, gap, aeb_at):
     steady = ((aeb_at == np.inf) & (crash < gap_star - cfg.crash_range)
               & (aeb < gap_star) & (cap < ACC_MAX_ACCEL) & (floor < cfg.max_decel)
               & (speed < v_lead))
-    braking = (t >= aeb_at) & (v_lead - v_f >= 0.0) & (gap > cfg.crash_range)
     return steady | braking
 
 

@@ -262,11 +262,6 @@ def _spd_factor(cov):
     raise np.linalg.LinAlgError("covariance could not be regularized to SPD")
 
 
-def _spd_cholesky(cov):
-    """Cholesky with escalating diagonal jitter; returns repaired covariance."""
-    return _spd_factor(cov)[0]
-
-
 def _em_update(y, m, resp):
     """The EM update of m, a lockstep task; resp must be responsibilities(y, m)."""
     n = y.shape[0]
@@ -333,8 +328,9 @@ def _init_model(y, K, rng):
     """Weights and components of a restart's start model."""
     means = _kmeanspp_means(y, K, rng)
     pooled = np.cov(y, rowvar=False, bias=True).reshape(y.shape[1], y.shape[1])
-    pooled = _spd_cholesky(pooled / K)
-    return np.full(K, 1.0 / K), [GaussComponent(mu, pooled.copy()) for mu in means]
+    cov, chol = _spd_factor(pooled / K)
+    return (np.full(K, 1.0 / K),
+            [GaussComponent.factored(mu, cov, chol) for mu in means])
 
 
 def _scored(y, m):

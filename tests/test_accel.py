@@ -3,8 +3,8 @@ import pytest
 from scipy.special import ndtr
 
 from rareis import accel, analytic_scenario, dompoints
-from rareis.accel import (build_is, crude_equiv_n, crude_mc, estimate,
-                          likelihood_ratio, run_procedure, sample_is)
+from rareis.accel import (build_is, crude_equiv_n, estimate, likelihood_ratio,
+                          run_procedure, sample_is)
 from rareis.frontier import DirectionMask, FrontierStore, insert
 from rareis.gauss import GaussComponent, Rect, log_densities, rect_prob
 from rareis.tgmm import TruncatedGMM, gmm_log_density, gmm_sample
@@ -239,8 +239,9 @@ class TestEstimate:
         assert a.to_json() == b.to_json()
 
     def test_draws_are_child_zero_of_the_seed(self):
-        """Both estimators average over gmm_sample(n, proposal, rng) with rng
-        from child 0 of SeedSequence(seed); another stream fails this."""
+        """The estimate averages over gmm_sample(n, proposal, rng) with rng
+        from child 0 of SeedSequence(seed), for an IS proposal and for the
+        base model; another stream fails this."""
         gmm, ind, _, q, _ = tail_setup(gamma=2.0)
         n, seed = 3000, 12
 
@@ -260,7 +261,7 @@ class TestEstimate:
                                            rel=1e-12)
         _, hit = draws(gmm)
         assert 10 < hit.sum() < n
-        assert crude_mc(ind, gmm, n, seed=seed).p_hat == hit.mean()
+        assert estimate(ind, gmm, gmm, n, seed=seed).p_hat == hit.mean()
 
     def test_minimum_n(self):
         gmm, ind, _, q, _ = tail_setup()
@@ -272,13 +273,13 @@ class TestCrudeMc:
     def test_constant_indicator(self):
         gmm = gauss1d()
         one = lambda X: np.ones(np.atleast_2d(X).shape[0], dtype=int)
-        rep = crude_mc(one, gmm, 1000, seed=0)
+        rep = estimate(one, gmm, gmm, 1000, seed=0)
         assert rep.p_hat == 1.0 and rep.stderr == 0.0
 
     def test_median_set(self):
         gmm = gauss1d()
         ind, _, _ = analytic_scenario("halfspace", {"w": [1.0], "gamma": 0.0})
-        rep = crude_mc(ind, gmm, 100_000, seed=2)
+        rep = estimate(ind, gmm, gmm, 100_000, seed=2)
         assert abs(rep.p_hat - 0.5) < 0.005
 
     def test_cross_check_with_is_at_base(self):
@@ -288,9 +289,28 @@ class TestCrudeMc:
         a = [[c.mean.copy()] for c in gmm.components]
         q = build_is(gmm, a, a, 0.0)
         r1 = estimate(ind, gmm, q, 50_000, seed=4)
-        r2 = crude_mc(ind, gmm, 50_000, seed=5)
+        r2 = estimate(ind, gmm, gmm, 50_000, seed=5)
         joint = np.hypot(r1.stderr, r2.stderr)
         assert abs(r1.p_hat - r2.p_hat) < 3 * joint
+
+    def test_base_model_proposal_is_crude(self):
+        """With q the base model every likelihood ratio is exactly 1, so the
+        values are the hits and the ESS is their count."""
+        gmm = two_comp()
+        ind, _, _ = analytic_scenario("halfspace", {"w": [1.0, 1.0],
+                                                    "gamma": 4.0})
+        n, seed = 5000, 7
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        hits = ind(gmm_sample(n, gmm, np.random.default_rng(child)))
+        assert 10 < hits.sum() < n
+        rep = estimate(ind, gmm, gmm, n, seed=seed)
+        assert rep.method == "crude"
+        assert rep.max_likelihood_ratio == 1.0
+        assert rep.values.dtype == float
+        assert np.array_equal(rep.values, hits.astype(float))
+        assert rep.effective_sample_size == hits.sum()
+        assert rep.stderr == rep.values.std(ddof=1) / np.sqrt(n)
+        assert not rep.zero_hits
 
 
 class TestCrudeEquivN:
@@ -446,10 +466,9 @@ class TestBoundProbabilities:
         store = insert(FrontierStore(mask), pts, ind(pts))
         q = build_is(gmm, dompoints.inner_dominating(gmm, store),
                      dompoints.outer_dominating(gmm, store), 0.5)
-        plain, il = estimate(ind, gmm, q, 5000, 3, return_values=True)
-        rep, il_b = estimate(ind, gmm, q, 5000, 3, return_values=True,
-                             frontier=store)
-        assert np.array_equal(il, il_b)
+        plain = estimate(ind, gmm, q, 5000, 3)
+        rep = estimate(ind, gmm, q, 5000, 3, frontier=store)
+        assert np.array_equal(plain.values, rep.values)
         doc, doc_b = plain.to_dict(), rep.to_dict()
         assert "bounds_stderr" not in doc
         for k in ("bounds", "bounds_stderr"):

@@ -491,6 +491,33 @@ class TestRun:
         assert "must be finite" in r.output
         assert "Traceback" not in r.output
 
+    @pytest.mark.parametrize("command", ["run", "crude"])
+    @pytest.mark.parametrize("config,message", [
+        ('"abc"', "AVConfig must be a JSON object, not str"),
+        ("[1]", "AVConfig must be a JSON object, not list"),
+        ("null", "AVConfig must be a JSON object, not NoneType"),
+        ("5", "AVConfig must be a JSON object, not int"),
+        ('{"dt": true}', "AVConfig.dt must be a number, not bool"),
+        ('{"horizon": "15"}', "AVConfig.horizon must be a number, not str"),
+        ('{"aeb_decel": null}', "AVConfig.aeb_decel must be a number, not NoneType"),
+        ('{"max_decel": [8.0]}', "AVConfig.max_decel must be a number, not list")])
+    def test_malformed_scenario_config_exit_2(self, runner, tmp_path, command,
+                                              config, message):
+        model = tmp_path / "model.json"
+        model.write_text(tgmm.model_to_json(TruncatedGMM(
+            [1.0], [GaussComponent([20.0, 0.3, 0.2], np.diag([4.0, 0.01, 0.01]))],
+            Rect.unbounded(3))))
+        cfg = tmp_path / "av.json"
+        cfg.write_text(config)
+        r = runner.invoke(main, [command, str(model), "--scenario-config",
+                                 str(cfg), "--n", "100",
+                                 "--out", str(tmp_path / "out")])
+        assert r.exit_code == cli.EXIT_INPUT
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.splitlines() == [
+            "error: cannot load scenario config: " + message]
+        assert not (tmp_path / "out").exists()
+
     def test_non_monotone_exit_4(self, runner, model_1d, monkeypatch):
         def boom(*a, **kw):
             raise NonMonotoneOutcomeError(np.array([0.5]), np.array([1.0]))
@@ -587,15 +614,13 @@ class TestTrace:
                                            ("crude", 20000)])
     def test_checkpoint_rows(self, runner, model_1d, tmp_path, monkeypatch,
                              command, n):
-        name = "estimate" if command == "run" else "crude_mc"
-        real, values = getattr(accel, name), []
+        real, values = accel.estimate, []
 
         def spy(*args, **kwargs):
-            result = real(*args, **kwargs)
-            if kwargs.get("return_values"):
-                values.append(result[1])
-            return result
-        monkeypatch.setattr(accel, name, spy)
+            report = real(*args, **kwargs)
+            values.append(report.values)
+            return report
+        monkeypatch.setattr(accel, "estimate", spy)
         args = TestRun.ARGS if command == "run" else self.CRUDE_ARGS
         out = tmp_path / "out"
         r = runner.invoke(main, [command, model_1d, "--out", str(out)] + args
@@ -655,7 +680,8 @@ BAD_OPTIONS = {
             ("--bound-n", "99"), ("--bound-n", "-5"), ("--n-per-iter", "0"),
             ("--rho", "2"), ("--rho", "-0.1"), ("--seed", "-1"),
             ("--max-frontier", "-3"), ("--n", "99")],
-    "crude": [("--seed", "-1"), ("--workers", "1"), ("--n", "0")],
+    "crude": [("--seed", "-1"), ("--workers", "1"), ("--n", "0"),
+              ("--n", "99")],
     "fit": [("--seed", "-1"), ("--k-list", "0"), ("--k-list", "-1")],
 }
 
@@ -688,7 +714,7 @@ def test_unusable_out_exit_2(runner, model_1d, data_csv, tmp_path, command,
     are parsed, before any fit, procedure or sampling runs."""
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
-    for module, name in [(accel, "run_procedure"), (accel, "crude_mc"),
+    for module, name in [(accel, "run_procedure"), (accel, "estimate"),
                          (tgmm, "fit")]:
         monkeypatch.setattr(module, name, must_not_run)
     afile = tmp_path / "afile"

@@ -303,6 +303,22 @@ class TestOuterPieces:
         with pytest.raises(PieceBlowupError):
             outer_pieces(s)
 
+    @pytest.mark.parametrize("d,largest", [(10, 6), (3, 12), (2, 19)])
+    def test_blowup_bound_is_d_to_the_s0(self, d, largest):
+        """d^|s0| <= 1e6 passes and one more safe point raises; equal safe
+        points keep the enumeration itself at d corners."""
+        mask = DirectionMask(np.ones(d))
+        corners, _ = outer_pieces(FrontierStore(mask, s0=np.zeros((largest, d))))
+        assert corners.shape == (d, d)
+        with pytest.raises(PieceBlowupError, match=r"d\^\|s0\| = %d\^%d exceeds"
+                           % (d, largest + 1)):
+            outer_pieces(FrontierStore(mask, s0=np.zeros((largest + 1, d))))
+
+    def test_blowup_bound_never_binds_at_d_1(self):
+        store = FrontierStore(DirectionMask([1.0]), s0=np.zeros((199, 1)))
+        corners, _ = outer_pieces(store)
+        assert corners.tolist() == [[0.0]]
+
     def test_cap_truncation_flag(self, rng):
         s = FrontierStore(DirectionMask([1.0, 1.0, 1.0]))
         P = np.array([[float(i), float(8 - i), float((3 * i) % 7)] for i in range(8)])

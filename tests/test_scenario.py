@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ class TestRetirement:
         AVConfig(acc_spacing_gain=0.0, crash_range=3.0)],
         ids=["zero_gains", "zero_spacing_gain"])
     def test_config_without_certificate(self, cfg, checks):
-        """An eigenvalue at 1: no certificate, every row runs to the end."""
+        """An eigenvalue at 1: no certificate, so only braking rows retire."""
         assert scenario._certificate(cfg) is None
         rng = np.random.default_rng(4)
         n = 200
@@ -240,7 +241,8 @@ class TestRetirement:
         expected = _oracle(v, ttc, range_, cfg)
         assert 0.05 * n < expected.sum() < 0.95 * n
         assert np.array_equal(simulate_batch(v, ttc, range_, cfg), expected)
-        assert checks == []
+        assert sum(np.count_nonzero(done) for _, done in checks) > 0
+        assert all(np.all(np.isfinite(aeb_at[done])) for aeb_at, done in checks)
 
     def test_overdamped_config(self, checks):
         """(kp h + kv)^2 > 4 kp: M has two real eigenvalues."""
@@ -370,6 +372,20 @@ class TestAVConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             AVConfig.from_json('{"aeb_decel": 7.0, "turbo": true}')
+
+    @pytest.mark.parametrize("text,message", [
+        ('"abc"', "a JSON object, not str"), ("[1]", "a JSON object, not list"),
+        ("null", "a JSON object, not NoneType"), ("5", "a JSON object, not int"),
+        ('{"dt": true}', "AVConfig.dt must be a number, not bool"),
+        ('{"dt": "0.01"}', "AVConfig.dt must be a number, not str"),
+        ('{"horizon": null}', "AVConfig.horizon must be a number, not NoneType"),
+        ('{"crash_range": [3]}', "AVConfig.crash_range must be a number, not list")])
+    def test_malformed_json_rejected(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AVConfig.from_json(text)
+
+    def test_integer_fields_accepted(self):
+        assert AVConfig.from_json('{"horizon": 15, "dt": 1e-2}') == AVConfig()
 
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):

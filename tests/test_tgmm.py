@@ -221,11 +221,11 @@ class TestEmStep:
     def test_spd_cholesky_tries_every_jitter(self):
         # the jitters run 1e-8..1e-3 times the mean diagonal (about 5e-9 to
         # 5e-4 here): only the largest one lifts an eigenvalue of -1e-4
-        repaired = tgmm._spd_cholesky(np.diag([1.0, -1e-4]))
+        repaired = tgmm._spd_factor(np.diag([1.0, -1e-4]))[0]
         assert np.all(np.linalg.eigvalsh(repaired) > 0)
         assert repaired[1, 1] == pytest.approx(-1e-4 + 1e-3 * (1 - 1e-4) / 2)
         with pytest.raises(np.linalg.LinAlgError, match="regularized to SPD"):
-            tgmm._spd_cholesky(np.diag([1.0, -1e-2]))
+            tgmm._spd_factor(np.diag([1.0, -1e-2]))[0]
 
     def test_dying_component_error(self, rng):
         comps = [GaussComponent([0.0], [[1.0]]), GaussComponent([500.0], [[1.0]])]
