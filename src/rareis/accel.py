@@ -51,14 +51,14 @@ def build_is(gmm, a_inner, a_outer, rho):
 
 
 def likelihood_ratio(x, gmm, q):
-    """dF/dF* at x; exact for the truncated densities on both sides."""
+    """dF/dF* at the (n, d) rows x, as (n,); exact for the truncated densities
+    on both sides."""
     ratio = np.exp(gmm_log_density(x, gmm) - gmm_log_density(x, q))
-    bad = np.flatnonzero(~np.isfinite(np.atleast_1d(ratio)))
+    bad = np.flatnonzero(~np.isfinite(ratio))
     if bad.size:
         raise ValueError("non-finite likelihood ratio (support mismatch) in %d "
                          "rows, first bad row %d of the %d given: x=%s"
-                         % (bad.size, bad[0], np.size(ratio),
-                            np.atleast_2d(x)[bad[0]].tolist()))
+                         % (bad.size, bad[0], ratio.size, x[bad[0]].tolist()))
     return ratio
 
 
@@ -140,7 +140,7 @@ def estimate(indicator, gmm, q, n, seed, frontier=None):
     rows = hits == 1
     if frontier is not None:
         # the likelihood ratio then covers the outer rows, every hit among them
-        inner, rows = (f(X) == 1 for f in fr.bound_indicators(frontier))
+        inner, rows = fr.bound_indicators(frontier, X)
         bad = np.flatnonzero((inner & (hits == 0)) | (~rows & (hits == 1)))
         if bad.size:
             # the store holds no conflict, so insert raises for this draw

@@ -302,8 +302,7 @@ def cmd_fit(csv_path, k_list, support, coords, seed, out):
     rows = []
     best = None
     for K, fitted in zip(k_list, tgmm.fit_sweep(z, k_list, z_support,
-                                                init_seed=seed,
-                                                standardizer=std)):
+                                                init_seed=seed)):
         try:
             if isinstance(fitted, Exception):
                 raise fitted
@@ -318,6 +317,7 @@ def cmd_fit(csv_path, k_list, support, coords, seed, out):
     w.writerow(["K", "bic", "loglik", "iterations"])
     for K, b, ll, it in rows:
         w.writerow([K, repr(float(b)), repr(float(ll)), it])
+    best[0].standardizer = std
     _write_outputs(out, {"bic.csv": buf.getvalue(),
                          "model.json": tgmm.model_to_json(best[0])}, t0)
     click.echo("best K = %d (bic table: %s)"

@@ -149,19 +149,12 @@ def insert(store, X, hits):
     return FrontierStore(store.mask, s1, s0)
 
 
-def bound_indicators(store):
-    """Cheap inner/outer indicator functions with inner <= outer pointwise.
-
-    Both map an (n, d) matrix to (n,) values in {0, 1}.
-    """
-    def inner_fn(X):
-        return _leq(store.s1, store.mask.canonicalize(X)).any(axis=0).astype(int)
-
-    def outer_fn(X):
-        Z = store.mask.canonicalize(X)
-        return (~_leq(Z, store.s0, strict=True).any(axis=1)).astype(int)
-
-    return inner_fn, outer_fn
+def bound_indicators(store, X):
+    """(n,) boolean masks of the (n, d) draws X inside the inner and the
+    outer approximation; inner implies outer."""
+    Z = store.mask.canonicalize(X)
+    return (_leq(store.s1, Z).any(axis=0),
+            ~_leq(Z, store.s0, strict=True).any(axis=1))
 
 
 def outer_pieces(store, cap=4096):
@@ -204,13 +197,16 @@ def _json_list(items, level):
     return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
 
 
+def _json_rows(a):
+    """_json_list text, one level deep, of the (n, d) array a's rows."""
+    cells, d = list(map(repr, a.ravel().tolist())), a.shape[1]
+    return _json_list([_json_list(cells[i:i + d], 2)
+                       for i in range(0, len(cells), d)], 1)
+
+
 def frontier_to_json(store):
     """json.dumps({mask, s1, s0}, sort_keys=True, indent=2), without json's
     pure-Python indenting encoder: finite floats encode as their repr."""
-    def rows(a):
-        cells, d = list(map(repr, a.ravel().tolist())), a.shape[1]
-        return _json_list([_json_list(cells[i:i + d], 2)
-                           for i in range(0, len(cells), d)], 1)
     mask = _json_list(list(map(repr, store.mask.signs.tolist())), 1)
     return '{\n  "mask": %s,\n  "s0": %s,\n  "s1": %s\n}' % (
-        mask, rows(store.s0), rows(store.s1))
+        mask, _json_rows(store.s0), _json_rows(store.s1))

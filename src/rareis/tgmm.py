@@ -74,11 +74,14 @@ def standardize(y):
 class TruncatedGMM:
     """Mixture of rectangle-truncated Gaussians with cached normalizers."""
 
-    def __init__(self, weights, components, support, standardizer=None):
-        self._assign(weights, components, support, standardizer)
+    # model.json's AffineStandardizer, set by cli.cmd_fit and model_from_json
+    standardizer = None
+
+    def __init__(self, weights, components, support):
+        self._assign(weights, components, support)
         self.norm_consts = rect_prob(self.components, support)
 
-    def _assign(self, weights, components, support, standardizer):
+    def _assign(self, weights, components, support):
         """Checks and sets everything but the normalizers."""
         weights = np.asarray(weights, dtype=float)
         if abs(weights.sum() - 1.0) > 1e-10 or np.any(weights <= 0):
@@ -91,7 +94,6 @@ class TruncatedGMM:
         self.weights = weights
         self.components = list(components)
         self.support = support
-        self.standardizer = standardizer
 
     @property
     def dim(self):
@@ -128,16 +130,16 @@ def _logsumexp(a):
         return shift + np.log(total)
 
 
-def gmm_log_density(x, m):
-    """Log mixture density; -inf outside the support."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
+def gmm_log_density(X, m):
+    """(n,) log mixture densities at the (n, d) rows X; -inf outside the support."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != m.dim:
+        raise ValueError("want (n, %d) rows; got shape %s" % (m.dim, X.shape))
     out = np.full(X.shape[0], -np.inf)
     inside = m.support.contains(X)
     if np.any(inside):
         out[inside] = _logsumexp(_log_joint(log_densities(X[inside], m.components), m))
-    return float(out[0]) if single else out
+    return out
 
 
 def _lockstep(y, support, tasks):
@@ -212,10 +214,10 @@ def _run(y, support, task):
     return out
 
 
-def _mixture(weights, components, support, standardizer):
-    """TruncatedGMM(weights, components, support, standardizer), a lockstep task."""
+def _mixture(weights, components, support):
+    """TruncatedGMM(weights, components, support), a lockstep task."""
     m = TruncatedGMM.__new__(TruncatedGMM)
-    m._assign(weights, components, support, standardizer)
+    m._assign(weights, components, support)
     m.norm_consts = yield "mass", m.components
     return m
 
@@ -281,7 +283,7 @@ def _em_update(y, m, resp):
         scatter = (resp[:, k][:, None] * dev).T @ dev / nk[k]
         cov, chol = _spd_factor(scatter + (c.cov - m2[k]))
         new_components.append(GaussComponent.factored(mu, cov, chol))
-    return (yield from _mixture(new_w, new_components, m.support, m.standardizer))
+    return (yield from _mixture(new_w, new_components, m.support))
 
 
 def em_step(y, m, resp=None):
@@ -353,7 +355,7 @@ def _from_params(m, t):
         raise DyingComponentError("extrapolated weights %s" % w)
     comps = [GaussComponent(mu, cov)
              for mu, cov in zip(means.reshape(K, d), covs.reshape(K, d, d))]
-    return (yield from _mixture(w / w.sum(), comps, m.support, m.standardizer))
+    return (yield from _mixture(w / w.sum(), comps, m.support))
 
 
 def _s3_step_length(r, v):
@@ -388,9 +390,9 @@ def _squarem_update(y, s0, s1, s2):
     return (yield from _scored(y, m))
 
 
-def _restart(y, K, support, rng, standardizer, max_iter, tol):
+def _restart(y, K, support, rng, max_iter, tol):
     """One restart of fit, a lockstep task: (model, loglik trace, converged)."""
-    m = yield from _mixture(*_init_model(y, K, rng), support, standardizer)
+    m = yield from _mixture(*_init_model(y, K, rng), support)
     cycle = [(yield from _scored(y, m))]
     trace = [cycle[0][2]]
     converged = False
@@ -419,7 +421,7 @@ def _fit_error(y, K, support):
 
 
 def fit_sweep(y, k_list, support, init_seed=0, max_iter=500, tol=1e-7,
-              restarts=3, standardizer=None):
+              restarts=3):
     """fit(y, K, support, ...) for each K of k_list, in list order: its
     (model, FitReport), or the error it raises.
 
@@ -431,8 +433,7 @@ def fit_sweep(y, k_list, support, init_seed=0, max_iter=500, tol=1e-7,
         raise ValueError("restarts must be >= 1")
     errors = [_fit_error(y, K, support) for K in k_list]
     runs = [[] if err else
-            [_restart(y, K, support, np.random.default_rng(child), standardizer,
-                      max_iter, tol)
+            [_restart(y, K, support, np.random.default_rng(child), max_iter, tol)
              for child in np.random.SeedSequence(init_seed).spawn(restarts)]
             for K, err in zip(k_list, errors)]
     outcomes = iter(_lockstep(y, support, [task for run in runs for task in run]))
@@ -449,8 +450,7 @@ def fit_sweep(y, k_list, support, init_seed=0, max_iter=500, tol=1e-7,
     return results
 
 
-def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3,
-        standardizer=None):
+def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3):
     """EM fit with restarts; deterministic given (y, K, init_seed, options).
 
     Every third EM update starts from an extrapolation (_squarem_update);
@@ -459,8 +459,7 @@ def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3,
     When restarts fail, the lowest-index failure is raised.  The one-K case
     of fit_sweep.
     """
-    out, = fit_sweep(y, [K], support, init_seed, max_iter, tol, restarts,
-                     standardizer)
+    out, = fit_sweep(y, [K], support, init_seed, max_iter, tol, restarts)
     if isinstance(out, Exception):
         raise out
     return out
@@ -527,7 +526,9 @@ def model_from_json(text):
                    _decode_bounds(doc["support"]["upper"]))
     comps = [GaussComponent(np.array(c["mean"]), np.array(c["cov"]))
              for c in doc["components"]]
+    m = TruncatedGMM(np.array(doc["weights"]), comps, support)
     std = doc.get("standardizer")
-    standardizer = (None if std is None else
-                    AffineStandardizer(np.array(std["shift"]), np.array(std["scale"])))
-    return TruncatedGMM(np.array(doc["weights"]), comps, support, standardizer)
+    if std is not None:
+        m.standardizer = AffineStandardizer(np.array(std["shift"]),
+                                            np.array(std["scale"]))
+    return m

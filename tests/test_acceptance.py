@@ -204,11 +204,11 @@ def test_criterion_6_monotone_learner_exactness():
             truth = lambda X: (np.atleast_2d(X) @ w >= thresh).astype(int)
             pts = rng.uniform(0, 4, size=(300, d))
             s = insert(FrontierStore(DirectionMask(np.ones(d))), pts, truth(pts))
-            inner_fn, outer_fn = bound_indicators(s)
             X = rng.uniform(0, 4, size=(10_000, d))
+            inner, outer = bound_indicators(s, X)
             t = truth(X)
-            assert np.all(inner_fn(X) <= t), "inner violation, set %d" % rep
-            assert np.all(t <= outer_fn(X)), "outer violation, set %d" % rep
+            assert np.all(inner <= t), "inner violation, set %d" % rep
+            assert np.all(t <= outer), "outer violation, set %d" % rep
 
 
 def _grid_argmax(c, lower, upper, span=6.0, stages=4, coarse=60):

@@ -222,8 +222,8 @@ class TestScreeningFilter:
 def region(store, x):
     """(inner, outer) bound indicators at one point: (1, 1) is inside the
     inner set, (0, 0) outside the outer set, (0, 1) between them."""
-    inner_fn, outer_fn = bound_indicators(store)
-    return int(inner_fn(x[None])[0]), int(outer_fn(x[None])[0])
+    inner, outer = bound_indicators(store, x[None])
+    return int(inner[0]), int(outer[0])
 
 
 class TestClassify:
@@ -288,12 +288,12 @@ class TestOuterPieces:
         s = FrontierStore(DirectionMask(np.ones(d)))
         s = insert(s, rng.uniform(0, 3, size=(6, d)), np.zeros(6))
         corners, _ = outer_pieces(s)
-        _, outer_fn = bound_indicators(s)
         X = rng.uniform(-1, 4, size=(10_000, d))
+        _, outer = bound_indicators(s, X)
         in_union = np.zeros(X.shape[0], dtype=bool)
         for c in corners:
             in_union |= np.all(X >= c, axis=1)
-        assert np.array_equal(in_union.astype(int), outer_fn(X))
+        assert np.array_equal(in_union.astype(int), outer)
 
     def test_blowup_error(self):
         s = FrontierStore(DirectionMask([1.0, 1.0]))
@@ -344,22 +344,21 @@ class TestOuterPieces:
 
 class TestBoundIndicators:
     def test_empty_store_vacuous(self):
-        inner_fn, outer_fn = bound_indicators(store2d())
         x = np.array([0.3, -1.0])
-        assert inner_fn(x[None])[0] == 0 and outer_fn(x[None])[0] == 1
+        inner, outer = bound_indicators(store2d(), x[None])
+        assert inner[0] == 0 and outer[0] == 1
 
     def test_inner_rare_point(self):
         s = insert(store2d(), rows((1, 1)), [1])
-        inner_fn, outer_fn = bound_indicators(s)
         x = np.array([2.0, 2.0])
-        assert (inner_fn(x[None])[0], outer_fn(x[None])[0]) == (1, 1)
+        inner, outer = bound_indicators(s, x[None])
+        assert (inner[0], outer[0]) == (1, 1)
 
     def test_grid_agreement_with_set_formulas(self, rng):
         for d in range(2, 7):
             s = FrontierStore(DirectionMask(np.ones(d)))
             s = insert(s, rng.uniform(2, 4, size=(5, d)), np.ones(5))
             s = insert(s, rng.uniform(0, 2, size=(5, d)), np.zeros(5))
-            inner_fn, outer_fn = bound_indicators(s)
             X = rng.uniform(-1, 5, size=(10_000, d))
             # the outer test is strict: draws just below safe points, some
             # of their coordinates set exactly on the safe point's
@@ -368,11 +367,12 @@ class TestBoundIndicators:
             on = rng.random(base.shape) < 0.3
             edge[on] = base[on]
             X = np.vstack([X, edge, s.s0, s.s1])
+            inner, outer = bound_indicators(s, X)
             inner_direct = np.array([int(np.any(np.all(x >= s.s1, axis=1))) for x in X])
             outer_direct = np.array([int(not np.any(np.all(x < s.s0, axis=1))) for x in X])
-            assert np.array_equal(inner_fn(X), inner_direct)
-            assert np.array_equal(outer_fn(X), outer_direct)
-            assert np.all(inner_fn(X) <= outer_fn(X))
+            assert np.array_equal(inner, inner_direct)
+            assert np.array_equal(outer, outer_direct)
+            assert np.all(inner <= outer)
             assert 0 < outer_direct[10_000:12_000].sum() < 2000
 
 
@@ -387,11 +387,11 @@ class TestSandwich:
         s = FrontierStore(DirectionMask(np.ones(d)))
         pts = rng.uniform(0, 4, size=(300, d))
         s = insert(s, pts, truth(pts))
-        inner_fn, outer_fn = bound_indicators(s)
         X = rng.uniform(0, 4, size=(10_000, d))
+        inner, outer = bound_indicators(s, X)
         t = truth(X)
-        assert np.all(inner_fn(X) <= t)
-        assert np.all(t <= outer_fn(X))
+        assert np.all(inner <= t)
+        assert np.all(t <= outer)
 
 
 class TestBoxes:

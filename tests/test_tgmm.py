@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -38,20 +40,27 @@ class TestGmmLogDensity:
     def test_single_component_unbounded(self):
         m = single_gaussian(0.3, 1.5)
         x = np.array([0.9])
-        assert gmm_log_density(x, m) == pytest.approx(
+        assert gmm_log_density(x[None], m)[0] == pytest.approx(
             log_densities([x], m.components)[0, 0], abs=1e-12)
 
     def test_outside_support_sentinel(self):
         support = Rect([0.0], [np.inf])
         m = TruncatedGMM([1.0], [GaussComponent([1.0], [[1.0]])], support)
-        assert gmm_log_density(np.array([-0.5]), m) == -np.inf
+        assert gmm_log_density(np.array([[-0.5]]), m)[0] == -np.inf
 
     def test_symmetric_two_component(self):
         comps = [GaussComponent([-1.0], [[1.0]]), GaussComponent([1.0], [[1.0]])]
         m = TruncatedGMM([0.5, 0.5], comps, Rect.unbounded(1))
         # both components contribute the same density at the midpoint
         expected = log_densities([[0.0]], comps[:1])[0, 0]
-        assert gmm_log_density(np.array([0.0]), m) == pytest.approx(expected, rel=1e-12)
+        assert gmm_log_density(np.array([[0.0]]), m)[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1,), (), (3, 2), (2, 1, 1)])
+    def test_other_shapes_name_the_shape(self, shape):
+        # (n, d) rows only: no scalar form, whatever the model's dimension
+        with pytest.raises(ValueError, match=r"want \(n, 1\) rows; got shape %s"
+                           % re.escape(str(shape))):
+            gmm_log_density(np.zeros(shape), single_gaussian(0.0, 1.0))
 
 
 def random_components(rng, d, n_factors, per_factor):
@@ -108,7 +117,7 @@ class TestLogDensityKernel:
         assert gmm_log_density(X[:7], m).tobytes() == full[:7].tobytes()
         assert gmm_log_density(X[::-1], m).tobytes() == full[::-1].tobytes()
         for i in range(20):
-            assert gmm_log_density(X[i], m) == full[i]
+            assert gmm_log_density(X[i:i + 1], m)[0] == full[i]
             assert gmm_log_density(X[i:i + 1], m).tobytes() == full[i:i + 1].tobytes()
         ld = gauss.log_densities(X, comps)
         for k in (0, 5, 11):
@@ -503,17 +512,18 @@ def assert_same_fit(got, want):
 
 
 def watch_restarts(monkeypatch):
-    """Gives restart i's models their own standardizer tags[i] and records
-    each restart's outcome, (model, trace, converged) or its error."""
+    """Gives restart i's models their own support tags[i], a Rect equal to
+    the fit's, and records each restart's outcome, (model, trace, converged)
+    or its error."""
     tags, outcomes = [], []
     real = tgmm._restart
 
-    def watched(y, K, support, rng, standardizer, *args):
+    def watched(y, K, support, rng, *args):
         i = len(tags)
-        tags.append(AffineStandardizer(np.zeros(y.shape[1]), np.ones(y.shape[1])))
+        tags.append(Rect(support.lower, support.upper))
         outcomes.append(None)
         try:
-            outcomes[i] = yield from real(y, K, support, rng, tags[i], *args)
+            outcomes[i] = yield from real(y, K, tags[i], rng, *args)
         except Exception as err:
             outcomes[i] = err
             raise
@@ -671,7 +681,7 @@ class TestLockstepRestarts:
         real, updates, fail_at = tgmm._em_update, [0, 0, 0], {1: 2, 2: 1}
 
         def failing(y, m, resp):
-            i = tags.index(m.standardizer)
+            i = tags.index(m.support)
             updates[i] += 1
             if updates[i] == fail_at.get(i):
                 return far
@@ -876,8 +886,8 @@ class TestSerialization:
     def test_standardizer_preserved(self, truncated_2comp_2d):
         m = TruncatedGMM(truncated_2comp_2d.weights,
                          truncated_2comp_2d.components,
-                         truncated_2comp_2d.support,
-                         AffineStandardizer([1.0, 2.0], [3.0, 4.0]))
+                         truncated_2comp_2d.support)
+        m.standardizer = AffineStandardizer([1.0, 2.0], [3.0, 4.0])
         back = model_from_json(model_to_json(m))
         assert np.allclose(back.standardizer.shift, [1.0, 2.0])
         assert np.allclose(back.standardizer.scale, [3.0, 4.0])
