@@ -146,7 +146,9 @@ def estimate(indicator, gmm, q, n, seed, frontier=None):
             # the store holds no conflict, so insert raises for this draw
             fr.insert(frontier, X[bad[:1]], hits[bad[:1]])
     lr = np.zeros(n)
-    if np.any(rows):
+    if q is gmm:
+        lr[rows] = 1.0  # what exp(a - a) gives, at no density evaluation
+    elif np.any(rows):
         lr[rows] = likelihood_ratio(X[rows], gmm, q)
     report = EstimateReport(np.where(hits == 1, lr, 0.0),
                             "crude" if q is gmm else "is")

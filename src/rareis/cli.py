@@ -195,16 +195,27 @@ def _scenario_options(procedure):
             click.option("--analytic-params", default=None,
                          help="JSON scenario parameters."),
             click.option("--n", default=10000, show_default=True,
-                         type=click.IntRange(min=100))]
+                         type=click.IntRange(min=100),
+                         help="Draws of the final estimate.")]
     if procedure:
         opts += [click.option("--n-per-iter", default=500, show_default=True,
-                              type=click.IntRange(min=1)),
+                              type=click.IntRange(min=1),
+                              help="Draws per iteration of the IS construction."),
                  click.option("--max-iter", default=4, show_default=True,
-                              type=click.IntRange(min=1)),
+                              type=click.IntRange(min=1),
+                              help="Iterations of the IS construction."),
                  click.option("--max-frontier", default=12, show_default=True,
-                              type=click.IntRange(min=1)),
+                              type=click.IntRange(min=1),
+                              help="Cap on the rare and on the safe frontier "
+                                   "points that the dominating sets are "
+                                   "solved on; frontier.json keeps every "
+                                   "point."),
                  click.option("--rho", default=0.0, show_default=True,
-                              type=click.FloatRange(0.0, 1.0))]
+                              type=click.FloatRange(0.0, 1.0),
+                              help="Inner-set share of the final estimate's "
+                                   "proposal only; the construction's own "
+                                   "iterations use 0, then 0.5 once a rare "
+                                   "point is seen.")]
     opts += [click.option("--seed", default=0, show_default=True,
                           type=click.IntRange(min=0))]
 

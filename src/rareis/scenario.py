@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .frontier import DirectionMask
-from .gauss import GaussComponent, Rect, rect_prob
+from .gauss import Rect, rect_prob
 from .tgmm import gmm_log_density
 
 # desired standstill gap for the cruise controller, m

@@ -37,6 +37,10 @@ class DyingComponentError(RuntimeError):
     """A mixture weight collapsed below the viability floor."""
 
 
+class _ZeroDensityError(ValueError):
+    """A row has zero density under every component: the log-likelihood is -inf."""
+
+
 class AffineStandardizer:
     """Per-coordinate shift/scale map z = (y - shift) / scale."""
 
@@ -231,7 +235,8 @@ def _e_step(y, m):
     tot = _logsumexp(ld)
     if not np.all(np.isfinite(tot)):
         bad = int(np.flatnonzero(~np.isfinite(tot))[0])
-        raise ValueError("row %d has zero density under every component" % bad)
+        raise _ZeroDensityError("row %d has zero density under every component"
+                                % bad)
     ld -= tot
     return np.exp(ld, out=ld).T, tot
 
@@ -391,7 +396,11 @@ def _squarem_update(y, s0, s1, s2):
 
 
 def _restart(y, K, support, rng, max_iter, tol):
-    """One restart of fit, a lockstep task: (model, loglik trace, converged)."""
+    """One restart of fit, a lockstep task: (model, loglik trace, converged).
+
+    A row of zero density after an update is reported as a non-finite
+    log-likelihood; any other error is raised as it is.
+    """
     m = yield from _mixture(*_init_model(y, K, rng), support)
     cycle = [(yield from _scored(y, m))]
     trace = [cycle[0][2]]
@@ -403,7 +412,7 @@ def _restart(y, K, support, rng, max_iter, tol):
                 cycle.append((yield from _scored(y, m)))
             else:
                 cycle = [(yield from _squarem_update(y, *cycle))]
-        except ValueError as err:
+        except _ZeroDensityError as err:
             raise RuntimeError("non-finite log-likelihood at iteration %d: %s"
                                % (len(trace), err))
         trace.append(cycle[-1][2])
@@ -521,14 +530,25 @@ def model_to_json(m):
 
 
 def model_from_json(text):
+    """The model of model_to_json's text.  Raises ValueError unless the
+    weights, means and covariances are finite, and the standardizer's shift
+    and scale, if any, are finite d-vectors."""
     doc = json.loads(text)
     support = Rect(_decode_bounds(doc["support"]["lower"]),
                    _decode_bounds(doc["support"]["upper"]))
-    comps = [GaussComponent(np.array(c["mean"]), np.array(c["cov"]))
-             for c in doc["components"]]
-    m = TruncatedGMM(np.array(doc["weights"]), comps, support)
+    weights = np.array(doc["weights"], dtype=float)
+    means, covs = ([np.array(c[key], dtype=float) for c in doc["components"]]
+                   for key in ("mean", "cov"))
+    if not all(np.all(np.isfinite(a)) for a in [weights, *means, *covs]):
+        raise ValueError("weights, means and covariances must be finite")
+    m = TruncatedGMM(weights, list(map(GaussComponent, means, covs)), support)
     std = doc.get("standardizer")
     if std is not None:
-        m.standardizer = AffineStandardizer(np.array(std["shift"]),
-                                            np.array(std["scale"]))
+        shift, scale = (np.array(std[key], dtype=float)
+                        for key in ("shift", "scale"))
+        if not (shift.shape == scale.shape == (m.dim,)
+                and np.all(np.isfinite([shift, scale]))):
+            raise ValueError("standardizer shift and scale must be finite "
+                             "%d-vectors" % m.dim)
+        m.standardizer = AffineStandardizer(shift, scale)
     return m

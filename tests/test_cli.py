@@ -188,6 +188,26 @@ class TestFit:
         assert r.exit_code == cli.EXIT_FIT
         assert "non-finite log-likelihood" in r.output
 
+    def test_unrepairable_covariance_exit_3(self, runner, data_csv,
+                                            monkeypatch):
+        # calls 1-3 factor the three restarts' start covariances; call 4,
+        # restart 0's first M-step, raises as if no jitter repaired it
+        real, calls = tgmm._spd_factor, []
+
+        def failing(cov):
+            calls.append(cov)
+            if len(calls) == 4:
+                raise np.linalg.LinAlgError(
+                    "covariance could not be regularized to SPD")
+            return real(cov)
+        monkeypatch.setattr(tgmm, "_spd_factor", failing)
+        r = runner.invoke(main, ["fit", data_csv, "--k-list", "2"])
+        assert r.exit_code == cli.EXIT_FIT
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == ("error: fit failed at K=2: covariance could not "
+                            "be regularized to SPD\n")
+        assert "non-finite log-likelihood" not in r.output
+
     def test_degenerate_restart_exit_3(self, runner, data_csv, monkeypatch):
         # restart 1's start model puts component 1 where the support has no
         # mass; the error names that component, not its place in the
@@ -442,9 +462,25 @@ class TestRun:
     def test_corrupt_model_exit_2(self, runner, model_1d, tmp_path):
         doc = json.loads(open(model_1d).read())
         zero_mass = dict(doc, support={"lower": [40.0], "upper": ["inf"]})
+        comp = doc["components"][0]
+        # a 2-D model, whose standardizer must hold two entries per vector
+        doc_2d = json.loads(tgmm.model_to_json(TruncatedGMM(
+            [1.0], [GaussComponent([0.0, 0.0], np.eye(2))], Rect.unbounded(2))))
+        nan, inf = float("nan"), float("inf")
         path = tmp_path / "corrupt.json"
         for text in ["{not json", json.dumps(dict(doc, components=5)),
-                     json.dumps([doc]), json.dumps(zero_mass)]:
+                     json.dumps([doc]), json.dumps(zero_mass),
+                     json.dumps(dict(doc, weights=[nan])),
+                     json.dumps(dict(doc, components=[dict(comp, mean=[nan])])),
+                     json.dumps(dict(doc, components=[dict(comp, cov=[[inf]])])),
+                     json.dumps(dict(doc, standardizer={"shift": [0.0],
+                                                        "scale": [inf]})),
+                     json.dumps(dict(doc, standardizer={"shift": [nan],
+                                                        "scale": [1.0]})),
+                     json.dumps(dict(doc_2d, standardizer={"shift": [0.0],
+                                                           "scale": [1.0]})),
+                     json.dumps(dict(doc_2d, standardizer={
+                         "shift": [0.0] * 3, "scale": [1.0] * 3}))]:
             path.write_text(text)
             for command in ("run", "crude"):
                 r = runner.invoke(main, [command, str(path), "--analytic",
@@ -669,6 +705,29 @@ class TestCrude:
             outs.append(out)
         assert filecmp.cmp(outs[0] / "report.json", outs[1] / "report.json",
                            shallow=False)
+
+    def test_no_likelihood_ratio(self, runner, model_1d, tmp_path,
+                                 monkeypatch):
+        # with the model as its own proposal each hit's ratio is 1.0, given
+        # without a density evaluation; run's estimate still makes the call
+        real, calls = accel.likelihood_ratio, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(accel, "likelihood_ratio", spy)
+        out = tmp_path / "crude"
+        r = runner.invoke(main, ["crude", model_1d, "--out", str(out)]
+                          + TestTrace.CRUDE_ARGS)
+        assert r.exit_code == 0, r.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["method"] == "crude" and not report["zero_hits"]
+        assert report["max_likelihood_ratio"] == 1.0
+        assert calls == []
+        r = runner.invoke(main, ["run", model_1d, "--out", str(tmp_path / "run")]
+                          + TestRun.ARGS)
+        assert r.exit_code == 0, r.output
+        assert len(calls) == 1
 
 
 COMMANDS = sorted(main.commands)

@@ -1,0 +1,40 @@
+import ast
+import pathlib
+
+import pytest
+
+import rareis
+
+PACKAGE = pathlib.Path(rareis.__file__).parent
+# __init__.py's imports are the package's exports
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """(line, name) of each name the module imports and never reads, except
+    on lines marked "# noqa: F401"."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append((node.lineno, name))
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_finds_unused_and_honours_noqa():
+    source = ("import os\nimport numpy as np\nfrom . import a, b as c\n"
+              "from .d import e  # noqa: F401\nnp.zeros(c)\n")
+    assert unused_imports(source) == [(1, "os"), (3, "a")]

@@ -478,7 +478,7 @@ def loop_restart(y, K, support, rng, max_iter, tol):
                 cycle.append(loop_scored(y, em_step(y, *cycle[-1][:2])))
             else:
                 cycle = [loop_squarem_update(y, *cycle)]
-        except ValueError as err:
+        except tgmm._ZeroDensityError as err:
             raise RuntimeError("non-finite log-likelihood at iteration %d: %s"
                                % (len(trace), err))
         trace.append(cycle[-1][2])
