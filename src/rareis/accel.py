@@ -11,10 +11,11 @@ import json
 import numpy as np
 
 from . import dompoints, frontier as fr
+from .gauss import log_densities
 # rect_prob stays bound here: bench/test_bench.py checks that the tracer
 # rebinds it at accel.rect_prob.
 from .gauss import rect_prob  # noqa: F401
-from .tgmm import TruncatedGMM, gmm_log_density, gmm_sample
+from .tgmm import TruncatedGMM, gmm_log_density, gmm_sample, log_mixture
 
 
 def build_is(gmm, a_inner, a_outer, rho):
@@ -38,10 +39,11 @@ def build_is(gmm, a_inner, a_outer, rho):
         for i, pts in enumerate(a_outer):
             for p in pts:
                 parts.append(((1.0 - rho) * gmm.weights[i] / len(pts), p, i))
-    for _, mean, _ in parts:
-        if not gmm.support.contains(mean):
-            raise ValueError("IS part mean %s lies outside the support"
-                             % np.asarray(mean).tolist())
+    means = np.array([mean for _, mean, _ in parts], dtype=float)
+    outside = np.flatnonzero(~gmm.support.contains(means))
+    if outside.size:
+        raise ValueError("IS part mean %s lies outside the support"
+                         % means[outside[0]].tolist())
     # Python sum, not a numpy reduction: the multinomial draws in sample_is
     # depend on the last bits of these weights.
     total = sum(w for w, _, _ in parts)
@@ -52,8 +54,18 @@ def build_is(gmm, a_inner, a_outer, rho):
 
 def likelihood_ratio(x, gmm, q):
     """dF/dF* at the (n, d) rows x, as (n,); exact for the truncated densities
-    on both sides."""
-    ratio = np.exp(gmm_log_density(x, gmm) - gmm_log_density(x, q))
+    on both sides.
+
+    One log_densities call serves both mixtures, so a base component and
+    its proposal parts whiten x once; that kernel is batch invariant in the
+    components, so each side's values are bit for bit gmm_log_density's.
+    """
+    x = np.asarray(x, dtype=float)
+    k = gmm.n_components
+    ld = log_densities(x, gmm.components + q.components)
+    ratio = log_mixture(ld[:k], gmm, x)
+    ratio -= log_mixture(ld[k:], q, x)
+    np.exp(ratio, out=ratio)
     bad = np.flatnonzero(~np.isfinite(ratio))
     if bad.size:
         raise ValueError("non-finite likelihood ratio (support mismatch) in %d "
@@ -150,8 +162,9 @@ def estimate(indicator, gmm, q, n, seed, frontier=None):
         lr[rows] = 1.0  # what exp(a - a) gives, at no density evaluation
     elif np.any(rows):
         lr[rows] = likelihood_ratio(X[rows], gmm, q)
-    report = EstimateReport(np.where(hits == 1, lr, 0.0),
-                            "crude" if q is gmm else "is")
+    # without a frontier the rows are the hits, and lr is 0 elsewhere
+    il = lr if frontier is None else np.where(hits == 1, lr, 0.0)
+    report = EstimateReport(il, "crude" if q is gmm else "is")
     if frontier is not None:
         # lr is 0 outside the outer rows; an empty s1 gives exactly 0
         sides = [(min(float(v.mean()), 1.0), float(v.std(ddof=1) / np.sqrt(n)))

@@ -149,12 +149,29 @@ def insert(store, X, hits):
     return FrontierStore(store.mask, s1, s0)
 
 
+# Draws per block of bound_indicators.  Its _leq matrices hold the draws
+# along rows: numpy compares a row against a broadcast scalar about 7 times
+# faster per entry once the row has 2,731 entries or more (numpy 2.4, timed
+# on 356 x 1,024..8,192).
+_DRAWS = 4096
+
+
 def bound_indicators(store, X):
     """(n,) boolean masks of the (n, d) draws X inside the inner and the
-    outer approximation; inner implies outer."""
+    outer approximation; inner implies outer.
+
+    A draw z is inside the inner one when some rare point is <= z, and
+    outside the outer one when z < some safe point s, that is -s < -z, in
+    every coordinate.  The draws go in blocks of _DRAWS rows.
+    """
     Z = store.mask.canonicalize(X)
-    return (_leq(store.s1, Z).any(axis=0),
-            ~_leq(Z, store.s0, strict=True).any(axis=1))
+    inner, outer = np.empty((2, Z.shape[0]), dtype=bool)
+    neg = -store.s0
+    for lo in range(0, Z.shape[0], _DRAWS):
+        z = Z[lo:lo + _DRAWS]
+        inner[lo:lo + _DRAWS] = _leq(store.s1, z).any(axis=0)
+        outer[lo:lo + _DRAWS] = _leq(neg, -z, strict=True).any(axis=0)
+    return inner, np.logical_not(outer, out=outer)
 
 
 def outer_pieces(store, cap=4096):

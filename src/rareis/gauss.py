@@ -27,6 +27,10 @@ then follow one coordinate at a time.  Every step is an elementwise
 product or sum in a fixed order, so row i's values are bit for bit those
 of a call with row i alone, and rows go in fixed blocks at no cost in
 accuracy.
+
+No function here consumes its arguments.  sample and sample_truncated
+write their draws into the caller's out array when one is given, and the
+kernels work in place only on arrays they allocate themselves.
 """
 
 import copy
@@ -63,18 +67,32 @@ class Rect:
             raise ValueError("require lower[i] < upper[i] for all i")
         self.lower = lower
         self.upper = upper
+        self._unbounded = bool(np.all(np.isneginf(lower)) and np.all(np.isposinf(upper)))
 
     @property
     def dim(self):
         return self.lower.size
 
     def is_unbounded(self):
-        return bool(np.all(np.isneginf(self.lower)) and np.all(np.isposinf(self.upper)))
+        return self._unbounded
 
     def contains(self, x):
-        """Pointwise membership; x may be a vector or an (n, d) matrix."""
+        """Pointwise membership; x may be a vector or an (n, d) matrix.
+
+        Compares one column at a time, with no (n, d) temporaries; a NaN
+        coordinate is outside, whatever the bounds.
+        """
         x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lower) & (x <= self.upper), axis=-1)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError("want points of dimension %d; got shape %s"
+                             % (self.dim, x.shape))
+        cols = x.T
+        ok = cols[0] >= self.lower[0]
+        ok &= cols[0] <= self.upper[0]
+        for j in range(1, self.dim):
+            ok &= cols[j] >= self.lower[j]
+            ok &= cols[j] <= self.upper[j]
+        return ok
 
     @classmethod
     def unbounded(cls, d):
@@ -197,12 +215,13 @@ def log_densities(x, components):
     return out
 
 
-def sample(n, c, rng):
-    """n i.i.d. draws from N(mean, cov) via mean + chol @ z."""
+def sample(n, c, rng, out=None):
+    """n i.i.d. draws from N(mean, cov) via mean + chol @ z, written into
+    out, an (n, d) array, when given."""
     if n < 1:
         raise ValueError("n must be >= 1")
     z = rng.standard_normal((n, c.dim))
-    return c.mean + z @ c.chol.T
+    return np.add(c.mean, z @ c.chol.T, out=out)
 
 
 _sobol_cache = {}
@@ -279,7 +298,10 @@ def _bvnu(h, k, r):
         q = 1 / (1 - sn * sn)
         hk = np.where(neg[mid], -h1 * k1, h1 * k1)[..., None]
         hs = ((h1 * h1 + k1 * k1) / 2)[..., None]
-        f = (np.einsum("gmi,i->gm", np.exp((hk * sn - hs) * q), w)
+        t = hk * sn                            # (g, m, 20), worked in place
+        t -= hs
+        t *= q
+        f = (np.einsum("gmi,i->gm", np.exp(t, out=t), w)
              * asr / (4 * np.pi))
         out[mid] = np.where(neg[mid], -f, f) + ndtr(-h1) * ndtr(-k1)
     near = ~mid
@@ -304,10 +326,26 @@ def _bvnu(h, k, r):
         xs = ((a * _GL20_AT) ** 2)[:, None, :]
         rs = np.sqrt(1 - xs)
         hk, bs, c, d = hk[..., None], bs[..., None], c[..., None], d[..., None]
-        ep = np.exp(-hk * xs / (2 * (1 + rs) ** 2)) / rs
-        sp = 1 + c * xs * (1 + d * xs)
-        bvn += a / 2 * np.einsum("gmi,i->gm",
-                                 np.exp(-(bs / xs + hk) / 2) * (ep - sp), w)
+        # the (g, m, 20) node terms, worked in place:
+        # exp(-(bs / xs + hk) / 2) * (ep - sp), with
+        # ep = exp(-hk xs / (2 (1 + rs)^2)) / rs and sp = 1 + c xs (1 + d xs)
+        ep = -hk * xs
+        ep /= 2 * (1 + rs) ** 2
+        np.exp(ep, out=ep)
+        ep /= rs
+        sp = d * xs
+        sp += 1
+        t = np.multiply(c, xs)
+        sp *= t
+        sp += 1
+        ep -= sp
+        np.divide(bs, xs, out=t)
+        t += hk
+        np.negative(t, out=t)
+        t /= 2
+        np.exp(t, out=t)
+        t *= ep
+        bvn += a / 2 * np.einsum("gmi,i->gm", t, w)
         bvn = np.where(sing, 0.0, -bvn / (2 * np.pi))
         lower = np.where(h1 < 0, ndtr(k1) - ndtr(h1), ndtr(-h1) - ndtr(-k1))
         out[near] = np.where(neg1, np.maximum(lower, 0.0) - bvn,
@@ -569,24 +607,25 @@ def trunc_moments(components, r, mass=None):
     return _trunc_moments_zero(covs, r.lower - means, r.upper - means, mass)
 
 
-def sample_truncated(n, c, r, rng, mass=None):
+def sample_truncated(n, c, r, rng, mass=None, out=None):
     """Rejection sampling of N(mean, cov) conditioned on the rectangle.
 
     Plain rejection; viable only while the acceptance probability stays
     above ~1e-8, and given up after 10,000 batches.  Callers with thinner
     regions must reparameterize.  mass, when given, must be
-    rect_prob([c], r)[0]; it spares that integral.
+    rect_prob([c], r)[0]; it spares that integral.  The draws are written
+    into out, an (n, d) array, when given.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if r.is_unbounded():
-        return sample(n, c, rng)
+        return sample(n, c, rng, out)
     p = rect_prob([c], r)[0] if mass is None else mass
     if p < 1e-8:
         raise DegenerateTruncationError(
             "acceptance rate estimate %.3g below 1e-8: degenerate truncation; "
             "reparameterize instead of rejection sampling" % p)
-    out = np.empty((n, c.dim))
+    out = np.empty((n, c.dim)) if out is None else out
     filled = 0
     batch = max(int(1.5 * n / p), n)
     batch = min(batch, 10_000_000)

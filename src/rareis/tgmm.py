@@ -8,7 +8,10 @@ ordinary GMM M-step.
 Mixture densities and the E-step take all components' log densities from
 one gauss.log_densities call, grouped by Cholesky factor (an IS proposal's
 parts share their base component's), so a row's value does not depend on
-the other rows in the call.
+the other rows in the call.  log_mixture and _logsumexp consume the (K, n)
+matrix they are given: they work in its rows and return a view of one.
+gmm_sample hands each component's slice of its output to
+gauss.sample_truncated to fill.
 
 fit_sweep runs every restart of every K of a BIC sweep in one lockstep,
 and fit is its one-K case.  A restart's EM code is a generator that yields
@@ -119,19 +122,34 @@ def _log_joint(ld, m):
 def _logsumexp(a):
     """log(sum(exp(a), axis=0)) for a (K, n) matrix, shifted by each column's max.
 
-    The components are summed one after another, so column i's value does
-    not depend on the other columns (a numpy sum over a single column would
-    be pairwise).
+    Consumes a: the work is done in a's own rows, and the result is a view
+    of its first row.  The components are summed one after another, so
+    column i's value does not depend on the other columns (a numpy sum over
+    a single column would be pairwise).
     """
-    top = a.max(axis=0)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    e = a - shift
-    np.exp(e, out=e)
-    total = e[0].copy()
-    for row in e[1:]:
+    shift = a.max(axis=0)
+    shift[~np.isfinite(shift)] = 0.0
+    a -= shift
+    np.exp(a, out=a)
+    total = a[0]
+    for row in a[1:]:
         total += row
     with np.errstate(divide="ignore"):
-        return shift + np.log(total)
+        np.log(total, out=total)
+    total += shift
+    return total
+
+
+def log_mixture(ld, m, X):
+    """(n,) log mixture densities of m at the (n, d) rows X, -inf outside the
+    support, from the (K, n) log densities ld of m's components at X.
+
+    Consumes ld, and the result is a view of it.  Row i's value depends on
+    column i of ld alone.
+    """
+    out = _logsumexp(_log_joint(ld, m))
+    out[~m.support.contains(X)] = -np.inf
+    return out
 
 
 def gmm_log_density(X, m):
@@ -139,11 +157,7 @@ def gmm_log_density(X, m):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != m.dim:
         raise ValueError("want (n, %d) rows; got shape %s" % (m.dim, X.shape))
-    out = np.full(X.shape[0], -np.inf)
-    inside = m.support.contains(X)
-    if np.any(inside):
-        out[inside] = _logsumexp(_log_joint(log_densities(X[inside], m.components), m))
-    return out
+    return log_mixture(log_densities(X, m.components), m, X)
 
 
 def _lockstep(y, support, tasks):
@@ -232,7 +246,7 @@ def _e_step(y, m):
     Rows are assumed inside the support.
     """
     ld = _log_joint((yield "densities", m.components), m)
-    tot = _logsumexp(ld)
+    tot = _logsumexp(ld.copy())
     if not np.all(np.isfinite(tot)):
         bad = int(np.flatnonzero(~np.isfinite(tot))[0])
         raise _ZeroDensityError("row %d has zero density under every component"
@@ -498,8 +512,8 @@ def gmm_sample(n, m, rng):
     end = 0
     for k, c in enumerate(m.components):
         if counts[k] > 0:
-            out[end:end + counts[k]] = sample_truncated(
-                counts[k], c, m.support, rng, mass=m.norm_consts[k])
+            sample_truncated(counts[k], c, m.support, rng, mass=m.norm_consts[k],
+                             out=out[end:end + counts[k]])
             end += counts[k]
     return np.take(out, rng.permutation(n), axis=0)
 
@@ -529,10 +543,31 @@ def model_to_json(m):
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+# A standard normal exceeds 40 with probability below 1e-340, so a draw
+# lies within 40 sd of its component's mean.
+_DRAW_SDS = 40.0
+
+
+def _component(k, mean, cov):
+    """GaussComponent(mean, cov), component k of a model file.  Raises
+    ValueError unless the squares of its draws and its precision matrix
+    are finite."""
+    with np.errstate(over="ignore"):
+        c = GaussComponent(mean, cov)
+        reach = (np.abs(c.mean) + _DRAW_SDS * np.sqrt(np.diag(c.cov))) ** 2
+        finite = np.all(np.isfinite(reach)) and np.all(np.isfinite(c.precision))
+    if not finite:
+        raise ValueError("component %d: the squares of its draws (within %g sd "
+                         "of its mean) or its precision matrix overflow"
+                         % (k, _DRAW_SDS))
+    return c
+
+
 def model_from_json(text):
     """The model of model_to_json's text.  Raises ValueError unless the
-    weights, means and covariances are finite, and the standardizer's shift
-    and scale, if any, are finite d-vectors."""
+    weights, means and covariances are finite, each component's draws have
+    finite squares and its precision matrix is finite, and the
+    standardizer's shift and scale, if any, are finite d-vectors."""
     doc = json.loads(text)
     support = Rect(_decode_bounds(doc["support"]["lower"]),
                    _decode_bounds(doc["support"]["upper"]))
@@ -541,7 +576,8 @@ def model_from_json(text):
                    for key in ("mean", "cov"))
     if not all(np.all(np.isfinite(a)) for a in [weights, *means, *covs]):
         raise ValueError("weights, means and covariances must be finite")
-    m = TruncatedGMM(weights, list(map(GaussComponent, means, covs)), support)
+    m = TruncatedGMM(weights, list(map(_component, range(len(means)), means, covs)),
+                     support)
     std = doc.get("standardizer")
     if std is not None:
         shift, scale = (np.array(std[key], dtype=float)

@@ -52,6 +52,14 @@ class TestBuildIs:
         with pytest.raises(ValueError):
             build_is(gmm, [[]], [[np.array([2.0])]], 0.0)
 
+    def test_first_mean_outside_support_named(self):
+        gmm = TruncatedGMM([1.0], [GaussComponent([0.5, 0.5], np.eye(2))],
+                           Rect([0.0, 0.0], [1.0, np.inf]))
+        a = [[np.array([0.2, 3.0]), np.array([0.5, -1.0]), np.array([2.0, 0.5])]]
+        with pytest.raises(ValueError, match=r"IS part mean \[0.5, -1.0\] lies "
+                                             "outside the support"):
+            build_is(gmm, [[]], a, 0.0)
+
 
 class TestIsLogDensity:
     def test_single_part_truncated_gaussian(self):
@@ -150,6 +158,51 @@ class TestLikelihoodRatio:
                             * trunc_dens(X, GaussComponent(p, c.cov)))
         assert np.allclose(likelihood_ratio(X, gmm, q), num / den,
                            rtol=1e-10, atol=0)
+
+
+def interleaved_models(q_support):
+    """A K = 2 base model and a proposal whose parts alternate between the
+    two base components' factors, on the support q_support."""
+    base = [GaussComponent([0.0, 0.5], [[1.0, 0.4], [0.4, 0.8]]),
+            GaussComponent([1.5, 1.0], [[0.3, -0.1], [-0.1, 1.6]])]
+    gmm = TruncatedGMM([0.35, 0.65], base, Rect([-1.0, -np.inf], [np.inf, 3.0]))
+    means = [[1.0, 1.5], [2.5, 0.0], [-0.5, 2.0], [0.5, 2.0], [2.0, -0.2]]
+    parts = [base[i % 2].moved_to(np.array(m)) for i, m in enumerate(means)]
+    return gmm, TruncatedGMM([0.1, 0.3, 0.2, 0.25, 0.15], parts, q_support)
+
+
+def two_density_ratio(x, gmm, q):
+    with np.errstate(invalid="ignore"):
+        return np.exp(gmm_log_density(x, gmm) - gmm_log_density(x, q))
+
+
+class TestLikelihoodRatioBitwise:
+    """One log_densities call for both mixtures against two gmm_log_density
+    calls."""
+
+    def test_equals_two_density_calls(self, rng):
+        gmm, q = interleaved_models(Rect.unbounded(2))
+        x = rng.uniform(-1.0, 3.0, (300, 2))
+        x[7] = [-2.0, 0.0]  # outside the base's support only
+        got = likelihood_ratio(x, gmm, q)
+        assert got[7] == 0.0
+        assert got.tobytes() == two_density_ratio(x, gmm, q).tobytes()
+
+    def test_rows_outside_the_proposal_support(self, rng):
+        gmm, q = interleaved_models(Rect([-np.inf, -np.inf], [2.5, np.inf]))
+        x = rng.uniform(-1.0, 2.4, (50, 2))
+        # outside q's support; outside both; outside the base's only
+        x[[11, 30, 40]] = [[2.8, 1.0], [3.0, 5.0], [-2.0, 0.0]]
+        want = two_density_ratio(x, gmm, q)
+        assert np.flatnonzero(~np.isfinite(want)).tolist() == [11, 30]
+        with pytest.raises(ValueError) as err, np.errstate(invalid="ignore"):
+            likelihood_ratio(x, gmm, q)
+        assert str(err.value) == ("non-finite likelihood ratio (support mismatch) "
+                                  "in 2 rows, first bad row 11 of the 50 given: "
+                                  "x=[2.8, 1.0]")
+        good = np.isfinite(want)
+        got = likelihood_ratio(x[good], gmm, q)
+        assert got.tobytes() == want[good].tobytes() and 0.0 in got
 
 
 CORRELATED = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, -0.1], [0.2, -0.1, 1.0]])

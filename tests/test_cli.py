@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -473,6 +474,8 @@ class TestRun:
                      json.dumps(dict(doc, weights=[nan])),
                      json.dumps(dict(doc, components=[dict(comp, mean=[nan])])),
                      json.dumps(dict(doc, components=[dict(comp, cov=[[inf]])])),
+                     json.dumps(dict(doc, components=[dict(comp, cov=[[1e308]])])),
+                     json.dumps(dict(doc, components=[dict(comp, cov=[[1e-320]])])),
                      json.dumps(dict(doc, standardizer={"shift": [0.0],
                                                         "scale": [inf]})),
                      json.dumps(dict(doc, standardizer={"shift": [nan],
@@ -490,6 +493,26 @@ class TestRun:
                 assert r.exit_code == cli.EXIT_INPUT, (command, text)
                 assert isinstance(r.exception, SystemExit)
                 assert "error: cannot load model" in r.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "crude"])
+    @pytest.mark.parametrize("cov", [1e308, 1e-320])
+    def test_overflowing_covariance_one_line_exit_2(self, runner, model_1d,
+                                                    tmp_path, command, cov):
+        doc = json.loads(open(model_1d).read())
+        doc["components"][0]["cov"] = [[cov]]
+        path = tmp_path / "scale.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = runner.invoke(main, [command, str(path), "--analytic",
+                                     "mixture-tail", "--analytic-params",
+                                     '{"gamma": 3.0}', "--n", "1000", "--out",
+                                     str(tmp_path / "out")])
+        assert r.exit_code == cli.EXIT_INPUT and isinstance(r.exception, SystemExit)
+        assert r.output == ("error: cannot load model %s: component 0: the squares "
+                            "of its draws (within 40 sd of its mean) or its "
+                            "precision matrix overflow\n" % path)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "crude"])

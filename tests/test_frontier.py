@@ -469,6 +469,29 @@ def test_leq_matches_broadcast_reference(strict, d, na, nb):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [0, 1, frontier._DRAWS - 1, frontier._DRAWS,
+                               2 * frontier._DRAWS + 5])
+@pytest.mark.parametrize("sizes", [(40, 50), (0, 50), (40, 0), (0, 0)])
+def test_bound_indicators_match_whole_matrix_tests(n, sizes):
+    # the row-blocked masks against the whole (|s|, n) matrices they
+    # replaced, with ties on frontier coordinates, NaN and +-inf draws
+    rng = np.random.default_rng(n + 7 * sizes[0] + sizes[1])
+    mask = DirectionMask([1.0, -1.0, 1.0])
+    pts = rng.integers(0, 6, size=(sum(sizes), 3)).astype(float)
+    s = FrontierStore(mask, pts[:sizes[0]] + 3.0, pts[sizes[0]:])
+    X = mask.canonicalize(rng.integers(0, 10, size=(n, 3)).astype(float))
+    X[3:6] = np.nan
+    X[6:9, 1] = np.nan
+    X[9:12, 0], X[12:15, 2] = -np.inf, np.inf
+    Z = mask.canonicalize(X)
+    inner, outer = bound_indicators(s, X)
+    assert inner.shape == outer.shape == (n,) and inner.dtype == outer.dtype == bool
+    assert np.array_equal(inner, leq_reference(s.s1, Z).any(axis=0))
+    assert np.array_equal(outer, ~leq_reference(Z, s.s0, strict=True).any(axis=1))
+    if n > 100 and all(sizes):
+        assert 0 < inner.sum() < outer.sum() < n
+
+
 def test_canonicalize_involution(rng):
     mask = DirectionMask([-1.0, 1.0, -1.0])
     x = rng.standard_normal(3)

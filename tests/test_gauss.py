@@ -23,6 +23,35 @@ class TestRect:
         got = r.contains(np.array([[0.5, 10.0], [-0.1, 0.0], [2.0, 0.0]]))
         assert got.tolist() == [True, False, False]
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.0, -1.0, 0.5], [1.0, 2.0, 3.0]),
+        ([-np.inf, -1.0, 0.5], [np.inf, np.inf, 3.0]),
+        ([-np.inf] * 3, [np.inf] * 3)])
+    def test_contains_matches_whole_array_expression(self, lower, upper):
+        # the column-at-a-time test against the (n, d) expression it replaced,
+        # on (d,), (n, d) and (0, d) inputs, rows on the bounds, NaN and +-inf
+        r = Rect(lower, upper)
+
+        def whole(x):
+            return np.all((x >= r.lower) & (x <= r.upper), axis=-1)
+
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-2.0, 4.0, (500, 3))
+        X[:20] = np.where(rng.random((20, 3)) < 0.5, r.lower, r.upper)
+        X[20:40, 1] = np.nan
+        X[40:60] = np.nan
+        X[60:70, 0], X[70:80, 2] = -np.inf, np.inf
+        for x in [X, X[:0], X[5], X[25], X[45], X[65], X[75],
+                  np.asfortranarray(X), X[::-3]]:
+            got, want = r.contains(x), whole(x)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert isinstance(r.contains(X[0]), np.bool_)
+
+    def test_contains_rejects_other_dimensions(self):
+        with pytest.raises(ValueError, match="dimension 2"):
+            Rect([0.0, 0.0], [1.0, 1.0]).contains(np.zeros((4, 3)))
+
 
 class TestGaussComponent:
     def test_cholesky_roundtrip(self, rng):
@@ -93,6 +122,14 @@ class TestSample:
         a = sample(100, c, np.random.default_rng(7))
         b = sample(100, c, np.random.default_rng(7))
         assert a.tobytes() == b.tobytes()
+
+    def test_writes_into_out(self):
+        c = GaussComponent([1.0, -1.0], [[1.0, 0.3], [0.3, 2.0]])
+        want = sample(100, c, np.random.default_rng(7))
+        buf = np.full((120, 2), np.nan)
+        got = sample(100, c, np.random.default_rng(7), out=buf[10:110])
+        assert got.base is buf and got.tobytes() == want.tobytes()
+        assert np.isnan(buf[:10]).all() and np.isnan(buf[110:]).all()
 
 
 class TestRectProb:
@@ -236,6 +273,16 @@ class TestSampleTruncated:
         a = sample_truncated(50, c, r, np.random.default_rng(3))
         b = sample(50, c, np.random.default_rng(3))
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("r", [Rect.unbounded(2),
+                                   Rect([0.0, -1.0], [np.inf, 1.0])])
+    def test_writes_into_out(self, r):
+        c = GaussComponent([0.5, 0.0], [[2.0, 0.3], [0.3, 1.0]])
+        want = sample_truncated(300, c, r, np.random.default_rng(3))
+        buf = np.full((310, 2), np.nan)
+        got = sample_truncated(300, c, r, np.random.default_rng(3), out=buf[5:305])
+        assert got.base is buf and got.tobytes() == want.tobytes()
+        assert np.isnan(buf[:5]).all() and np.isnan(buf[305:]).all()
 
     def test_half_normal_mean(self, rng):
         c = GaussComponent([0.0], [[1.0]])
@@ -610,3 +657,137 @@ def test_rectangle_kernel_rows_mix_one_and_two_sided(d):
     for i in range(n):
         q = gauss._rect_probs(cov[i:i + 1], a[i:i + 1], b[i:i + 1])
         assert q.tobytes() == p[i:i + 1].tobytes()
+
+
+# float.hex of rect_prob and trunc_moments values recorded before the Genz
+# node terms were computed in place.  The cases put correlations on both
+# sides of _bvnu's 0.925 switch, at d = 2 directly and at d = 3 through the
+# conditional bivariates (test_pinned_cases_reach_both_bvnu_branches).
+def pinned_cases():
+    two = [GaussComponent([0.3, -0.2], [[1.0, 0.5], [0.5, 2.0]]),
+           GaussComponent([0.1, 0.4], [[1.0, 0.97], [0.97, 1.0]]),
+           GaussComponent([-0.2, 0.0], [[2.0, -1.92], [-1.92, 2.0]])]
+    three = [GaussComponent([0.2, -0.1, 0.3],
+                            [[1.0, 0.3, 0.2], [0.3, 1.5, -0.4], [0.2, -0.4, 0.8]]),
+             GaussComponent([0.0, 0.1, -0.2],
+                            [[1.0, 0.9, 0.85], [0.9, 1.0, 0.95], [0.85, 0.95, 1.0]]),
+             GaussComponent([0.1, 0.0, 0.2],
+                            [[1.0, 0.1, -0.1], [0.1, 1.0, -0.97], [-0.1, -0.97, 1.0]])]
+    return {"d2": (two, Rect([-1.0, -np.inf], [0.5, 1.5])),
+            "d2tail": (two, Rect([0.5, -1.5], [np.inf, np.inf])),
+            "d3": (three, Rect([-0.5, -np.inf, -1.0], [1.0, 0.8, np.inf])),
+            "d3tail": (three, Rect([1.0, 0.9, 0.7], [np.inf, np.inf, np.inf]))}
+
+
+PINNED_HEX = {
+    "d2": {
+        "p": [
+            "0x1.c9059b08accafp-2", "0x1.0a1758b8af168p-1",
+            "0x1.9c3c002b9de93p-2"],
+        "m1": [
+            "-0x1.dbccf74991ca8p-2", "-0x1.baaf535a7bd17p-2",
+            "-0x1.28674dfcf245cp-2", "-0x1.1f96a761510d2p-2",
+            "-0x1.64799948729c0p-5", "0x1.3b062119cca6cp-5"],
+        "m2": [
+            "0x1.8a7816f336f50p-2", "0x1.1018e4ed2ba71p-2",
+            "0x1.1018e4ed2ba71p-2", "0x1.8afa8dbd396a2p+0",
+            "0x1.05ab7bfb07b3ap-2", "0x1.fb96d619a0436p-3",
+            "0x1.fb96d619a0436p-3", "0x1.329d48ec8f7f8p-2",
+            "0x1.74499969ad190p-3", "-0x1.6117d6ebfbb88p-3",
+            "-0x1.6117d6ebfbb88p-3", "0x1.44f30b2c51eacp-2"],
+    },
+    "d2tail": {
+        "p": [
+            "0x1.858bdab9ae77ap-2", "0x1.60d91f7ac901ap-2",
+            "0x1.5530ca95427dap-3"],
+        "m1": [
+            "0x1.e5c1c7f6ff7c7p-1", "0x1.6ffe7a214807cp-1",
+            "0x1.119a01250bac9p+0", "0x1.0964be8ce4ec8p+0",
+            "0x1.256505c293b99p+0", "-0x1.e83fea3ac0117p-1"],
+        "m2": [
+            "0x1.3b062eb74b682p+0", "0x1.9d2fbafb6a126p-1",
+            "0x1.9d2fbafb6a126p-1", "0x1.d5f8b38cb1ee7p+0",
+            "0x1.6d70cd4204ab6p+0", "0x1.627a37bd7a4a2p+0",
+            "0x1.627a37bd7a4a2p+0", "0x1.66f90240e82ebp+0",
+            "0x1.6c344a5a94b10p+0", "-0x1.268518e2b11d6p+0",
+            "-0x1.268518e2b11d6p+0", "0x1.0a9433b24f08ep+0"],
+    },
+    "d3": {
+        "p": [
+            "0x1.9defd1aa90bbcp-2", "0x1.97bb735061989p-2",
+            "0x1.b2fcd2c8560bdp-2"],
+        "m1": [
+            "0x1.d9c9e2512348bp-6", "-0x1.e97bccf589e0ap-2",
+            "0x1.da397f5ddb66ep-3", "0x1.194bdbae161e9p-3",
+            "0x1.baa05fe1cceefp-5", "0x1.32c27c1388a1cp-4",
+            "0x1.e0fb4f4ab7a02p-4", "-0x1.6fec8477bebe9p-2",
+            "0x1.656dd32de4a6ap-2"],
+        "m2": [
+            "0x1.6409533c833bcp-3", "0x1.25373888f0dc0p-6",
+            "0x1.53b956ba973dap-5", "0x1.25373888f0dc0p-6",
+            "0x1.05e98cc7cba32p+0", "-0x1.50b1d98b89ed8p-2",
+            "0x1.53b956ba973dap-5", "-0x1.50b1d98b89ed8p-2",
+            "0x1.48f0564f9fd81p-1", "0x1.501f8cc8feaa8p-3",
+            "0x1.5459226f66fe0p-4", "0x1.2ab688f29077cp-4",
+            "0x1.5459226f66fe0p-4", "0x1.397ce886c97dcp-3",
+            "0x1.0df999ba06416p-3", "0x1.2ab688f29077cp-4",
+            "0x1.0df999ba06416p-3", "0x1.9feb9605a1718p-3",
+            "0x1.7ee6bb9589c9cp-3", "-0x1.094142d40973ep-5",
+            "0x1.fb712c8377e04p-6", "-0x1.094142d40973ep-5",
+            "0x1.62203abec6568p-1", "-0x1.56fdcfb856bcap-1",
+            "0x1.fb712c8377e04p-6", "-0x1.56fdcfb856bcap-1",
+            "0x1.6a316b641cf2cp-1"],
+    },
+    "d3tail": {
+        "p": [
+            "0x1.0ea05ddcc7523p-6", "0x1.c85f9bdc8a9fap-4",
+            "0x1.2162f851214cfp-36"],
+        "m1": [
+            "0x1.8ce9235e8d91cp+0", "0x1.9a45b63ccbb41p+0",
+            "0x1.c6405a9e7fd5dp-1", "0x1.a17f9119140b4p+0",
+            "0x1.a046f6586ba42p+0", "0x1.9a495927e62afp+0",
+            "0x1.723a510a6370ap+0", "0x1.e108b9e23c203p-1",
+            "0x1.14474d331ff26p-1"],
+        "m2": [
+            "0x1.5cc2f75e5daddp+1", "0x1.41c11e4c26848p+1",
+            "0x1.663a3d7d7a1cfp+0", "0x1.41c11e4c26848p+1",
+            "0x1.69dfeed1dca7dp+1", "0x1.675cafd87f534p+0",
+            "0x1.663a3d7d7a1cfp+0", "0x1.675cafd87f534p+0",
+            "0x1.e56a082bf7f7dp-1", "0x1.70d44e073048cp+1",
+            "0x1.6726e39e0a525p+1", "0x1.5eed278fbdd78p+1",
+            "0x1.6726e39e0a525p+1", "0x1.70deaa1b35b26p+1",
+            "0x1.66c6d3d35146ap+1", "0x1.5eed278fbdd78p+1",
+            "0x1.66c6d3d35146ap+1", "0x1.67bdc4b5d1f2bp+1",
+            "0x1.26b8f5793b1c8p+1", "0x1.5bd72d998422ep+0",
+            "0x1.8f8bd1d8a6eaep-1", "0x1.5bd72d998422ep+0",
+            "0x1.c4b42970096b4p-1", "0x1.038d186130b06p-1",
+            "0x1.8f8bd1d8a6eaep-1", "0x1.038d186130b06p-1",
+            "0x1.2bb1fe61d45fep-2"],
+    },
+}
+
+
+def hexes(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HEX))
+def test_pinned_rect_prob_and_moments(name):
+    comps, r = pinned_cases()[name]
+    m1, m2 = trunc_moments(comps, r)
+    got = {"p": hexes(rect_prob(comps, r)), "m1": hexes(m1), "m2": hexes(m2)}
+    assert got == PINNED_HEX[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HEX))
+def test_pinned_cases_reach_both_bvnu_branches(name, monkeypatch):
+    seen, bvnu = set(), gauss._bvnu
+
+    def spy(h, k, r):
+        seen.update(np.abs(r[:, 0]) < 0.925)
+        return bvnu(h, k, r)
+    monkeypatch.setattr(gauss, "_bvnu", spy)
+    comps, r = pinned_cases()[name]
+    rect_prob(comps, r)
+    trunc_moments(comps, r)
+    assert seen == {True, False}

@@ -1,4 +1,6 @@
+import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +165,23 @@ class TestResponsibilities:
         assert r.tobytes() == responsibilities(y, truncated_2comp_2d).tobytes()
         assert np.allclose(tot, gmm_log_density(y, truncated_2comp_2d),
                            rtol=0, atol=1e-12)
+
+
+def test_log_mixture_matches_inside_rows_alone(rng, truncated_2comp_2d):
+    # every row's value is the one of a call on the rows inside the support
+    # alone, as gmm_log_density computed it before; -inf outside
+    m = truncated_2comp_2d
+    X = rng.uniform(-1.0, 3.0, (400, 2))
+    X[5] = np.nan
+    inside = m.support.contains(X)
+    ld = log_densities(X, m.components)
+    got = tgmm.log_mixture(ld, m, X)
+    assert np.shares_memory(got, ld)  # consumed
+    want = np.full(400, -np.inf)
+    want[inside] = tgmm._logsumexp(tgmm._log_joint(
+        log_densities(X[inside], m.components), m))
+    assert got.tobytes() == want.tobytes() and np.isinf(got[5])
+    assert gmm_log_density(X, m).tobytes() == want.tobytes()
 
 
 def test_logsumexp_rows_matches_scipy(rng):
@@ -792,6 +811,17 @@ class TestGmmSample:
         se = np.sqrt(var / n)
         assert np.all(np.abs(y.mean(axis=0) - m1) < 3 * se)
 
+    def test_parts_fill_one_buffer(self, truncated_2comp_2d, monkeypatch):
+        seen, real = [], tgmm.sample_truncated
+
+        def spy(n, c, r, rng, mass=None, out=None):
+            seen.append(out)
+            return real(n, c, r, rng, mass, out)
+        monkeypatch.setattr(tgmm, "sample_truncated", spy)
+        gmm_sample(300, truncated_2comp_2d, np.random.default_rng(5))
+        assert len(seen) == 2 and seen[0].base is seen[1].base is not None
+        assert seen[0].shape[0] + seen[1].shape[0] == seen[0].base.shape[0] == 300
+
     def test_all_rows_inside_support(self, rng, truncated_2comp_2d):
         y = gmm_sample(5000, truncated_2comp_2d, rng)
         assert np.all(truncated_2comp_2d.support.contains(y))
@@ -897,6 +927,26 @@ class TestSerialization:
         for k, c in enumerate(m.components):
             assert (m.norm_consts[k].tobytes()
                     == gauss.rect_prob([c], m.support)[0].tobytes())
+
+    @pytest.mark.parametrize("mean, cov", [([0.0], [[1e308]]), ([0.0], [[1e-320]]),
+                                           ([0.0], [[1e306]]), ([0.0], [[1e-308]]),
+                                           ([1e160], [[1.0]])])
+    def test_overflowing_scale_rejected(self, mean, cov):
+        m = TruncatedGMM([1.0], [GaussComponent([0.0], [[1.0]])], Rect.unbounded(1))
+        doc = json.loads(model_to_json(m))
+        doc["components"][0] = {"mean": mean, "cov": cov}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="component 0: the squares of "
+                                                 "its draws .* overflow"):
+                model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("scale", [1e305, 1e-307])
+    def test_extreme_but_finite_scale_loads(self, scale):
+        m = TruncatedGMM([1.0], [GaussComponent([0.0, 0.0], np.eye(2) * scale)],
+                         Rect.unbounded(2))
+        back = model_from_json(model_to_json(m))
+        assert back.components[0].cov.tolist() == m.components[0].cov.tolist()
 
     def test_norm_consts_recomputed(self, truncated_2comp_2d):
         back = model_from_json(model_to_json(truncated_2comp_2d))
