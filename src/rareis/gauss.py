@@ -625,16 +625,13 @@ def sample_truncated(n, c, r, rng, mass=None, out=None):
         raise DegenerateTruncationError(
             "acceptance rate estimate %.3g below 1e-8: degenerate truncation; "
             "reparameterize instead of rejection sampling" % p)
-    out = np.empty((n, c.dim)) if out is None else out
-    filled = 0
+    kept, filled = [], 0
     batch = max(int(1.5 * n / p), n)
     batch = min(batch, 10_000_000)
     for _ in range(10000):
         cand = sample(batch, c, rng)
-        keep = cand[r.contains(cand)]
-        take = min(n - filled, keep.shape[0])
-        out[filled:filled + take] = keep[:take]
-        filled += take
+        kept.append(cand[r.contains(cand)][:n - filled])
+        filled += kept[-1].shape[0]
         if filled == n:
-            return out
+            return np.concatenate(kept, out=out)
     raise DegenerateTruncationError("rejection sampling failed to fill %d draws" % n)
