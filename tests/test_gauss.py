@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -660,7 +662,8 @@ def test_rectangle_kernel_rows_mix_one_and_two_sided(d):
 
 
 # float.hex of rect_prob and trunc_moments values recorded before the Genz
-# node terms were computed in place.  The cases put correlations on both
+# node terms were computed in place (numpy 2.4 on x86-64; another numpy or
+# CPU may round exp and sin differently in the last bit).  The cases put correlations on both
 # sides of _bvnu's 0.925 switch, at d = 2 directly and at d = 3 through the
 # conditional bivariates (test_pinned_cases_reach_both_bvnu_branches).
 def pinned_cases():
@@ -791,3 +794,32 @@ def test_pinned_cases_reach_both_bvnu_branches(name, monkeypatch):
     rect_prob(comps, r)
     trunc_moments(comps, r)
     assert seen == {True, False}
+
+
+def test_pinned_bvnu_values():
+    # _bvnu itself on rows of both branches, |r| 0.5 and 0.3 below the
+    # 0.925 switch and 0.95 and 0.97 above it: its terms reach the rectangle
+    # probabilities only after cancellation, which can hide a last bit
+    h = np.array([[-1.5, -0.2, 0.0, 0.7, 1.9, 3.1]] * 4)
+    k = np.array([[0.4, -1.1, 0.0, 2.2, 1.5, -np.inf]] * 4)
+    r = np.repeat([[0.5], [-0.3], [0.95], [-0.97]], 6, axis=1)
+    assert hexes(gauss._bvnu(h, k, r)) == [
+        "0x1.5cad85dfa6d20p-2", "0x1.1735122614e0fp-1", "0x1.5555555555556p-2",
+        "0x1.528ef36b3c521p-7", "0x1.41f8a81d84e30p-7", "0x1.fb4d81400e579p-11",
+        "0x1.3986ba8ca5075p-2", "0x1.e78345a7cb6d7p-2", "0x1.9caf85cfef4f5p-3",
+        "0x1.cc617b94f344cp-11", "0x1.557c2912f8a6cp-12", "0x1.fb4d81400e579p-11",
+        "0x1.60d91f7a81a7dp-2", "0x1.288bf411c23a4p-1", "0x1.cc3ee5f68e82ep-2",
+        "0x1.c7967f03fe019p-7", "0x1.befe25a98f552p-6", "0x1.fb4d81400e579p-11",
+        "0x1.1c7007218c28ap-2", "0x1.c63d69e2fbc02p-2", "0x1.402aeb94e08a5p-5",
+        "0x1.91224709640afp-114", "0x1.a272baac74140p-152", "0x1.fb4d81400e579p-11"]
+
+
+def test_pinned_bvnu_digest():
+    # a last-bit change in a few node terms moves few outputs, so 8,000
+    # values, half of them with |r| >= 0.925, are pinned by their digest
+    rng = np.random.default_rng(26)
+    h, k = rng.normal(0.0, 2.0, (2, 200, 40))
+    absr = np.concatenate([rng.uniform(0.0, 0.925, 100), rng.uniform(0.925, 1.0, 100)])
+    r = np.repeat((absr * rng.choice([-1.0, 1.0], 200))[:, None], 40, axis=1)
+    assert hashlib.sha256(gauss._bvnu(h, k, r).tobytes()).hexdigest() == (
+        "1bd6e01fae55e46f942923b66f4cd248311ec130151802d6ab7475ebd4dfde29")
