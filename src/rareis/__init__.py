@@ -16,8 +16,7 @@ from .dompoints import (DominatingPoint, SolverError, inner_dominating,
 from .accel import (EstimateReport, ProcedureState, build_is, crude_equiv_n,
                     estimate, likelihood_ratio, run_procedure, sample_is,
                     thin_frontier)
-from .scenario import (AVConfig, analytic_scenario, check_monotone,
-                       lane_change_coords, lane_change_indicator,
-                       lane_change_mask, simulate)
+from .scenario import (AVConfig, analytic_scenario, lane_change_coords,
+                       lane_change_indicator, lane_change_mask, simulate)
 
 __version__ = "0.1.0"

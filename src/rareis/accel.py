@@ -27,18 +27,14 @@ def build_is(gmm, a_inner, a_outer, rho):
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     parts = []
-    if rho > 0.0:
-        if any(len(s) == 0 for s in a_inner):
-            raise ValueError("rho > 0 requires nonempty inner dominating sets")
-        for i, pts in enumerate(a_inner):
-            for p in pts:
-                parts.append((rho * gmm.weights[i] / len(pts), p, i))
-    if rho < 1.0:
-        if any(len(s) == 0 for s in a_outer):
-            raise ValueError("rho < 1 requires nonempty outer dominating sets")
-        for i, pts in enumerate(a_outer):
-            for p in pts:
-                parts.append(((1.0 - rho) * gmm.weights[i] / len(pts), p, i))
+    for share, sets, empty in (
+            (rho, a_inner, "rho > 0 requires nonempty inner dominating sets"),
+            (1.0 - rho, a_outer, "rho < 1 requires nonempty outer dominating sets")):
+        if share > 0.0:
+            if any(len(s) == 0 for s in sets):
+                raise ValueError(empty)
+            parts += [(share * gmm.weights[i] / len(pts), p, i)
+                      for i, pts in enumerate(sets) for p in pts]
     means = np.array([mean for _, mean, _ in parts], dtype=float)
     outside = np.flatnonzero(~gmm.support.contains(means))
     if outside.size:

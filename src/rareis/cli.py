@@ -160,6 +160,8 @@ def _load_scenario(model_path, scenario_config, analytic, analytic_params):
         _fail(EXIT_INPUT, "cannot load model %s: %s" % (model_path, err))
     if (scenario_config is None) == (analytic is None):
         _fail(EXIT_INPUT, "exactly one of --scenario-config/--analytic is required")
+    if analytic is None and analytic_params is not None:
+        _fail(EXIT_INPUT, "--analytic-params needs --analytic")
     if analytic is not None:
         try:
             params = json.loads(analytic_params) if analytic_params else {}

@@ -279,40 +279,6 @@ def lane_change_indicator(cfg=AVConfig()):
     return indicator
 
 
-def check_monotone(indicator, mask, probes, rng, box):
-    """Probe an indicator for monotonicity violations inside a bounded box.
-
-    For each probe, stepping any coordinate by 5% of the box's span deeper
-    into the declared rare direction must not leave the rare set, and
-    stepping out must not enter it.  Returns a list of (point, coordinate)
-    violations.
-    """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    lo, up = box.lower, box.upper
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
-        raise ValueError("check_monotone needs a bounded probe box")
-    span = up - lo
-    d = box.dim
-    X = lo + rng.random((probes, d)) * span
-    from .accel import apply_indicator
-    base = apply_indicator(indicator, X)
-    violations = []
-    for i in range(d):
-        delta = mask.signs[i] * 0.05 * span[i]
-        for direction in (1.0, -1.0):
-            Xs = X.copy()
-            Xs[:, i] = np.clip(Xs[:, i] + direction * delta, lo[i], up[i])
-            stepped = apply_indicator(indicator, Xs)
-            if direction > 0:
-                bad = (base == 1) & (stepped == 0)
-            else:
-                bad = (base == 0) & (stepped == 1)
-            for j in np.flatnonzero(bad):
-                violations.append((X[j].copy(), i))
-    return violations
-
-
 def _mixture_halfspace_tail(gmm, w, gamma):
     w = np.asarray(w, dtype=float)
     total = 0.0

@@ -61,6 +61,48 @@ class TestBuildIs:
             build_is(gmm, [[]], a, 0.0)
 
 
+# Dominating sets of two_comp: 2 points for component 0, 1 for component 1.
+INNER = [[[0.5, 1.5], [1.25, -0.75]], [[3.0, 2.0]]]
+OUTER = [[[0.25, 0.5], [0.75, -0.5]], [[2.5, 1.75]]]
+SHARE_1 = ["0x1.3333333333333p-3", "0x1.3333333333333p-3",
+           "0x1.6666666666666p-1"]
+SHARE_HALF = ["0x1.3333333333334p-4", "0x1.3333333333334p-4",
+              "0x1.6666666666667p-2"]
+
+
+def as_sets(points):
+    return [[np.array(p) for p in pts] for pts in points]
+
+
+class TestBuildIsPinned:
+    """Weights, means and base components of build_is's parts, recorded bit
+    for bit: inner parts before outer ones, each set in component order."""
+
+    @pytest.mark.parametrize("rho, hexes, means, base", [
+        (0.0, SHARE_1, OUTER[0] + OUTER[1], [0, 0, 1]),
+        (0.5, SHARE_HALF * 2, INNER[0] + INNER[1] + OUTER[0] + OUTER[1],
+         [0, 0, 1, 0, 0, 1]),
+        (1.0, SHARE_1, INNER[0] + INNER[1], [0, 0, 1])])
+    def test_parts(self, rho, hexes, means, base):
+        gmm = two_comp()
+        q = build_is(gmm, as_sets(INNER), as_sets(OUTER), rho)
+        assert [float(w).hex() for w in q.weights] == hexes
+        assert ([c.mean.tobytes() for c in q.components]
+                == [np.array(m, dtype=float).tobytes() for m in means])
+        assert ([c.cov.tobytes() for c in q.components]
+                == [gmm.components[i].cov.tobytes() for i in base])
+        assert q.support is gmm.support
+
+    @pytest.mark.parametrize("inner, outer, message", [
+        ([[], [[3.0, 2.0]]], OUTER, "rho > 0 requires nonempty inner dominating sets"),
+        (INNER, [[[0.25, 0.5]], []], "rho < 1 requires nonempty outer dominating sets"),
+        ([[], []], [[], []], "rho > 0 requires nonempty inner dominating sets")])
+    def test_empty_set_errors(self, inner, outer, message):
+        with pytest.raises(ValueError) as err:
+            build_is(two_comp(), as_sets(inner), as_sets(outer), 0.5)
+        assert str(err.value) == message
+
+
 class TestIsLogDensity:
     def test_single_part_truncated_gaussian(self):
         support = Rect([0.0], [np.inf])

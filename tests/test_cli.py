@@ -577,6 +577,25 @@ class TestRun:
             "error: cannot load scenario config: " + message]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "crude"])
+    @pytest.mark.parametrize("params", ['{"gamma": 3.0}', "", "{}"])
+    def test_analytic_params_without_analytic_exit_2(self, runner, tmp_path,
+                                                     command, params):
+        model = tmp_path / "model.json"
+        model.write_text(tgmm.model_to_json(TruncatedGMM(
+            [1.0], [GaussComponent([20.0, 0.3, 0.2], np.diag([4.0, 0.01, 0.01]))],
+            Rect.unbounded(3))))
+        cfg = tmp_path / "av.json"
+        cfg.write_text("{}")
+        r = runner.invoke(main, [command, str(model), "--scenario-config",
+                                 str(cfg), "--analytic-params", params,
+                                 "--n", "100", "--out", str(tmp_path / "out")])
+        assert r.exit_code == cli.EXIT_INPUT
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.splitlines() == [
+            "error: --analytic-params needs --analytic"]
+        assert not (tmp_path / "out").exists()
+
     def test_non_monotone_exit_4(self, runner, model_1d, monkeypatch):
         def boom(*a, **kw):
             raise NonMonotoneOutcomeError(np.array([0.5]), np.array([1.0]))
