@@ -314,8 +314,8 @@ def cmd_fit(csv_path, k_list, support, coords, seed, out):
         _fail(EXIT_INPUT, str(err))
     rows = []
     best = None
-    for K, fitted in zip(k_list, tgmm.fit_sweep(z, k_list, z_support,
-                                                init_seed=seed)):
+    for K, fitted in zip(k_list, tgmm.fit(z, k_list, z_support,
+                                          init_seed=seed)):
         try:
             if isinstance(fitted, Exception):
                 raise fitted

@@ -326,26 +326,10 @@ def _bvnu(h, k, r):
         xs = ((a * _GL20_AT) ** 2)[:, None, :]
         rs = np.sqrt(1 - xs)
         hk, bs, c, d = hk[..., None], bs[..., None], c[..., None], d[..., None]
-        # the (g, m, 20) node terms, worked in place:
-        # exp(-(bs / xs + hk) / 2) * (ep - sp), with
-        # ep = exp(-hk xs / (2 (1 + rs)^2)) / rs and sp = 1 + c xs (1 + d xs)
-        ep = -hk * xs
-        ep /= 2 * (1 + rs) ** 2
-        np.exp(ep, out=ep)
-        ep /= rs
-        sp = d * xs
-        sp += 1
-        t = np.multiply(c, xs)
-        sp *= t
-        sp += 1
-        ep -= sp
-        np.divide(bs, xs, out=t)
-        t += hk
-        np.negative(t, out=t)
-        t /= 2
-        np.exp(t, out=t)
-        t *= ep
-        bvn += a / 2 * np.einsum("gmi,i->gm", t, w)
+        ep = np.exp(-hk * xs / (2 * (1 + rs) ** 2)) / rs
+        sp = 1 + c * xs * (1 + d * xs)
+        bvn += a / 2 * np.einsum("gmi,i->gm",
+                                 np.exp(-(bs / xs + hk) / 2) * (ep - sp), w)
         bvn = np.where(sing, 0.0, -bvn / (2 * np.pi))
         lower = np.where(h1 < 0, ndtr(k1) - ndtr(h1), ndtr(-h1) - ndtr(-k1))
         out[near] = np.where(neg1, np.maximum(lower, 0.0) - bvn,

@@ -81,7 +81,8 @@ class AVConfig:
 
 
 def simulate_batch(v, ttc, range_, cfg=AVConfig()):
-    """Deterministic crash (1) / safe (0) outcomes for equal-length event arrays.
+    """Deterministic crash (1) / safe (0) outcomes for three 1-D event arrays
+    of one length.
 
     Lead vehicles hold speed v; each follower starts range_ behind, closing at
     range_/ttc, under ACC with an AEB override that engages reaction_delay
@@ -109,7 +110,10 @@ def simulate_batch(v, ttc, range_, cfg=AVConfig()):
     rise, and float rounding is monotone, so the gap never shrinks.  That
     rule needs no certificate, so it holds for every config.
     """
-    v_lead, ttc, gap = (np.array(a, dtype=float, ndmin=1) for a in (v, ttc, range_))
+    v_lead, ttc, gap = (np.array(a, dtype=float) for a in (v, ttc, range_))
+    if not (v_lead.ndim == 1 and v_lead.shape == ttc.shape == gap.shape):
+        raise ValueError("want three 1-D arrays of one length; got shapes %s, "
+                         "%s and %s" % (v_lead.shape, ttc.shape, gap.shape))
     if np.any(ttc <= 0) or np.any(gap <= 0):
         raise ValueError("range and ttc must be positive (closing events only)")
     cert = _certificate(cfg)
@@ -250,7 +254,7 @@ def _settled(cert, cfg, t, v_lead, v_f, gap, aeb_at):
 def simulate(v, ttc, range_, cfg=AVConfig()):
     """Crash/safe outcome of one event (lead speed v in m/s, ttc in s, gap
     range_ in m): a 1-row simulate_batch."""
-    return int(simulate_batch(v, ttc, range_, cfg)[0])
+    return int(simulate_batch([v], [ttc], [range_], cfg)[0])
 
 
 def lane_change_mask():

@@ -13,8 +13,9 @@ matrix they are given: they work in its rows and return a view of one.
 gmm_sample hands each component's slice of its output to
 gauss.sample_truncated to fill.
 
-fit_sweep runs every restart of every K of a BIC sweep in one lockstep,
-and fit is its one-K case.  A restart's EM code is a generator that yields
+fit runs every restart of every K of a BIC sweep in one lockstep.  It
+takes (n, d) rows only, as do bic, responsibilities, em_step and
+gmm_log_density.  A restart's EM code is a generator that yields
 the gauss kernel calls it needs: a new or extrapolated model's normalizers
 (rect_prob), an M-step's truncation corrections (trunc_moments) and an
 E-step's log densities (log_densities).  _lockstep serves each round's
@@ -152,11 +153,17 @@ def log_mixture(ld, m, X):
     return out
 
 
+def _rows(X, d):
+    """X as an (n, d) float array; raises ValueError naming any other shape."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError("want (n, %d) rows; got shape %s" % (d, X.shape))
+    return X
+
+
 def gmm_log_density(X, m):
     """(n,) log mixture densities at the (n, d) rows X; -inf outside the support."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != m.dim:
-        raise ValueError("want (n, %d) rows; got shape %s" % (m.dim, X.shape))
+    X = _rows(X, m.dim)
     return log_mixture(log_densities(X, m.components), m, X)
 
 
@@ -261,7 +268,7 @@ def responsibilities(y, m, return_totals=False):
     With return_totals, also the per-row log mixture densities, whose sum is
     the log-likelihood of y.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    y = _rows(y, m.dim)
     if not np.all(m.support.contains(y)):
         bad = int(np.flatnonzero(~m.support.contains(y))[0])
         raise ValueError("row %d lies outside the support" % bad)
@@ -310,7 +317,7 @@ def em_step(y, m, resp=None):
 
     resp, when given, must be responsibilities(y, m); it spares the E-step.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    y = _rows(y, m.dim)
     if y.shape[0] < m.n_components:
         raise ValueError("need at least K observations")
     if resp is None:
@@ -435,7 +442,9 @@ def _restart(y, K, support, rng, max_iter, tol):
 
 
 def _fit_error(y, K, support):
-    """The error that fit raises for K before any EM, or None."""
+    """The error that fit gives K before any EM, or None."""
+    if not (isinstance(K, (int, np.integer)) and K >= 1):
+        return ValueError("K must be an integer >= 1; got %r" % (K,))
     if y.shape[0] < 10 * K:
         return ValueError("need at least 10*K observations (heuristic floor)")
     if not np.all(support.contains(y)):
@@ -443,15 +452,19 @@ def _fit_error(y, K, support):
     return None
 
 
-def fit_sweep(y, k_list, support, init_seed=0, max_iter=500, tol=1e-7,
-              restarts=3):
-    """fit(y, K, support, ...) for each K of k_list, in list order: its
-    (model, FitReport), or the error it raises.
+def fit(y, k_list, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3):
+    """EM fits of the (n, d) rows y, for each K of k_list in list order: its
+    (model, FitReport), or the error that failed it; deterministic given
+    (y, K, init_seed, options).
 
-    The restarts of every K run in one lockstep (see the module docstring),
-    so a K's result is bit for bit what fit gives it alone.
+    Every third EM update starts from an extrapolation (_squarem_update);
+    max_iter caps the EM updates.  The restarts of every K run in one
+    lockstep (see the module docstring), so a K's result is bit for bit
+    that of fit(y, [K], ...), and a K's best restart is returned, the first
+    of equals.  When restarts fail, the lowest-index failure is the K's
+    result; a K that is not an integer >= 1 gets a ValueError.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    y = _rows(y, support.dim)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     errors = [_fit_error(y, K, support) for K in k_list]
@@ -473,21 +486,6 @@ def fit_sweep(y, k_list, support, init_seed=0, max_iter=500, tol=1e-7,
     return results
 
 
-def fit(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3):
-    """EM fit with restarts; deterministic given (y, K, init_seed, options).
-
-    Every third EM update starts from an extrapolation (_squarem_update);
-    max_iter caps the EM updates.  The restarts run in lockstep (see the
-    module docstring) and the best one is returned, the first of equals.
-    When restarts fail, the lowest-index failure is raised.  The one-K case
-    of fit_sweep.
-    """
-    out, = fit_sweep(y, [K], support, init_seed, max_iter, tol, restarts)
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
 def n_free_parameters(K, d):
     return (K - 1) + K * d + K * d * (d + 1) // 2
 
@@ -497,8 +495,7 @@ def bic(m, y, loglik=None):
 
     loglik, when given, must be the log-likelihood of y under m.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    n, d = y.shape
+    n, d = _rows(y, m.dim).shape
     ll = float(np.sum(gmm_log_density(y, m))) if loglik is None else loglik
     return -2.0 * ll + n_free_parameters(m.n_components, d) * np.log(n)
 

@@ -99,6 +99,15 @@ def test_criterion_3_crude_equivalent_sample_size():
         assert abs(n_eq / 2.56e7 - 1.0) < 0.10, "n_eq %.3g" % n_eq
 
 
+def fit_one(y, K, support, **kw):
+    """The (model, FitReport) of fit(y, [K], support, **kw); raises the
+    error that failed K."""
+    out, = fit(y, [K], support, **kw)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def test_criterion_4_em_parameter_recovery(truncated_2comp_2d):
     """EM on 1e5 truncated-GMM samples recovers all parameters to 0.05."""
     with criterion("EM parameter recovery"):
@@ -106,7 +115,7 @@ def test_criterion_4_em_parameter_recovery(truncated_2comp_2d):
         true = truncated_2comp_2d
         rng = np.random.default_rng(42)
         y = gmm_sample(100_000, true, rng)
-        model, report = fit(y, 2, true.support, init_seed=0)
+        model, report = fit_one(y, 2, true.support, init_seed=0)
         ll = np.array(report.loglik_trace)
         assert np.all(np.diff(ll) >= -1e-9), "log-likelihood decreased"
         # match fitted components to the generators by mean distance

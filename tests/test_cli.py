@@ -81,6 +81,19 @@ class TestFit:
         assert manifest["command"] == "fit"
         assert manifest["options"]["k_list"] == [1, 2, 3]
 
+    def test_one_fit_call_for_the_k_list(self, runner, data_csv, tmp_path,
+                                         monkeypatch):
+        calls, real = [], tgmm.fit
+
+        def spy(y, k_list, *args, **kwargs):
+            calls.append(list(k_list))
+            return real(y, k_list, *args, **kwargs)
+        monkeypatch.setattr(tgmm, "fit", spy)
+        r = runner.invoke(main, ["fit", data_csv, "--k-list", "1,2,3",
+                                 "--out", str(tmp_path / "fit")])
+        assert r.exit_code == 0, r.output
+        assert calls == [[1, 2, 3]]
+
     def test_lane_change_coords(self, runner, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "events.csv"
@@ -783,7 +796,8 @@ BAD_OPTIONS = {
             ("--max-frontier", "-3"), ("--n", "99")],
     "crude": [("--seed", "-1"), ("--workers", "1"), ("--n", "0"),
               ("--n", "99")],
-    "fit": [("--seed", "-1"), ("--k-list", "0"), ("--k-list", "-1")],
+    "fit": [("--seed", "-1"), ("--k-list", "0"), ("--k-list", "-1"),
+            ("--k-list", "2.5")],
 }
 
 

@@ -170,6 +170,18 @@ class TestSimulateBatch:
         with pytest.raises(ValueError):
             simulate_batch([10.0], [1.0], [0.0])
 
+    @pytest.mark.parametrize("events", [
+        ([20.0, 20.0], [3.0], [10.0, 2.0]), ([20.0], [3.0, 3.0], [10.0]),
+        (20.0, 3.0, 10.0), ([[20.0]], [[3.0]], [[10.0]])],
+        ids=["one_ttc", "two_ttc", "scalars", "2d"])
+    def test_other_shapes_name_the_shapes(self, events):
+        # no broadcasting: the lone ttc of one_ttc is not paired with both rows
+        shapes = tuple(np.shape(a) for a in events)
+        with pytest.raises(ValueError, match=re.escape(
+                "want three 1-D arrays of one length; got shapes %s, %s and %s"
+                % shapes)):
+            simulate_batch(*events)
+
     def test_non_finite_state_raises(self):
         with pytest.raises(RuntimeError):
             simulate_batch([10.0, 10.0], [1.0, 1e-300], [5.0, 1e300])

@@ -27,6 +27,15 @@ def updates_to(model):
     return update
 
 
+def fit_one(y, K, support, **kw):
+    """The (model, FitReport) of fit(y, [K], support, **kw); raises the
+    error that failed K."""
+    out, = fit(y, [K], support, **kw)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def count_calls(monkeypatch, *names):
     """Wraps each named tgmm function; returns name -> calls so far."""
     calls = dict.fromkeys(names, 0)
@@ -226,7 +235,7 @@ class TestEmStep:
         support = Rect([0.0], [np.inf])
         true = TruncatedGMM([1.0], [GaussComponent([0.4], [[1.0]])], support)
         y = gmm_sample(20_000, true, rng)
-        m, _ = fit(y, 1, support, init_seed=0, restarts=1)
+        m, _ = fit_one(y, 1, support, init_seed=0, restarts=1)
 
         from scipy.special import ndtr
         best = None
@@ -266,23 +275,23 @@ class TestEmStep:
 class TestFit:
     def test_k1_standard_normal_consistency(self, rng):
         y = rng.standard_normal((100_000, 2))
-        m, rep = fit(y, 1, Rect.unbounded(2), init_seed=1, restarts=1)
+        m, rep = fit_one(y, 1, Rect.unbounded(2), init_seed=1, restarts=1)
         assert np.all(np.abs(m.components[0].mean) < 0.02)
         assert np.abs(m.components[0].cov - np.eye(2)).max() < 0.05
         assert np.all(np.diff(rep.loglik_trace) >= -1e-9)
 
     def test_loop_contract(self, rng):
         y = rng.standard_normal((200, 1))
-        _, rep = fit(y, 1, Rect.unbounded(1), init_seed=0, max_iter=5, tol=0.0,
-                     restarts=1)
+        _, rep = fit_one(y, 1, Rect.unbounded(1), init_seed=0, max_iter=5,
+                         tol=0.0, restarts=1)
         assert rep.iterations == 5
         assert len(rep.loglik_trace) == 6
         assert not rep.converged
 
     def test_determinism(self, rng, truncated_2comp_2d):
         y = gmm_sample(2000, truncated_2comp_2d, rng)
-        m1, r1 = fit(y, 2, truncated_2comp_2d.support, init_seed=5)
-        m2, r2 = fit(y, 2, truncated_2comp_2d.support, init_seed=5)
+        m1, r1 = fit_one(y, 2, truncated_2comp_2d.support, init_seed=5)
+        m2, r2 = fit_one(y, 2, truncated_2comp_2d.support, init_seed=5)
         assert r1.loglik_trace == r2.loglik_trace
         for a, b in zip(m1.components, m2.components):
             assert a.mean.tobytes() == b.mean.tobytes()
@@ -290,7 +299,8 @@ class TestFit:
 
     def test_loglik_trace_and_bic_from_the_e_step(self, rng, truncated_2comp_2d):
         y = gmm_sample(1000, truncated_2comp_2d, rng)
-        m, rep = fit(y, 2, truncated_2comp_2d.support, init_seed=1, restarts=1)
+        m, rep = fit_one(y, 2, truncated_2comp_2d.support, init_seed=1,
+                         restarts=1)
         ll = float(np.sum(gmm_log_density(y, m)))
         assert rep.loglik_trace[-1] == pytest.approx(ll, rel=1e-13)
         assert rep.bic == pytest.approx(bic(m, y), rel=1e-13)
@@ -301,8 +311,8 @@ class TestFit:
         # and the extrapolated models are scored but not recorded
         calls = count_calls(monkeypatch, "_em_update", "_e_step")
         y = gmm_sample(500, truncated_2comp_2d, rng)
-        _, rep = fit(y, 2, truncated_2comp_2d.support, max_iter=7, tol=0.0,
-                     restarts=1)
+        _, rep = fit_one(y, 2, truncated_2comp_2d.support, max_iter=7,
+                         tol=0.0, restarts=1)
         assert rep.iterations == calls["_em_update"] == 7
         assert len(rep.loglik_trace) == 8
         assert calls["_e_step"] > 8
@@ -314,17 +324,52 @@ class TestFit:
         far = TruncatedGMM([1.0], [GaussComponent([1e200], [[1.0]])], Rect.unbounded(1))
         monkeypatch.setattr(tgmm, "_em_update", updates_to(far))
         with pytest.raises(RuntimeError, match="non-finite log-likelihood at iter"):
-            fit(rng.standard_normal((50, 1)), 1, Rect.unbounded(1), restarts=1)
+            fit_one(rng.standard_normal((50, 1)), 1, Rect.unbounded(1),
+                    restarts=1)
 
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_restarts_below_one(self, rng, restarts):
         with pytest.raises(ValueError, match="restarts must be >= 1"):
-            fit(rng.standard_normal((50, 1)), 1, Rect.unbounded(1),
-                restarts=restarts)
+            fit_one(rng.standard_normal((50, 1)), 1, Rect.unbounded(1),
+                    restarts=restarts)
 
     def test_sample_floor(self, rng):
         with pytest.raises(ValueError):
-            fit(rng.standard_normal((15, 1)), 2, Rect.unbounded(1))
+            fit_one(rng.standard_normal((15, 1)), 2, Rect.unbounded(1))
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, "2", None])
+    def test_k_not_an_integer_from_one_fails_alone(self, rng, k):
+        y = rng.standard_normal((200, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bad, good = fit(y, [k, 1], Rect.unbounded(1), max_iter=5)
+        assert type(bad) is ValueError
+        assert str(bad) == "K must be an integer >= 1; got %r" % (k,)
+        assert_same_fit(good, fit_one(y, 1, Rect.unbounded(1), max_iter=5))
+
+    def test_numpy_integer_k(self, rng):
+        y = rng.standard_normal((200, 1))
+        assert_same_fit(fit_one(y, np.int64(2), Rect.unbounded(1), max_iter=5),
+                        fit_one(y, 2, Rect.unbounded(1), max_iter=5))
+
+
+# A 1-D array of 500 values, which np.atleast_2d would make one row of 500
+# columns, and other shapes that are not (n, d) rows of a 1-D model
+NOT_ROWS = [(500,), (1, 500), (), (500, 1, 1), (500, 2)]
+
+
+@pytest.mark.parametrize("shape", NOT_ROWS)
+@pytest.mark.parametrize("call", [
+    lambda y, m: fit(y, [1], m.support),
+    lambda y, m: bic(m, y),
+    lambda y, m: responsibilities(y, m),
+    lambda y, m: em_step(y, m),
+    lambda y, m: gmm_log_density(y, m)],
+    ids=["fit", "bic", "responsibilities", "em_step", "gmm_log_density"])
+def test_rows_only(call, shape):
+    with pytest.raises(ValueError, match=r"^want \(n, 1\) rows; got shape %s$"
+                       % re.escape(str(shape))):
+        call(np.ones(shape), single_gaussian())
 
 
 def plain_em(y, K, support, init_seed=0, max_iter=500, tol=1e-7, restarts=3):
@@ -392,7 +437,7 @@ class TestSquarem:
                                            monkeypatch):
         y, rect, plain_model, plain_trace, plain_steps = plain_em_fits[support]
         calls = count_calls(monkeypatch, "_em_update")
-        m, rep = fit(y, 2, rect)
+        m, rep = fit_one(y, 2, rect)
         assert_plain_em_answer(m, rep, plain_model, plain_trace)
         assert calls["_em_update"] < plain_steps
 
@@ -447,7 +492,7 @@ class TestSquaremSafeguard:
                                               monkeypatch):
         y, rect, plain_model, plain_trace, _ = plain_em_fits["cut-in box"]
         raised = spoil_first_extrapolation(monkeypatch, spoiler)
-        m, rep = fit(y, 2, rect)
+        m, rep = fit_one(y, 2, rect)
         assert len(raised) == 1
         assert_plain_em_answer(m, rep, plain_model, plain_trace)
 
@@ -591,8 +636,8 @@ def clean_restarts(lockstep_rows):
     """Each restart's outcome of a K = 2 fit of lockstep_rows on the cut-in box."""
     with pytest.MonkeyPatch.context() as mp:
         _, outcomes = watch_restarts(mp)
-        fit(lockstep_rows, 2, PLAIN_EM_SUPPORTS["cut-in box"],
-            max_iter=LOCKSTEP_MAX_ITER)
+        fit_one(lockstep_rows, 2, PLAIN_EM_SUPPORTS["cut-in box"],
+                max_iter=LOCKSTEP_MAX_ITER)
     return outcomes
 
 
@@ -603,7 +648,7 @@ class TestLockstepRestarts:
     def test_matches_loop_fit(self, lockstep_rows, support, K, restarts):
         rect = LOCKSTEP_SUPPORTS[support]
         kw = dict(init_seed=1, max_iter=LOCKSTEP_MAX_ITER, restarts=restarts)
-        assert_same_fit(fit(lockstep_rows, K, rect, **kw),
+        assert_same_fit(fit_one(lockstep_rows, K, rect, **kw),
                         loop_fit(lockstep_rows, K, rect, **kw))
 
     @pytest.mark.parametrize("spoiler", [s for s in SPOILERS
@@ -622,7 +667,8 @@ class TestLockstepRestarts:
         with monkeypatch.context() as mp:
             raised = spoil_first_extrapolation(mp, spoiler, start)
             _, spoiled = watch_restarts(mp)
-            assert_same_fit(fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER), want)
+            assert_same_fit(fit_one(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER),
+                            want)
             assert len(raised) == 1
         if SPOILERS[spoiler][0] is gauss.DegenerateTruncationError:
             # component 0 of restart 1, the call's component 2
@@ -639,7 +685,7 @@ class TestLockstepRestarts:
             loop_fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
         _, outcomes = watch_restarts(monkeypatch)
         with pytest.raises(gauss.DegenerateTruncationError) as got:
-            fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+            fit_one(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
         # the call's component 3 is component 1 of restart 1
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("component 1: rectangle probability")
@@ -659,7 +705,7 @@ class TestLockstepRestarts:
             loop_fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
         _, outcomes = watch_restarts(monkeypatch)
         with pytest.raises(gauss.DegenerateTruncationError) as got:
-            fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+            fit_one(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
         for i, k in ((0, 1), (1, 0)):
             child = np.random.SeedSequence(0).spawn(i + 1)[i]
             _, comps = tgmm._init_model(y, 2, np.random.default_rng(child))
@@ -685,7 +731,7 @@ class TestLockstepRestarts:
         spoil_start_model(monkeypatch, restart=1, component=1)
         _, outcomes = watch_restarts(monkeypatch)
         with pytest.raises(ValueError, match="a mean below -50"):
-            fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+            fit_one(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
         for i in (0, 2):
             assert outcomes[i][1] == clean_restarts[i][1]
 
@@ -708,7 +754,7 @@ class TestLockstepRestarts:
         monkeypatch.setattr(tgmm, "_em_update", failing)
         with pytest.raises(RuntimeError,
                            match="non-finite log-likelihood at iteration 2: "):
-            fit(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
+            fit_one(y, 2, rect, max_iter=LOCKSTEP_MAX_ITER)
         assert "at iteration 1: " in str(outcomes[2])
         assert len(outcomes[0][1]) > 3
 
@@ -730,14 +776,15 @@ def kill_last_component(monkeypatch, K):
 class TestFitSweep:
     @pytest.mark.parametrize("support", sorted(LOCKSTEP_SUPPORTS))
     def test_matches_per_k_fits(self, lockstep_rows, support):
-        # fit is the one-K sweep, and test_matches_loop_fit pins it to the
-        # one-after-another reference
+        # test_matches_loop_fit pins the one-K fits to the one-after-another
+        # reference
         rect = LOCKSTEP_SUPPORTS[support]
         kw = dict(init_seed=1, max_iter=LOCKSTEP_MAX_ITER)
         k_list = [2, 1, 3]
-        got = tgmm.fit_sweep(lockstep_rows, k_list, rect, **kw)
+        got = fit(lockstep_rows, k_list, rect, **kw)
         for K, result in zip(k_list, got, strict=True):
-            assert_same_fit(result, fit(lockstep_rows, K, rect, **kw))
+            alone, = fit(lockstep_rows, [K], rect, **kw)
+            assert_same_fit(result, alone)
 
     def test_failing_ks_keep_their_own_errors(self, lockstep_rows, monkeypatch):
         # 25 rows: K = 3 is below the 10*K floor, and K = 2's last component
@@ -745,11 +792,12 @@ class TestFitSweep:
         y, rect = lockstep_rows[:25], LOCKSTEP_SUPPORTS["unbounded"]
         kill_last_component(monkeypatch, 2)
         k_list = [3, 1, 2]
-        got = tgmm.fit_sweep(y, k_list, rect, max_iter=LOCKSTEP_MAX_ITER)
-        assert_same_fit(got[1], fit(y, 1, rect, max_iter=LOCKSTEP_MAX_ITER))
+        got = fit(y, k_list, rect, max_iter=LOCKSTEP_MAX_ITER)
+        assert_same_fit(got[1],
+                        fit_one(y, 1, rect, max_iter=LOCKSTEP_MAX_ITER))
         for K, kind in ((3, ValueError), (2, tgmm.DyingComponentError)):
             with pytest.raises(kind) as alone:
-                fit(y, K, rect, max_iter=LOCKSTEP_MAX_ITER)
+                fit_one(y, K, rect, max_iter=LOCKSTEP_MAX_ITER)
             err = got[k_list.index(K)]
             assert type(err) is kind and str(err) == str(alone.value)
         assert "10*K" in str(got[0])
@@ -759,10 +807,10 @@ class TestFitSweep:
         rect = PLAIN_EM_SUPPORTS["cut-in box"]
         calls = count_calls(monkeypatch, "_kernel")
         for K in (1, 2):
-            fit(lockstep_rows, K, rect, max_iter=LOCKSTEP_MAX_ITER)
+            fit_one(lockstep_rows, K, rect, max_iter=LOCKSTEP_MAX_ITER)
         per_k = calls["_kernel"]
         calls["_kernel"] = 0
-        tgmm.fit_sweep(lockstep_rows, [1, 2], rect, max_iter=LOCKSTEP_MAX_ITER)
+        fit(lockstep_rows, [1, 2], rect, max_iter=LOCKSTEP_MAX_ITER)
         assert calls["_kernel"] < per_k
 
 
@@ -782,7 +830,7 @@ class TestBic:
         y = gmm_sample(20_000, truncated_2comp_2d, rng)
         bics = {}
         for K in (1, 2, 3):
-            m, rep = fit(y, K, truncated_2comp_2d.support, init_seed=3)
+            m, rep = fit_one(y, K, truncated_2comp_2d.support, init_seed=3)
             bics[K] = rep.bic
         assert min(bics, key=bics.get) == 2
 
@@ -893,10 +941,10 @@ class TestStandardize:
         # density in original coordinates = standardized density / prod(scale)
         y = rng.normal(5.0, 2.0, size=(5000, 2)) * np.array([1.0, 3.0])
         z, std = standardize(y)
-        m, _ = fit(z, 1, Rect.unbounded(2), init_seed=0, restarts=1)
+        m, _ = fit_one(z, 1, Rect.unbounded(2), init_seed=0, restarts=1)
         probe = y[:50]
         lz = gmm_log_density(std.apply(probe), m) - np.log(std.scale).sum()
-        direct, _ = fit(y, 1, Rect.unbounded(2), init_seed=0, restarts=1)
+        direct, _ = fit_one(y, 1, Rect.unbounded(2), init_seed=0, restarts=1)
         ly = gmm_log_density(probe, direct)
         assert np.allclose(lz, ly, atol=1e-6)
 
