@@ -115,12 +115,16 @@ class EstimateReport:
 
 
 def apply_indicator(indicator, X):
-    """Evaluate a batch indicator, which maps (n, d) rows to (n,) outcomes."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """(n,) int outcomes of a batch indicator at the sampler's (n, d) rows X;
+    an outcome array of another shape, or a value not 0 or 1, raises ValueError."""
     vals = np.asarray(indicator(X))
     if vals.shape != (X.shape[0],):
         raise ValueError("indicator returned shape %s for %d rows; want (%d,)"
                          % (vals.shape, X.shape[0], X.shape[0]))
+    bad = np.flatnonzero((vals != 0) & (vals != 1))
+    if bad.size:
+        raise ValueError("indicator returned %r at row %d; want 0 or 1"
+                         % (vals[bad[0]].item(), bad[0]))
     return vals.astype(int)
 
 

@@ -108,12 +108,10 @@ def solve_piece(c, lower, upper):
 
 
 def _dedup(points):
-    """The (n, d) points less each row within 1e-6 of an earlier kept row."""
-    dist = np.sqrt(sum((col[:, None] - col) ** 2 for col in points.T))
-    close = np.triu(dist <= 1e-6, 1)  # close[j, i]: j < i, and i lies near j
+    """The lexicographically sorted (n, d) points less each row equal to the
+    row before it, so one copy of each exact duplicate."""
     keep = np.ones(len(points), dtype=bool)
-    for i in np.flatnonzero(close.any(axis=0)):
-        keep[i] = not np.any(close[:i, i] & keep[:i])
+    keep[1:] = np.any(points[1:] != points[:-1], axis=1)
     return points[keep]
 
 

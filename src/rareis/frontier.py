@@ -10,6 +10,8 @@ so the set is non-decreasing internally.
 
 import numpy as np
 
+from .gauss import _rows
+
 
 class NonMonotoneOutcomeError(RuntimeError):
     """A rare point sits componentwise below a safe point: outcomes are not monotone."""
@@ -69,8 +71,8 @@ class FrontierStore:
     def __init__(self, mask, s1=None, s0=None):
         self.mask = mask
         d = mask.dim
-        self.s1 = _empty(d) if s1 is None else np.atleast_2d(np.asarray(s1, dtype=float))
-        self.s0 = _empty(d) if s0 is None else np.atleast_2d(np.asarray(s0, dtype=float))
+        self.s1 = _empty(d) if s1 is None else _rows(s1, d)
+        self.s0 = _empty(d) if s0 is None else _rows(s0, d)
 
     @property
     def dim(self):
@@ -164,7 +166,7 @@ def bound_indicators(store, X):
     outside the outer one when z < some safe point s, that is -s < -z, in
     every coordinate.  The draws go in blocks of _DRAWS rows.
     """
-    Z = store.mask.canonicalize(X)
+    Z = store.mask.canonicalize(_rows(X, store.dim))
     inner, outer = np.empty((2, Z.shape[0]), dtype=bool)
     neg = -store.s0
     for lo in range(0, Z.shape[0], _DRAWS):

@@ -55,6 +55,14 @@ class DegenerateTruncationError(RuntimeError):
     component = None  # index of the component the message names, if any
 
 
+def _rows(X, d):
+    """X as an (n, d) float array; raises ValueError naming any other shape."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError("want (n, %d) rows; got shape %s" % (d, X.shape))
+    return X
+
+
 class Rect:
     """Axis-aligned hyper-rectangle with possibly infinite bounds."""
 

@@ -16,8 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .frontier import DirectionMask
-from .gauss import Rect, rect_prob
-from .tgmm import gmm_log_density
+from .gauss import Rect, _rows, rect_prob
 
 # desired standstill gap for the cruise controller, m
 STANDSTILL_MARGIN = 2.0
@@ -264,19 +263,15 @@ def lane_change_mask():
 
 def lane_change_coords(events):
     """Model coordinates (v, 1/ttc, 1/range) of (n, 3) rows of (v, ttc, range)."""
-    E = np.atleast_2d(np.asarray(events, dtype=float))
-    if E.shape[1] != 3:
-        raise ValueError("lane-change rows need 3 columns (v, ttc, range), not %d"
-                         % E.shape[1])
+    E = _rows(events, 3)
     if np.any(E <= 0):
         raise ValueError("lane-change columns must be positive")
     return np.column_stack([E[:, 0], 1.0 / E[:, 1], 1.0 / E[:, 2]])
 
 
 def lane_change_indicator(cfg=AVConfig()):
-    """Batch crash indicator over model coordinates (v, 1/ttc, 1/range)."""
-    def indicator(x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
+    """Batch crash indicator over (n, 3) rows (v, 1/ttc, 1/range)."""
+    def indicator(X):
         if np.any(X[:, 1:] <= 0):
             raise ValueError("1/ttc and 1/range must be positive (closing events only)")
         return simulate_batch(X[:, 0], 1.0 / X[:, 1], 1.0 / X[:, 2], cfg)
@@ -291,16 +286,6 @@ def _mixture_halfspace_tail(gmm, w, gamma):
         sd = float(np.sqrt(w @ c.cov @ w))
         total += eta * ndtr(-(gamma - mu) / sd)
     return total
-
-
-def _grid_truth(gmm, indicator, lo, up, steps=400):
-    axes = [np.linspace(lo[i], up[i], steps) for i in range(len(lo))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    dens = np.exp(gmm_log_density(pts, gmm))
-    vol = np.prod([(up[i] - lo[i]) / (steps - 1) for i in range(len(lo))])
-    hits = np.asarray(indicator(pts))
-    return float(np.sum(dens * hits) * vol)
 
 
 def _param(params, key, ndim):
@@ -321,11 +306,11 @@ def _param(params, key, ndim):
 def analytic_scenario(kind, params):
     """Monotone validation scenarios with exact probability functions.
 
-    Returns (indicator, truth_fn, mask); truth_fn takes a TruncatedGMM.
-    Kinds: halfspace (w, gamma; closed form on unbounded supports, dense
-    grid at d <= 2 otherwise), orthant (corner; exact via rectangle
-    probabilities at any supported d), mixture-tail (gamma; 1-d halfspace).
-    Malformed params raise ValueError.
+    Returns (indicator, truth_fn, mask).  The indicator maps (n, d) rows to
+    (n,) 0/1 outcomes; truth_fn takes a TruncatedGMM.  Kinds: halfspace
+    (w, gamma; closed form, on unbounded supports only), orthant (corner;
+    exact via rectangle probabilities at any supported d), mixture-tail
+    (gamma; 1-d halfspace).  Malformed params raise ValueError.
     """
     if not isinstance(params, dict):
         raise ValueError("scenario params must be a JSON object, not %s"
@@ -338,24 +323,20 @@ def analytic_scenario(kind, params):
         if np.any(w < 0):
             raise ValueError("halfspace weights must be nonnegative (monotone set)")
 
-        def indicator(x):
-            return (np.atleast_2d(x) @ w >= gamma).astype(int)
+        def indicator(X):
+            return (X @ w >= gamma).astype(int)
 
         def truth_fn(gmm):
-            if gmm.support.is_unbounded():
-                return _mixture_halfspace_tail(gmm, w, gamma)
-            if gmm.dim > 2:
-                raise ValueError("halfspace truth on truncated supports only at d <= 2")
-            lo = np.where(np.isfinite(gmm.support.lower), gmm.support.lower, -12.0)
-            up = np.where(np.isfinite(gmm.support.upper), gmm.support.upper, 12.0)
-            return _grid_truth(gmm, indicator, lo, up)
+            if not gmm.support.is_unbounded():
+                raise ValueError("halfspace truth needs an unbounded support")
+            return _mixture_halfspace_tail(gmm, w, gamma)
 
         return indicator, truth_fn, DirectionMask(np.ones(w.size))
     if kind == "orthant":
         corner = _param(params, "corner", 1)
 
-        def indicator(x):
-            return np.all(np.atleast_2d(x) >= corner, axis=1).astype(int)
+        def indicator(X):
+            return np.all(X >= corner, axis=1).astype(int)
 
         def truth_fn(gmm):
             lo = np.maximum(corner, gmm.support.lower)

@@ -33,7 +33,7 @@ import json
 
 import numpy as np
 
-from .gauss import (DegenerateTruncationError, GaussComponent, Rect,
+from .gauss import (DegenerateTruncationError, GaussComponent, Rect, _rows,
                     log_densities, rect_prob, sample_truncated, trunc_moments)
 
 
@@ -151,14 +151,6 @@ def log_mixture(ld, m, X):
     out = _logsumexp(_log_joint(ld, m))
     out[~m.support.contains(X)] = -np.inf
     return out
-
-
-def _rows(X, d):
-    """X as an (n, d) float array; raises ValueError naming any other shape."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != d:
-        raise ValueError("want (n, %d) rows; got shape %s" % (d, X.shape))
-    return X
 
 
 def gmm_log_density(X, m):

@@ -435,6 +435,39 @@ class TestApplyIndicator:
             accel.apply_indicator(failing, np.zeros((5, 2)))
         assert calls == [(5, 2)]
 
+    @pytest.mark.parametrize("bad, shown", [(0.9, "0.9"), (2, "2"),
+                                            (np.nan, "nan")])
+    def test_outcomes_other_than_0_or_1_rejected(self, bad, shown):
+        vals = np.array([1, 0, bad, 1, bad])
+        with pytest.raises(ValueError, match=r"^indicator returned %s at row 2; "
+                           r"want 0 or 1$" % shown):
+            accel.apply_indicator(lambda X: vals, np.zeros((5, 2)))
+
+    def test_boolean_outcomes_are_valid(self):
+        out = accel.apply_indicator(lambda X: X[:, 0] > 0, np.array([[1.0], [-1.0]]))
+        assert out.tolist() == [1, 0] and out.dtype.kind == "i"
+
+    def test_estimate_and_procedure_reject_fractional_outcomes(self):
+        """A 0.9 outcome once counted as a miss in estimate, and run_procedure
+        blamed the shapes of its draws."""
+        gmm = TruncatedGMM([1.0], [GaussComponent(np.zeros(2), np.eye(2))],
+                           Rect.unbounded(2))
+
+        def ind(X):
+            return (X.sum(axis=1) > 2) * 0.9
+        with pytest.raises(ValueError, match="returned 0.9 at row .*; want 0 or 1"):
+            estimate(ind, gmm, gmm, 10000, 0)
+        with pytest.raises(ValueError, match="returned 0.9 at row .*; want 0 or 1"):
+            run_procedure(ind, gmm, DirectionMask([1.0, 1.0]), n_per_iter=100,
+                          max_iter=1)
+
+
+@pytest.mark.parametrize("rho", [-0.1, 1.5, np.nan])
+def test_build_is_rejects_rho_outside_the_unit_interval(rho):
+    sets = [[np.array([3.0])]]
+    with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\]$"):
+        build_is(gauss1d(), sets, sets, rho)
+
 
 class TestRunProcedure:
     def test_zero_iterations_returns_base(self, rng):

@@ -185,10 +185,14 @@ class TestDominatingSets:
 
     def test_dedup_idempotent(self, rng):
         pts = rng.standard_normal((10, 2))
-        pts = np.vstack([pts, pts[0] + 1e-9])
-        once = _dedup(pts)
+
+        def lexsorted(rows):
+            return rows[np.lexsort(rows.T[::-1])]
+        once = _dedup(lexsorted(np.vstack([pts, pts[0]])))
         twice = _dedup(once)
         assert len(once) == len(twice) == 10
+        # only exact duplicates go: a row 1e-9 away stays
+        assert len(_dedup(lexsorted(np.vstack([pts, pts[0] + 1e-9])))) == 11
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -308,7 +312,7 @@ def loop_solve_set(gmm, corners, mask):
                       for k in np.flatnonzero(nonempty)), key=tuple)
         kept = []
         for p in pts:
-            if all(np.linalg.norm(p - q) > 1e-6 for q in kept):
+            if not any(np.array_equal(p, q) for q in kept):
                 kept.append(p)
         sets.append(kept)
     return sets
@@ -400,12 +404,6 @@ def test_solve_set_matches_the_per_piece_loop():
     assert len(_solve_set(gmm, corners, mask, "test")[0]) < len(corners) - 1
 
 
-def test_dedup_compares_with_kept_points_only():
-    # b is near a and dropped; c is near b but not near a, so it stays
-    pts = np.array([[0.0], [0.8e-6], [1.6e-6]])
-    np.testing.assert_array_equal(_dedup(pts), pts[[0, 2]])
-
-
 class TestKKTFailure:
     def gmm(self):
         comps = [GaussComponent([0.0, 0.0], np.eye(2)),
@@ -426,3 +424,20 @@ class TestKKTFailure:
         with pytest.raises(SolverError, match=r"^inner_dominating: component 1, "
                            r"corner \[2\.0, 0\.5\]: KKT residual .* exceeds 1e-6"):
             inner_dominating(gmm, store(s1=s1))
+
+
+@pytest.mark.parametrize("lower, upper, error, message", [
+    ([1.0, -np.inf], [np.inf, np.inf], SolverError,
+     r"^KKT residual 2 exceeds 1e-6$"),
+    ([1.0], [np.inf], ValueError, r"^piece bounds have shapes \(1,\) and \(1,\); "
+     r"the component has dimension 2$"),
+    ([1.0, 0.0], [0.5, 1.0], ValueError, r"^infeasible piece: lower exceeds upper$"),
+], ids=["kkt_residual", "bound_shapes", "infeasible"])
+def test_solve_piece_rejects(monkeypatch, lower, upper, error, message):
+    """solve_piece's checks, with a _box_qp whose answers are off by one in
+    every coordinate: (2, 1) where the optimum on {x0 >= 1} is (1, 0)."""
+    kernel = dompoints._box_qp
+    monkeypatch.setattr(dompoints, "_box_qp",
+                        lambda H, mu, lo, up: kernel(H, mu, lo, up) + 1.0)
+    with pytest.raises(error, match=message):
+        solve_piece(GaussComponent(np.zeros(2), np.eye(2)), lower, upper)

@@ -375,6 +375,18 @@ class TestBoundIndicators:
             assert np.all(inner <= outer)
             assert 0 < outer_direct[10_000:12_000].sum() < 2000
 
+    @pytest.mark.parametrize("X, shape", [(np.array([2.0, 2.0, 2.0]), r"\(3,\)"),
+                                          (np.ones((4, 2)), r"\(4, 2\)")],
+                             ids=["one_point", "wrong_width"])
+    def test_wants_rows_of_the_store_dimension(self, X, shape):
+        """A 1-D point once gave masks over its coordinates, and (4, 2) rows
+        numpy's broadcast error."""
+        s = FrontierStore(DirectionMask(np.ones(3)), [[1.0, 1.0, 1.0]],
+                          [[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^want \(n, 3\) rows; got shape %s$"
+                           % shape):
+            bound_indicators(s, X)
+
 
 class TestSandwich:
     @pytest.mark.parametrize("seed", range(5))
@@ -490,6 +502,21 @@ def test_bound_indicators_match_whole_matrix_tests(n, sizes):
     assert np.array_equal(outer, ~leq_reference(Z, s.s0, strict=True).any(axis=1))
     if n > 100 and all(sizes):
         assert 0 < inner.sum() < outer.sum() < n
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DirectionMask([1.0, 0.0]), r"^mask entries must be \+1 or -1$"),
+    (lambda: outer_pieces(store2d()),
+     r"^outer_pieces requires at least one safe frontier point$"),
+    # a store takes (n, d) rows of its mask's dimension, never one point
+    (lambda: FrontierStore(DirectionMask(np.ones(3)), [[1.0, 2.0]]),
+     r"^want \(n, 3\) rows; got shape \(1, 2\)$"),
+    (lambda: FrontierStore(DirectionMask(np.ones(3)), s0=[1.0, 2.0, 3.0]),
+     r"^want \(n, 3\) rows; got shape \(3,\)$"),
+], ids=["mask_entry", "outer_pieces_without_s0", "store_s1_width", "store_s0_point"])
+def test_rejects_malformed_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_canonicalize_involution(rng):

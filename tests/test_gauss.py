@@ -823,3 +823,32 @@ def test_pinned_bvnu_digest():
     r = np.repeat((absr * rng.choice([-1.0, 1.0], 200))[:, None], 40, axis=1)
     assert hashlib.sha256(gauss._bvnu(h, k, r).tobytes()).hexdigest() == (
         "1bd6e01fae55e46f942923b66f4cd248311ec130151802d6ab7475ebd4dfde29")
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _c(d):
+    return GaussComponent(np.zeros(d), np.eye(d))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Rect([0.0, 0.0], [1.0]),
+     r"^lower and upper must be 1-d vectors of equal length$"),
+    (lambda: Rect([[0.0]], [[1.0]]),
+     r"^lower and upper must be 1-d vectors of equal length$"),
+    (lambda: GaussComponent([0.0, 0.0], np.eye(3)),
+     r"^mean must be a d-vector and cov a d x d matrix$"),
+    (lambda: sample(0, _c(2), _rng()), r"^n must be >= 1$"),
+    (lambda: sample_truncated(0, _c(1), Rect([0.0], [1.0]), _rng()),
+     r"^n must be >= 1$"),
+    (lambda: rect_prob([_c(2)], Rect.unbounded(3)),
+     r"^rectangle and component dimension mismatch$"),
+    (lambda: rect_prob([_c(11)], Rect(np.zeros(11), np.ones(11))),
+     r"^rect_prob supports d <= 10$"),
+], ids=["rect_lengths", "rect_2d_bounds", "component_shapes", "sample_n",
+        "sample_truncated_n", "stack_dimension", "rect_prob_dimension"])
+def test_rejects_malformed_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -127,7 +127,7 @@ class TestSimulate:
         X = lane_change_coords([p for p, _ in self.CASES])
         expected = np.array([o for _, o in self.CASES])
         assert np.array_equal(ind(X), expected)
-        assert ind(X[0]) == expected[0]
+        assert np.array_equal(ind(X[:1]), expected[:1])
 
     def test_indicator_rejects_nonpositive_reciprocals(self):
         ind = lane_change_indicator()
@@ -493,8 +493,8 @@ class TestAnalyticScenarios:
         ind, truth_fn, _ = analytic_scenario("orthant", {"corner": [1.0, 2.0]})
         expected = float(ndtr(-1.0) * ndtr(-2.0))
         assert truth_fn(gmm) == pytest.approx(expected, rel=1e-4)
-        assert ind(np.array([1.5, 2.5])) == 1
-        assert ind(np.array([1.5, 1.5])) == 0
+        assert ind(np.array([[1.5, 2.5]])).tolist() == [1]
+        assert ind(np.array([[1.5, 1.5]])).tolist() == [0]
 
     def test_indicator_truth_agree_with_mc(self, rng):
         gmm = TruncatedGMM([1.0], [GaussComponent([0.5], [[2.0]])],
@@ -519,3 +519,25 @@ class TestAnalyticScenarios:
     def test_missing_parameter_named(self, kind, params, key):
         with pytest.raises(ValueError, match="missing parameter '%s'" % key):
             analytic_scenario(kind, params)
+
+
+def _halfspace_truth_on(support):
+    _, truth_fn, _ = analytic_scenario("halfspace", {"w": [1.0, 1.0], "gamma": 2.0})
+    return truth_fn(TruncatedGMM([1.0], [GaussComponent(np.zeros(2), np.eye(2))],
+                                 support))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AVConfig(crash_range=-0.1), r"^crash_range must be >= 0$"),
+    # events are (n, 3) rows; one event is a (1, 3) row, not a 3-vector
+    (lambda: lane_change_coords([20.0, 2.0, 10.0]),
+     r"^want \(n, 3\) rows; got shape \(3,\)$"),
+    (lambda: _halfspace_truth_on(Rect([0.0, -np.inf], [np.inf, np.inf])),
+     r"^halfspace truth needs an unbounded support$"),
+    (lambda: _halfspace_truth_on(Rect([-1.0, -1.0], [3.0, 3.0])),
+     r"^halfspace truth needs an unbounded support$"),
+], ids=["crash_range", "one_event", "halfspace_truth_half_bounded",
+        "halfspace_truth_box"])
+def test_rejects_malformed_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

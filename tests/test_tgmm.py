@@ -1001,3 +1001,34 @@ class TestSerialization:
         for k, c in enumerate(back.components):
             assert back.norm_consts[k] == pytest.approx(
                 gauss.rect_prob([c], back.support)[0], abs=1e-6)
+
+
+def _two_components_1d(support=Rect.unbounded(1)):
+    return TruncatedGMM([0.5, 0.5], [GaussComponent([0.2], [[1.0]]),
+                                     GaussComponent([0.8], [[1.0]])], support)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AffineStandardizer([0.0], [0.0]), r"^all scale entries must be positive$"),
+    (lambda: TruncatedGMM([0.5, 0.6], _two_components_1d().components,
+                          Rect.unbounded(1)),
+     r"^weights must be positive and sum to 1$"),
+    (lambda: TruncatedGMM([1.0], _two_components_1d().components, Rect.unbounded(1)),
+     r"^weights/components length mismatch$"),
+    (lambda: TruncatedGMM([1.0], [GaussComponent(np.zeros(2), np.eye(2))],
+                          Rect.unbounded(3)),
+     r"^support dimension mismatch$"),
+    (lambda: responsibilities(np.array([[0.5], [2.0]]),
+                              _two_components_1d(Rect([0.0], [1.0]))),
+     r"^row 1 lies outside the support$"),
+    (lambda: em_step(np.array([[0.5]]), _two_components_1d()),
+     r"^need at least K observations$"),
+    (lambda: fit_one(np.linspace(0.1, 2.0, 20)[:, None], 1, Rect([0.0], [1.0])),
+     r"^data rows must lie inside the support$"),
+    (lambda: gmm_sample(0, single_gaussian(), np.random.default_rng(0)),
+     r"^n must be >= 1$"),
+], ids=["standardizer_scale", "weights_sum", "weights_length", "support_dimension",
+        "responsibilities_outside", "em_step_rows", "fit_outside", "gmm_sample_n"])
+def test_rejects_malformed_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

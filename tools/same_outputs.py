@@ -8,15 +8,18 @@ Usage, from the repository root:
 ``--workload all`` compares every workload of the change tree's
 ``bench/workloads.py`` SETUPS, one after another.
 
-Both trees are extracted with ``bench_pairs.extract``. Each tree's own
-``bench/workloads.py`` and ``src/`` build the workload's ops and set-up
-files for ``--seed``, one tree after the other in the same work directory,
-so that both sides' CLI arguments name the same paths. A set-up file whose
-bytes differ between the trees, or that only one tree writes, is reported as
+Both trees are extracted with ``bench_pairs.extract`` and run in this
+process, at one BLAS thread. Each tree's ``src/rareis`` and
+``bench/workloads.py`` are imported once, with ``inproc_pairs``' loaders,
+under names suffixed by a hash of the tree's path. Each tree's own
+workloads module and CLI build the workload's ops and set-up files for
+``--seed``, one tree after the other in the same work directory, so that
+both sides' CLI arguments name the same paths. A set-up file whose bytes
+differ between the trees, or that only one tree writes, is reported as
 ``setup differs: <file>``. The first ``--ops`` ops then run in each tree on
-that tree's set-up, each as a fresh ``python3 -m rareis.cli ARGS`` process
-with the tree's ``src/`` on the path and one BLAS thread, each side writing
-to its own output directory. CLI arguments, exit codes and every output
+that tree's set-up, each through the tree's ``cli.main`` as
+``inproc_pairs.run_op`` calls it, each side writing to its own output
+directory. CLI arguments, exit codes and every output
 file except ``manifest.json`` (which records wall-clock time) are compared.
 Files must be byte-identical, except that with ``--rtol R`` a ``.json`` or
 ``.csv`` file may differ in its numbers, each by at most R relative, as long
@@ -27,14 +30,15 @@ and per op, and the exit status is 1 if anything differs in any workload.
 
 import argparse
 import filecmp
-import json
+import functools
+import hashlib
 import os
 import re
 import shutil
-import subprocess
 import sys
 import tempfile
 
+import inproc_pairs
 from bench_pairs import extract
 
 IGNORED = {"manifest.json"}
@@ -42,30 +46,15 @@ NUMERIC = (".json", ".csv")
 # A decimal number; the capturing group makes re.split keep the numbers.
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
-_SETUP = """
-import json, os, sys
-src, bench, name, seed, work, out = sys.argv[1:]
-sys.path[:0] = [src, bench]
-import rareis.cli, workloads
-inputs = workloads.SETUPS[name](int(seed), work, rareis.cli.main)
-with open(out, "w") as fh:
-    json.dump({"ops": [{"args": op.args, "out_dir": op.out_dir} for op in inputs.ops],
-               "files": [os.path.relpath(f, work) for f in inputs.files]}, fh)
-"""
 
-_NAMES = """
-import json, sys
-sys.path[:0] = sys.argv[1:]
-import workloads
-print(json.dumps(list(workloads.SETUPS)))
-"""
-
-
-def _env(tree):
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    return env
+@functools.lru_cache(maxsize=None)
+def _load(tree):
+    """(cli module, workloads module) of tree, imported once per process."""
+    tag = hashlib.sha256(os.path.abspath(tree).encode()).hexdigest()[:16]
+    package = inproc_pairs.load_package(os.path.join(tree, "src"), "rareis_" + tag)
+    workloads = inproc_pairs.load_module(os.path.join(tree, "bench", "workloads.py"),
+                                         "workloads_" + tag)
+    return package.cli, workloads
 
 
 def _files(root):
@@ -131,34 +120,27 @@ def setup_differences(dir_a, dir_b):
 
 
 def build_setup(tree, workload, seed, work, keep):
-    """The workload's ops as tree's bench/workloads.py builds them in work;
-    copies the set-up files it lists into keep."""
-    path = os.path.join(work, "ops.json")
-    subprocess.run([sys.executable, "-c", _SETUP, os.path.join(tree, "src"),
-                    os.path.join(tree, "bench"), workload, str(seed), work, path],
-                   cwd=tree, env=_env(tree), check=True, stdout=subprocess.DEVNULL)
-    with open(path) as fh:
-        doc = json.load(fh)
-    for name in doc["files"]:
+    """The workload's ops, as {"args", "out_dir"} dicts, that tree's
+    bench/workloads.py builds in work; copies the set-up files it lists
+    into keep."""
+    cli, workloads = _load(tree)
+    inputs = workloads.SETUPS[workload](seed, work, cli.main)
+    for path in inputs.files:
+        name = os.path.relpath(path, work)
         os.makedirs(os.path.dirname(os.path.join(keep, name)), exist_ok=True)
-        shutil.copyfile(os.path.join(work, name), os.path.join(keep, name))
-    return doc["ops"]
+        shutil.copyfile(path, os.path.join(keep, name))
+    return [{"args": op.args, "out_dir": op.out_dir} for op in inputs.ops]
 
 
 def workload_names(tree):
     """The names of tree's bench workloads, in SETUPS order."""
-    out = subprocess.run([sys.executable, "-c", _NAMES, os.path.join(tree, "src"),
-                          os.path.join(tree, "bench")], cwd=tree, env=_env(tree),
-                         check=True, stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out)
+    return list(_load(tree)[1].SETUPS)
 
 
 def run_op(tree, op, out_dir):
     """Runs op's CLI arguments in tree, writing to out_dir; returns the exit code."""
     args = [out_dir if a == op["out_dir"] else a for a in op["args"]]
-    return subprocess.run([sys.executable, "-m", "rareis.cli"] + args, cwd=tree,
-                          env=_env(tree), stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    return inproc_pairs.run_op(_load(tree)[0], args)[2]
 
 
 def main(argv=None):
@@ -173,6 +155,8 @@ def main(argv=None):
                     help="relative tolerance for numbers in .json and .csv "
                          "outputs; 0 requires identical bytes")
     args = ap.parse_args(argv)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before either tree imports numpy
 
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         trees = {}
