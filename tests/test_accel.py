@@ -448,8 +448,7 @@ class TestApplyIndicator:
         assert out.tolist() == [1, 0] and out.dtype.kind == "i"
 
     def test_estimate_and_procedure_reject_fractional_outcomes(self):
-        """A 0.9 outcome once counted as a miss in estimate, and run_procedure
-        blamed the shapes of its draws."""
+        """0.9 outcomes were once cast to misses, so both ran to an answer."""
         gmm = TruncatedGMM([1.0], [GaussComponent(np.zeros(2), np.eye(2))],
                            Rect.unbounded(2))
 

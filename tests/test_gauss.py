@@ -841,7 +841,8 @@ def _c(d):
     (lambda: GaussComponent([0.0, 0.0], np.eye(3)),
      r"^mean must be a d-vector and cov a d x d matrix$"),
     (lambda: sample(0, _c(2), _rng()), r"^n must be >= 1$"),
-    (lambda: sample_truncated(0, _c(1), Rect([0.0], [1.0]), _rng()),
+    # a far tail, so that without the check the mass test would fail first
+    (lambda: sample_truncated(0, _c(1), Rect([10.0], [11.0]), _rng()),
      r"^n must be >= 1$"),
     (lambda: rect_prob([_c(2)], Rect.unbounded(3)),
      r"^rectangle and component dimension mismatch$"),
