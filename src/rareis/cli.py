@@ -245,7 +245,7 @@ _out_option = click.option("--out", default=".", show_default=True,
 
 def _parse_k_list(ctx, param, value):
     try:
-        k_values = [int(k) for k in value.split(",") if k.strip()]
+        k_values = [int(k) for k in value.split(",")]
     except ValueError:
         k_values = []
     if not k_values or min(k_values) < 1:

@@ -63,6 +63,21 @@ def _rows(X, d):
     return X
 
 
+def _floats(value, name):
+    """value as a float array.  Raises ValueError naming name if value, or
+    an item of its nested lists, is a bool or a string, which np.asarray
+    would read as a number."""
+    items = [value]
+    while items:
+        v = items.pop()
+        if isinstance(v, (list, tuple)):
+            items.extend(v)
+        elif isinstance(v, (bool, np.bool_, str)):
+            raise ValueError("%s must hold numbers, not %s"
+                             % (name, type(v).__name__))
+    return np.asarray(value, dtype=float)
+
+
 class Rect:
     """Axis-aligned hyper-rectangle with possibly infinite bounds."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .frontier import DirectionMask
-from .gauss import Rect, _rows, rect_prob
+from .gauss import Rect, _floats, _rows, rect_prob
 
 # desired standstill gap for the cruise controller, m
 STANDSTILL_MARGIN = 2.0
@@ -293,7 +293,7 @@ def _param(params, key, ndim):
     if key not in params:
         raise ValueError("missing parameter %r" % key)
     try:
-        v = np.asarray(params[key], dtype=float)
+        v = _floats(params[key], key)
         ok = v.ndim == ndim and v.size > 0 and np.all(np.isfinite(v))
     except (TypeError, ValueError):
         ok = False

@@ -33,8 +33,8 @@ import json
 
 import numpy as np
 
-from .gauss import (DegenerateTruncationError, GaussComponent, Rect, _rows,
-                    log_densities, rect_prob, sample_truncated, trunc_moments)
+from .gauss import (DegenerateTruncationError, GaussComponent, Rect, _floats,
+                    _rows, log_densities, rect_prob, sample_truncated, trunc_moments)
 
 
 class DyingComponentError(RuntimeError):
@@ -512,8 +512,12 @@ def _encode_bounds(v):
             for x in v]
 
 
+_BOUNDS = {"-inf": -np.inf, "inf": np.inf}
+
+
 def _decode_bounds(v):
-    return np.array([float(x) for x in v])
+    return _floats([_BOUNDS.get(x, x) if isinstance(x, str) else x for x in v],
+                   "support")
 
 
 def model_to_json(m):
@@ -555,22 +559,27 @@ def _component(k, mean, cov):
 def model_from_json(text):
     """The model of model_to_json's text.  Raises ValueError unless the
     weights, means and covariances are finite, each component's draws have
-    finite squares and its precision matrix is finite, and the
-    standardizer's shift and scale, if any, are finite d-vectors."""
+    finite squares and its precision matrix is finite, the standardizer's
+    shift and scale, if any, are finite d-vectors, d and K match the arrays,
+    and every number is a JSON number (the support bounds may also be the
+    strings "inf" and "-inf")."""
     doc = json.loads(text)
     support = Rect(_decode_bounds(doc["support"]["lower"]),
                    _decode_bounds(doc["support"]["upper"]))
-    weights = np.array(doc["weights"], dtype=float)
-    means, covs = ([np.array(c[key], dtype=float) for c in doc["components"]]
+    weights = _floats(doc["weights"], "weights")
+    means, covs = ([_floats(c[key], key) for c in doc["components"]]
                    for key in ("mean", "cov"))
     if not all(np.all(np.isfinite(a)) for a in [weights, *means, *covs]):
         raise ValueError("weights, means and covariances must be finite")
     m = TruncatedGMM(weights, list(map(_component, range(len(means)), means, covs)),
                      support)
+    for key, value in (("d", m.dim), ("K", m.n_components)):
+        if type(doc[key]) is not int or doc[key] != value:
+            raise ValueError("%s is %s, but the arrays give %d"
+                             % (key, json.dumps(doc[key]), value))
     std = doc.get("standardizer")
     if std is not None:
-        shift, scale = (np.array(std[key], dtype=float)
-                        for key in ("shift", "scale"))
+        shift, scale = (_floats(std[key], key) for key in ("shift", "scale"))
         if not (shift.shape == scale.shape == (m.dim,)
                 and np.all(np.isfinite([shift, scale]))):
             raise ValueError("standardizer shift and scale must be finite "

@@ -418,7 +418,9 @@ class TestRun:
         assert "Traceback" not in r.output
 
     @pytest.mark.parametrize("params", ['[1]', '{"w": [[1.0]], "gamma": 3}',
-                                        '{"w": [1.0], "gamma": NaN}'])
+                                        '{"w": [1.0], "gamma": NaN}',
+                                        '{"w": [true], "gamma": 3}',
+                                        '{"w": [1.0], "gamma": "3"}'])
     def test_malformed_analytic_params_exit_2(self, runner, model_1d,
                                               tmp_path, params):
         r = runner.invoke(main, ["run", model_1d, "--analytic", "halfspace",
@@ -485,6 +487,8 @@ class TestRun:
         for text in ["{not json", json.dumps(dict(doc, components=5)),
                      json.dumps([doc]), json.dumps(zero_mass),
                      json.dumps(dict(doc, weights=[nan])),
+                     json.dumps(dict(doc, weights=[True])),
+                     json.dumps(dict(doc, K=7)), json.dumps(dict(doc, d=5)),
                      json.dumps(dict(doc, components=[dict(comp, mean=[nan])])),
                      json.dumps(dict(doc, components=[dict(comp, cov=[[inf]])])),
                      json.dumps(dict(doc, components=[dict(comp, cov=[[1e308]])])),
@@ -797,7 +801,8 @@ BAD_OPTIONS = {
     "crude": [("--seed", "-1"), ("--workers", "1"), ("--n", "0"),
               ("--n", "99")],
     "fit": [("--seed", "-1"), ("--k-list", "0"), ("--k-list", "-1"),
-            ("--k-list", "2.5")],
+            ("--k-list", "2.5"), ("--k-list", "1,,2"), ("--k-list", "1,"),
+            ("--k-list", ",1")],
 }
 
 

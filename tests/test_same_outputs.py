@@ -1,4 +1,5 @@
-"""tools/same_outputs.py: the comparison of two runs' exit codes and files."""
+"""tools/same_outputs.py: the comparison of two runs' exit codes and files,
+and the paired figures of their op times."""
 
 import importlib.util
 import pathlib
@@ -21,6 +22,11 @@ def tool(monkeypatch):
 @pytest.fixture
 def differences(tool):
     return tool.differences
+
+
+@pytest.fixture
+def summarize(tool):
+    return tool.summarize
 
 
 def write(root, files):
@@ -182,3 +188,41 @@ def test_compare_names_files_within_rtol(tool, tmp_path, capsys):
     assert tool.compare(trees, "toy", 0, 1, str(tmp_path / "s"), rtol=1e-17) == 2
     assert capsys.readouterr().out.splitlines()[1] == (
         "toy op 0: report.json max relative difference 1.4e-16")
+
+
+def test_ops_cycle_and_are_timed(tool, tmp_path, capsys):
+    """Past the workload's 3 ops, op 3 re-runs op 0; each tree's arguments
+    name its own work directory, which is not an argument difference."""
+    trees = {"parent": toy_tree(tmp_path / "p", "{}"),
+             "change": toy_tree(tmp_path / "c", "{}")}
+    assert tool.compare(trees, "toy", 0, 4, str(tmp_path / "cycle")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["toy op %d: same (exit 0, 1 files)" % i for i in range(4)]
+    assert len(lines) == 5
+    assert lines[4].startswith("toy: 4 ops, median time ratio change/parent ")
+    assert "ru_minflt per op: parent " in lines[4]
+
+
+def test_median_and_quartiles_of_the_paired_ratios(summarize):
+    parent = [10.0, 10.0, 20.0, 8.0, 5.0]
+    change = [9.0, 11.0, 10.0, 8.0, 4.0]
+    # ratios 0.9, 1.1, 0.5, 1.0, 0.8; the ratio of the medians would read 0.9
+    # too, so op 2's halving must not reach the median
+    s = summarize(parent, change, [700, 690, 710, 0, 0], [40, 50, 60, 0, 0])
+    assert (s["ratio"], s["q1"], s["q3"]) == (0.9, 0.8, 1.0)
+    assert s["ops"] == 5
+    assert s["won"] == 3  # the tie at op 3 counts for neither side
+    assert s["minflt"] == {"parent": 420.0, "change": 30.0}
+
+
+def test_ratios_pair_ops_not_medians(summarize):
+    # each side's median is 2.0, but every op of the change is twice as slow
+    s = summarize([1.0, 2.0, 4.0], [2.0, 4.0, 8.0], [0, 0, 0], [0, 0, 0])
+    assert (s["ratio"], s["q1"], s["q3"], s["won"]) == (2.0, 2.0, 2.0, 0)
+
+
+def test_needs_two_paired_ops(summarize):
+    with pytest.raises(ValueError):
+        summarize([1.0], [1.0], [0], [0])
+    with pytest.raises(ValueError):
+        summarize([1.0, 2.0], [1.0], [0, 0], [0])

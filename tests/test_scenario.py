@@ -520,6 +520,23 @@ class TestAnalyticScenarios:
         with pytest.raises(ValueError, match="missing parameter '%s'" % key):
             analytic_scenario(kind, params)
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("mixture-tail", {"gamma": True}, "gamma"),
+        ("halfspace", {"w": [1.0], "gamma": "3"}, "gamma"),
+        ("halfspace", {"w": [True, 1.0], "gamma": 1.0}, "w"),
+        ("halfspace", {"w": ["1", 1.0], "gamma": 1.0}, "w"),
+        ("orthant", {"corner": [False, 2.0]}, "corner")])
+    def test_bool_or_string_is_not_a_number(self, kind, params, key):
+        """numpy reads true and "3" as numbers; JSON parameters must not."""
+        with pytest.raises(ValueError, match="^%s must be a finite " % key):
+            analytic_scenario(kind, params)
+
+    def test_numpy_parameters_still_accepted(self):
+        ind, _, mask = analytic_scenario("halfspace", {"w": np.array([1.0, 2.0]),
+                                                       "gamma": np.float64(1.0)})
+        assert ind(np.array([[1.0, 0.0], [0.0, 0.0]])).tolist() == [1, 0]
+        assert mask.dim == 2
+
 
 def _halfspace_truth_on(support):
     _, truth_fn, _ = analytic_scenario("halfspace", {"w": [1.0, 1.0], "gamma": 2.0})

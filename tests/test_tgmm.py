@@ -989,6 +989,36 @@ class TestSerialization:
                                                  "its draws .* overflow"):
                 model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value", [("d", 5), ("K", 7), ("K", 1),
+                                            ("d", 2.0), ("K", True), ("d", "2")])
+    def test_d_and_k_must_match_the_arrays(self, truncated_2comp_2d, key, value):
+        doc = json.loads(model_to_json(truncated_2comp_2d))
+        doc[key] = value
+        with pytest.raises(ValueError, match="^%s is %s, but the arrays give 2$"
+                           % (key, re.escape(json.dumps(value)))):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, name", [
+        (lambda doc: doc.update(weights=[True]), "weights"),
+        (lambda doc: doc.update(weights=["1.0"]), "weights"),
+        (lambda doc: doc.update(components=[{"mean": ["0"], "cov": [[1.0]]}]),
+         "mean"),
+        (lambda doc: doc.update(components=[{"mean": [0.0], "cov": [[True]]}]),
+         "cov"),
+        (lambda doc: doc["support"].update(lower=["-3"]), "support"),
+        (lambda doc: doc["support"].update(upper=[True]), "support"),
+        (lambda doc: doc.update(standardizer={"shift": [False], "scale": [1.0]}),
+         "shift"),
+        (lambda doc: doc.update(standardizer={"shift": [0.0], "scale": ["2"]}),
+         "scale")])
+    def test_bool_or_string_is_not_a_number(self, edit, name):
+        """numpy reads true and "1.0" as numbers; model.json must not."""
+        m = TruncatedGMM([1.0], [GaussComponent([0.0], [[1.0]])], Rect.unbounded(1))
+        doc = json.loads(model_to_json(m))
+        edit(doc)
+        with pytest.raises(ValueError, match="^%s must hold numbers, not " % name):
+            model_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("scale", [1e305, 1e-307])
     def test_extreme_but_finite_scale_loads(self, scale):
         m = TruncatedGMM([1.0], [GaussComponent([0.0, 0.0], np.eye(2) * scale)],

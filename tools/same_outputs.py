@@ -1,60 +1,132 @@
-"""Comparison of two commits' CLI outputs on one bench workload or all of them.
+"""Comparison and paired op timing of two commits on one bench workload or all.
 
 Usage, from the repository root:
 
     python3 tools/same_outputs.py --parent HEAD~1 --change HEAD \\
         --workload tail-halfspace --ops 6 --seed 0 [--rtol 1e-12]
 
-``--workload all`` compares every workload of the change tree's
+``--workload all`` runs every workload of the change tree's
 ``bench/workloads.py`` SETUPS, one after another.
 
 Both trees are extracted with ``bench_pairs.extract`` and run in this
 process, at one BLAS thread. Each tree's ``src/rareis`` and
-``bench/workloads.py`` are imported once, with ``inproc_pairs``' loaders,
-under names suffixed by a hash of the tree's path. Each tree's own
-workloads module and CLI build the workload's ops and set-up files for
-``--seed``, one tree after the other in the same work directory, so that
-both sides' CLI arguments name the same paths. A set-up file whose bytes
-differ between the trees, or that only one tree writes, is reported as
-``setup differs: <file>``. The first ``--ops`` ops then run in each tree on
-that tree's set-up, each through the tree's ``cli.main`` as
-``inproc_pairs.run_op`` calls it, each side writing to its own output
-directory. CLI arguments, exit codes and every output
-file except ``manifest.json`` (which records wall-clock time) are compared.
-Files must be byte-identical, except that with ``--rtol R`` a ``.json`` or
-``.csv`` file may differ in its numbers, each by at most R relative, as long
-as its other text is identical; such a file is named in the op's line with
-its largest relative difference. One line is printed per set-up difference
-and per op, and the exit status is 1 if anything differs in any workload.
+``bench/workloads.py`` are imported once, under names suffixed by a hash of
+the tree's path. Each tree's own workloads module and CLI build the
+workload's ops and set-up files for ``--seed`` in a work directory of that
+tree's own. A set-up file whose bytes differ between the trees, or that only
+one tree writes, is reported as ``setup differs: <file>``.
+
+After one untimed op per tree, op i of each tree runs through the tree's
+``cli.main``, for i = 0 .. ``--ops`` - 1, cycling through the workload's ops,
+the parent first for even i and the change first for odd i; each side
+writes to an output directory of its own. CLI arguments, with each tree's
+work directory taken out, exit codes and every output file except
+``manifest.json`` (which records wall-clock time) are compared. Files must
+be byte-identical, except that with ``--rtol R`` a ``.json`` or ``.csv``
+file may differ in its numbers, each by at most R relative, as long as its
+other text is identical; such a file is named in the op's line with its
+largest relative difference. One line is printed per set-up difference and
+per op, and the exit status is 1 if anything differs in any workload.
+
+Each call is timed with ``perf_counter``, and its minor page faults are
+counted with ``getrusage`` (``ru_minflt``). With ``--ops`` at least 2, a
+last line per workload gives the median over ops of the paired ratio change
+time / parent time, its quartiles, the number of ops the change ran faster
+and each side's mean ``ru_minflt`` per op. Both trees share one heap, so
+page faults that either tree takes alone in a fresh process can vanish
+here; and the timing is no substitute for ``tools/bench_pairs.py``, whose
+runs are what the benchmark gates.
 """
 
 import argparse
+import contextlib
 import filecmp
 import functools
 import hashlib
+import importlib
+import importlib.util
+import io
 import os
 import re
+import resource
 import shutil
+import statistics
 import sys
 import tempfile
+import time
 
-import inproc_pairs
 from bench_pairs import extract
 
+SIDES = ("parent", "change")
 IGNORED = {"manifest.json"}
 NUMERIC = (".json", ".csv")
 # A decimal number; the capturing group makes re.split keep the numbers.
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
+def load_package(src, name):
+    """Imports src/rareis, and its cli, as the package name; returns it."""
+    init = os.path.join(src, "rareis", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(name + ".cli")
+    return package
+
+
+def load_module(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @functools.lru_cache(maxsize=None)
 def _load(tree):
     """(cli module, workloads module) of tree, imported once per process."""
     tag = hashlib.sha256(os.path.abspath(tree).encode()).hexdigest()[:16]
-    package = inproc_pairs.load_package(os.path.join(tree, "src"), "rareis_" + tag)
-    workloads = inproc_pairs.load_module(os.path.join(tree, "bench", "workloads.py"),
-                                         "workloads_" + tag)
+    package = load_package(os.path.join(tree, "src"), "rareis_" + tag)
+    workloads = load_module(os.path.join(tree, "bench", "workloads.py"),
+                            "workloads_" + tag)
     return package.cli, workloads
+
+
+def run_op(cli, args):
+    """(seconds, minor page faults, exit code) of one in-process CLI call."""
+    sink = io.StringIO()
+    code = 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rv = cli.main(args, standalone_mode=False)
+        code = rv if isinstance(rv, int) else 0
+    except SystemExit as err:
+        code = err.code if isinstance(err.code, int) else 1
+    except Exception as err:  # click's own errors carry an exit code
+        code = getattr(err, "exit_code", 1)
+    seconds = time.perf_counter() - t0
+    return (seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults,
+            code)
+
+
+def summarize(parent_s, change_s, parent_minflt, change_minflt):
+    """The paired figures of per-op times and page-fault counts.
+
+    ratio: the median, and the quartiles, of change_s[i] / parent_s[i].
+    won: the ops whose change time is strictly below the parent's.
+    minflt: each side's mean page faults per op.
+    """
+    if len(parent_s) != len(change_s) or len(parent_s) < 2:
+        raise ValueError("want at least 2 ops with a time on each side")
+    ratios = [c / p for p, c in zip(parent_s, change_s)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"ops": len(ratios), "ratio": median, "q1": q1, "q3": q3,
+            "won": sum(c < p for p, c in zip(parent_s, change_s)),
+            "minflt": {"parent": statistics.fmean(parent_minflt),
+                       "change": statistics.fmean(change_minflt)}}
 
 
 def _files(root):
@@ -120,27 +192,20 @@ def setup_differences(dir_a, dir_b):
 
 
 def build_setup(tree, workload, seed, work, keep):
-    """The workload's ops, as {"args", "out_dir"} dicts, that tree's
-    bench/workloads.py builds in work; copies the set-up files it lists
-    into keep."""
+    """The workload's ops that tree's bench/workloads.py builds in work;
+    copies the set-up files it lists into keep."""
     cli, workloads = _load(tree)
     inputs = workloads.SETUPS[workload](seed, work, cli.main)
     for path in inputs.files:
         name = os.path.relpath(path, work)
         os.makedirs(os.path.dirname(os.path.join(keep, name)), exist_ok=True)
         shutil.copyfile(path, os.path.join(keep, name))
-    return [{"args": op.args, "out_dir": op.out_dir} for op in inputs.ops]
+    return inputs.ops
 
 
 def workload_names(tree):
     """The names of tree's bench workloads, in SETUPS order."""
     return list(_load(tree)[1].SETUPS)
-
-
-def run_op(tree, op, out_dir):
-    """Runs op's CLI arguments in tree, writing to out_dir; returns the exit code."""
-    args = [out_dir if a == op["out_dir"] else a for a in op["args"]]
-    return inproc_pairs.run_op(_load(tree)[0], args)[2]
 
 
 def main(argv=None):
@@ -149,7 +214,8 @@ def main(argv=None):
     ap.add_argument("--change", default="HEAD", help="git tree-ish")
     ap.add_argument("--workload", required=True,
                     help='a workload name, or "all" for every workload')
-    ap.add_argument("--ops", type=int, required=True, help="ops to compare")
+    ap.add_argument("--ops", type=int, required=True,
+                    help="paired ops per workload, cycling through its ops")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rtol", type=float, default=0.0,
                     help="relative tolerance for numbers in .json and .csv "
@@ -160,7 +226,7 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         trees = {}
-        for side in ("parent", "change"):
+        for side in SIDES:
             trees[side] = os.path.join(tmp, side)
             extract(getattr(args, side), trees[side])
         different = compare_workloads(trees, args.workload, args.seed, args.ops,
@@ -177,36 +243,58 @@ def compare_workloads(trees, workload, seed, n_ops, tmp, rtol=0.0):
                for name in names)
 
 
+def _args(op, out_dir):
+    return [out_dir if a == op.out_dir else a for a in op.args]
+
+
 def compare(trees, workload, seed, n_ops, tmp, rtol=0.0):
-    """Builds the set-up and runs the first n_ops ops of each of the trees
-    "parent" and "change", in tmp; prints one line per set-up difference
-    and one per op, and returns how many of them report a difference."""
-    work = os.path.join(tmp, "work")
-    setups = {side: os.path.join(tmp, "setup", side) for side in trees}
-    ops, codes = {}, {}
-    for side, tree in trees.items():
-        shutil.rmtree(work, ignore_errors=True)
-        os.makedirs(work)
-        ops[side] = build_setup(tree, workload, seed, work, setups[side])[:n_ops]
-        codes[side] = [run_op(tree, op, os.path.join(tmp, "out", side, str(i)))
-                       for i, op in enumerate(ops[side])]
-    setup = setup_differences(setups["parent"], setups["change"])
+    """Builds the set-up of each of the trees "parent" and "change" in its
+    own work directory under tmp, runs one untimed op per tree, then n_ops
+    paired ops as the module docstring says. Prints one line per set-up
+    difference, one per op and, for n_ops >= 2, one timing line; returns
+    how many lines report a difference."""
+    clis, ops, works = {}, {}, {}
+    for side in SIDES:
+        works[side] = os.path.join(tmp, "work", side)
+        os.makedirs(works[side])
+        ops[side] = build_setup(trees[side], workload, seed, works[side],
+                                os.path.join(tmp, "setup", side))
+        clis[side] = _load(trees[side])[0]
+    setup = setup_differences(*(os.path.join(tmp, "setup", side) for side in SIDES))
     for line in setup:
         print(line, flush=True)
     different = len(setup)
-    for i, (op_p, op_c) in enumerate(zip(ops["parent"], ops["change"])):
-        dirs = [os.path.join(tmp, "out", side, str(i)) for side in ("parent", "change")]
-        diff = [] if op_p == op_c else ["args differ"]
-        diff += differences(dirs[0], codes["parent"][i], dirs[1], codes["change"][i],
-                            rtol)
+    for side in SIDES:  # warm-up, untimed
+        run_op(clis[side], _args(ops[side][0], os.path.join(tmp, "warm", side)))
+    seconds, faults = {side: [] for side in SIDES}, {side: [] for side in SIDES}
+    for i in range(n_ops):
+        dirs = {side: os.path.join(tmp, "out", side, str(i)) for side in SIDES}
+        args, codes = {}, {}
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            op = ops[side][i % len(ops[side])]
+            args[side] = [a.replace(works[side], "") for a in op.args]
+            s, f, codes[side] = run_op(clis[side], _args(op, dirs[side]))
+            seconds[side].append(s)
+            faults[side].append(f)
+        diff = [] if args["parent"] == args["change"] else ["args differ"]
+        diff += differences(dirs["parent"], codes["parent"], dirs["change"],
+                            codes["change"], rtol)
         different += bool(diff)
         close = ["%s %s" % (name, how) for name, how, ok
-                 in _compare(dirs[0], dirs[1], rtol) if ok]
+                 in _compare(dirs["parent"], dirs["change"], rtol) if ok]
         print("%s op %d: %s" % (workload, i, "; ".join(diff) if diff else
                                 "same (exit %d, %d files%s)"
-                                % (codes["parent"][i], len(_files(dirs[0])),
+                                % (codes["parent"], len(_files(dirs["parent"])),
                                    "".join("; " + c for c in close))),
               flush=True)
+    if n_ops >= 2:
+        s = summarize(seconds["parent"], seconds["change"], faults["parent"],
+                      faults["change"])
+        print("%s: %d ops, median time ratio change/parent %.3f (quartiles "
+              "%.3f-%.3f), change faster on %d; ru_minflt per op: parent %.1f, "
+              "change %.1f" % (workload, s["ops"], s["ratio"], s["q1"], s["q3"],
+                               s["won"], s["minflt"]["parent"],
+                               s["minflt"]["change"]), flush=True)
     return different
 
 
