@@ -244,6 +244,7 @@ def compare_workloads(trees, workload, seed, n_ops, tmp, rtol=0.0):
 
 
 def _args(op, out_dir):
+    """op's CLI arguments, writing to out_dir."""
     return [out_dir if a == op.out_dir else a for a in op.args]
 
 
