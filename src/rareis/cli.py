@@ -155,8 +155,8 @@ def _load_scenario(model_path, scenario_config, analytic, analytic_params):
     try:
         with open(model_path) as fh:
             model = tgmm.model_from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError,
-            DegenerateTruncationError) as err:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError,
+            DegenerateTruncationError) as err:  # RecursionError: JSON nested too deep
         _fail(EXIT_INPUT, "cannot load model %s: %s" % (model_path, err))
     if (scenario_config is None) == (analytic is None):
         _fail(EXIT_INPUT, "exactly one of --scenario-config/--analytic is required")
@@ -166,13 +166,13 @@ def _load_scenario(model_path, scenario_config, analytic, analytic_params):
         try:
             params = json.loads(analytic_params) if analytic_params else {}
             base, _, mask = scenario.analytic_scenario(analytic, params)
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:
             _fail(EXIT_INPUT, "bad analytic scenario: %s" % err)
     else:
         try:
             with open(scenario_config) as fh:
                 cfg = scenario.AVConfig.from_json(fh.read())
-        except (OSError, ValueError, TypeError) as err:
+        except (OSError, ValueError, TypeError, RecursionError) as err:
             _fail(EXIT_INPUT, "cannot load scenario config: %s" % err)
         base, mask = scenario.lane_change_indicator(cfg), scenario.lane_change_mask()
     if mask.dim != model.dim:

@@ -143,8 +143,15 @@ def initial_sets(gmm):
     return [np.clip(c.mean, lo, up)[None] for c in gmm.components]
 
 
+def _check_dims(gmm, store, context):
+    if store.dim != gmm.dim:
+        raise ValueError("%s: the model has dimension %d, the frontier store %d"
+                         % (context, gmm.dim, store.dim))
+
+
 def inner_dominating(gmm, store):
     """Dominating sets of the inner approximation: a piece per rare frontier point."""
+    _check_dims(gmm, store, "inner_dominating")
     if store.s1.shape[0] == 0:
         return initial_sets(gmm)
     return _solve_set(gmm, store.s1, store.mask, "inner_dominating")
@@ -152,6 +159,7 @@ def inner_dominating(gmm, store):
 
 def outer_dominating(gmm, store):
     """Dominating sets of the outer approximation: a piece per outer_pieces corner."""
+    _check_dims(gmm, store, "outer_dominating")
     if store.s0.shape[0] == 0:
         return initial_sets(gmm)
     corners, _ = fr.outer_pieces(store)

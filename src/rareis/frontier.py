@@ -133,14 +133,13 @@ def insert(store, X, hits):
     ones, the earlier of equal points in both.  Raises NonMonotoneOutcomeError
     for the first rare point <= some safe point.
     """
-    X = np.asarray(X, dtype=float)
+    X = _rows(X, store.dim)
     hits = np.asarray(hits)
     if not np.all(np.isfinite(X)):
         raise ValueError("inserted points must be finite")
-    if (X.ndim != 2 or hits.shape != (X.shape[0],)
-            or not np.all((hits == 0) | (hits == 1))):
-        raise ValueError("want (n, d) points and (n,) outcomes in {0, 1}; got "
-                         "shapes %s and %s" % (X.shape, hits.shape))
+    if hits.shape != (X.shape[0],) or not np.all((hits == 0) | (hits == 1)):
+        raise ValueError("want (n,) outcomes in {0, 1} for %d points; got shape %s"
+                         % (X.shape[0], hits.shape))
     Z = store.mask.canonicalize(X)
     s1 = _minimal(Z[hits == 1], store.s1)
     s0 = -_minimal(-Z[hits == 0], -store.s0)

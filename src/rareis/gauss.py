@@ -66,7 +66,7 @@ def _rows(X, d):
 def _floats(value, name):
     """value as a float array.  Raises ValueError naming name if value, or
     an item of its nested lists, is a bool or a string, which np.asarray
-    would read as a number."""
+    would read as a number, or an int beyond the float range."""
     items = [value]
     while items:
         v = items.pop()
@@ -75,7 +75,10 @@ def _floats(value, name):
         elif isinstance(v, (bool, np.bool_, str)):
             raise ValueError("%s must hold numbers, not %s"
                              % (name, type(v).__name__))
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError("%s holds an integer too large for a float" % name)
 
 
 class Rect:
@@ -100,16 +103,12 @@ class Rect:
         return self._unbounded
 
     def contains(self, x):
-        """Pointwise membership; x may be a vector or an (n, d) matrix.
+        """(n,) membership of the (n, d) rows x.
 
         Compares one column at a time, with no (n, d) temporaries; a NaN
         coordinate is outside, whatever the bounds.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dim,):
-            raise ValueError("want points of dimension %d; got shape %s"
-                             % (self.dim, x.shape))
-        cols = x.T
+        cols = _rows(x, self.dim).T
         ok = cols[0] >= self.lower[0]
         ok &= cols[0] <= self.upper[0]
         for j in range(1, self.dim):

@@ -13,10 +13,9 @@ import numbers
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
-from scipy.special import ndtr
 
 from .frontier import DirectionMask
-from .gauss import Rect, _floats, _rows, rect_prob
+from .gauss import Rect, _floats, _rows, ndtr, rect_prob
 
 # desired standstill gap for the cruise controller, m
 STANDSTILL_MARGIN = 2.0
@@ -47,7 +46,11 @@ class AVConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError("AVConfig.%s must be a number, not %s"
                                  % (f.name, type(value).__name__))
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError("AVConfig.%s must be finite" % f.name)
         if self.dt <= 0 or self.horizon < 10 * self.dt:
             raise ValueError("need dt > 0 and horizon >= 10*dt")

@@ -532,6 +532,52 @@ class TestRun:
                             "precision matrix overflow\n" % path)
         assert not (tmp_path / "out").exists()
 
+    # a JSON integer past the float range, and arrays nested past Python's
+    # recursion limit, once ended in an OverflowError or a RecursionError
+    BIG = "9" * 401
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("command", ["run", "crude"])
+    @pytest.mark.parametrize("model, option, value, message", [
+        ("big_mean", "--analytic-params", '{"gamma": 3.0}',
+         "cannot load model {model}: mean holds an integer too large for a float"),
+        ("deep", "--analytic-params", '{"gamma": 3.0}',
+         "cannot load model {model}: maximum recursion depth exceeded"),
+        ("model", "--analytic-params", '{"gamma": %s}' % BIG,
+         "bad analytic scenario: gamma must be a finite number"),
+        ("model", "--analytic-params", "[" * 20_000 + "]" * 20_000,
+         "bad analytic scenario: maximum recursion depth exceeded"),
+        ("model_3d", "--scenario-config", '{"dt": %s}' % BIG,
+         "cannot load scenario config: AVConfig.dt must be finite"),
+        ("model_3d", "--scenario-config", DEEP,
+         "cannot load scenario config: maximum recursion depth exceeded")],
+        ids=["model_big_int", "model_deep", "params_big_int", "params_deep",
+             "config_big_int", "config_deep"])
+    def test_json_past_float_range_or_nesting_exit_2(self, runner, model_1d, tmp_path,
+                                                     command, model, option, value,
+                                                     message):
+        doc = json.loads(open(model_1d).read())
+        texts = {"model": json.dumps(doc), "deep": self.DEEP,
+                 "big_mean": json.dumps(dict(doc, components=[dict(
+                     doc["components"][0], mean=[int(self.BIG)])])),
+                 "model_3d": tgmm.model_to_json(TruncatedGMM(
+                     [1.0], [GaussComponent([20.0, 0.3, 0.2],
+                                            np.diag([4.0, 0.01, 0.01]))],
+                     Rect.unbounded(3)))}
+        path = tmp_path / "model.json"
+        path.write_text(texts[model])
+        args = [command, str(path), "--n", "100", "--out", str(tmp_path / "out")]
+        if option == "--scenario-config":
+            (tmp_path / "av.json").write_text(value)
+            args += [option, str(tmp_path / "av.json")]
+        else:
+            args += ["--analytic", "mixture-tail", option, value]
+        r = runner.invoke(main, args)
+        assert r.exit_code == cli.EXIT_INPUT and isinstance(r.exception, SystemExit)
+        assert len(r.output.splitlines()) == 1
+        assert r.output.startswith("error: " + message.format(model=path))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "crude"])
     def test_indicator_input_error_exit_2(self, runner, tmp_path, command):
         """Proposals with 1/ttc <= 0 end in exit 2 with a message."""

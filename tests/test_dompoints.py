@@ -132,6 +132,18 @@ class TestDominatingSets:
             assert [type(s) for s in sets] == [np.ndarray, np.ndarray]
             assert [s.tolist() for s in sets] == [[[0.0, 0.0]], [[1.0, 1.0]]]
 
+    def test_rejects_a_store_of_another_dimension(self):
+        """A 1-D store once broadcast its corners against a 3-D model's
+        support, giving [[2, 2, 2]] inner and [[0.5, 0.5, 0.5]] outer."""
+        gmm = TruncatedGMM([1.0], [GaussComponent(np.zeros(3), np.eye(3))],
+                           Rect.unbounded(3))
+        mask = DirectionMask([1.0])
+        for solve, s in ((inner_dominating, FrontierStore(mask, s1=[[2.0]])),
+                         (outer_dominating, FrontierStore(mask, s0=[[0.5]]))):
+            with pytest.raises(ValueError, match=r"^%s: the model has dimension 3, "
+                               r"the frontier store 1$" % solve.__name__):
+                solve(gmm, s)
+
     def test_identity_cov_clamp(self):
         gmm = TruncatedGMM([1.0], [GaussComponent([0.0, 0.0], np.eye(2))],
                            Rect.unbounded(2))

@@ -31,7 +31,7 @@ class TestRect:
         ([-np.inf] * 3, [np.inf] * 3)])
     def test_contains_matches_whole_array_expression(self, lower, upper):
         # the column-at-a-time test against the (n, d) expression it replaced,
-        # on (d,), (n, d) and (0, d) inputs, rows on the bounds, NaN and +-inf
+        # on (1, d), (n, d) and (0, d) inputs, rows on the bounds, NaN and +-inf
         r = Rect(lower, upper)
 
         def whole(x):
@@ -43,16 +43,19 @@ class TestRect:
         X[20:40, 1] = np.nan
         X[40:60] = np.nan
         X[60:70, 0], X[70:80, 2] = -np.inf, np.inf
-        for x in [X, X[:0], X[5], X[25], X[45], X[65], X[75],
+        for x in [X, X[:0], X[5:6], X[25:26], X[45:46], X[65:66], X[75:76],
                   np.asfortranarray(X), X[::-3]]:
             got, want = r.contains(x), whole(x)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want)
-        assert isinstance(r.contains(X[0]), np.bool_)
+        assert r.contains(X[:1]).shape == (1,) and r.contains(X[:1]).dtype == bool
 
     def test_contains_rejects_other_dimensions(self):
-        with pytest.raises(ValueError, match="dimension 2"):
-            Rect([0.0, 0.0], [1.0, 1.0]).contains(np.zeros((4, 3)))
+        # (n, d) rows only: a lone point is one row
+        for x, shape in [(np.zeros((4, 3)), r"\(4, 3\)"), (np.zeros(2), r"\(2,\)")]:
+            with pytest.raises(ValueError, match=r"^want \(n, 2\) rows; got shape %s$"
+                               % shape):
+                Rect([0.0, 0.0], [1.0, 1.0]).contains(x)
 
 
 class TestGaussComponent:

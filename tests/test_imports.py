@@ -73,3 +73,26 @@ def test_finds_function_level_package_imports():
               "async def k():\n    import os, rareis.cli as c\n"
               "class C:\n    def m(self):\n        from .. import x\n")
     assert function_level_package_imports(source) == [4, 5, 9, 11, 14]
+
+
+def imported_packages(source):
+    """Top-level names of the packages that source imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_finds_imported_packages():
+    source = ("import os.path, numpy as np\nfrom . import a\nfrom .b import c\n"
+              "def f():\n    from scipy.stats import qmc\n")
+    assert imported_packages(source) == {"os", "numpy", "scipy"}
+
+
+def test_scipy_has_one_home():
+    """Only gauss.py imports scipy; other modules take its functions from it."""
+    assert [p.name for p in sorted(PACKAGE.glob("*.py"))
+            if "scipy" in imported_packages(p.read_text())] == ["gauss.py"]

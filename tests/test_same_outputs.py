@@ -2,7 +2,11 @@
 and the paired figures of their op times."""
 
 import importlib.util
+import os
 import pathlib
+import re
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,27 +47,27 @@ OUTPUTS = {"report.json": "{}", "trace.csv": "1,0.5\n", "sub/frontier.json": "[]
 def test_equal_outputs_ignore_the_manifest(differences, tmp_path):
     a = write(tmp_path / "a", dict(OUTPUTS, **{"manifest.json": "t=1"}))
     b = write(tmp_path / "b", dict(OUTPUTS, **{"manifest.json": "t=2"}))
-    assert differences(a, 0, b, 0) == []
-    assert differences(str(tmp_path / "none"), 4, str(tmp_path / "gone"), 4) == []
+    assert differences(a, 0, b, 0) == ([], [])
+    assert differences(str(tmp_path / "none"), 4, str(tmp_path / "gone"), 4) == ([], [])
 
 
 def test_a_differing_file(differences, tmp_path):
     a = write(tmp_path / "a", OUTPUTS)
     b = write(tmp_path / "b", dict(OUTPUTS, **{"sub/frontier.json": "[1]"}))
-    assert differences(a, 0, b, 0) == ["sub/frontier.json differs"]
+    assert differences(a, 0, b, 0) == (["sub/frontier.json differs"], [])
 
 
 def test_a_missing_file(differences, tmp_path):
     a = write(tmp_path / "a", OUTPUTS)
     b = write(tmp_path / "b", {k: v for k, v in OUTPUTS.items() if k != "trace.csv"})
-    assert differences(a, 0, b, 0) == ["trace.csv only in the first"]
-    assert differences(b, 0, a, 0) == ["trace.csv only in the second"]
+    assert differences(a, 0, b, 0) == (["trace.csv only in the first"], [])
+    assert differences(b, 0, a, 0) == (["trace.csv only in the second"], [])
 
 
 def test_a_differing_exit_code(differences, tmp_path):
     a = write(tmp_path / "a", OUTPUTS)
     b = write(tmp_path / "b", OUTPUTS)
-    assert differences(a, 0, b, 4) == ["exit 0 vs 4"]
+    assert differences(a, 0, b, 4) == (["exit 0 vs 4"], [])
 
 
 def test_relative_difference(tool):
@@ -79,20 +83,20 @@ def test_relative_difference(tool):
 
 def test_numbers_within_rtol(differences, tmp_path):
     """Only .json and .csv numbers may move, each by at most rtol relative;
-    exit codes and every other byte must still match."""
+    exit codes and every other byte must still match.  The files that moved
+    within rtol come back as notes of their own."""
     moved = {"report.json": '{"p_hat": 1.0000000000000002e-06}',
              "trace.csv": "1,0.5000000000000001\n"}
     a = write(tmp_path / "a", dict(OUTPUTS, **{"report.json": '{"p_hat": 1e-06}',
                                                "notes.txt": "0.5"}))
     b = write(tmp_path / "b", dict(OUTPUTS, **moved, **{"notes.txt": "0.5000000000000001"}))
-    assert differences(a, 0, b, 0, rtol=1e-12) == ["notes.txt differs"]
-    assert differences(a, 0, b, 0) == ["notes.txt differs",
-                                       "report.json max relative difference 2.1e-16",
-                                       "trace.csv max relative difference 2.2e-16"]
-    assert differences(a, 0, b, 4, rtol=1e-12) == ["exit 0 vs 4", "notes.txt differs"]
-    assert differences(a, 0, b, 0, rtol=1e-17) == [
-        "notes.txt differs", "report.json max relative difference 2.1e-16",
-        "trace.csv max relative difference 2.2e-16"]
+    moved = ["report.json max relative difference 2.1e-16",
+             "trace.csv max relative difference 2.2e-16"]
+    assert differences(a, 0, b, 0, rtol=1e-12) == (["notes.txt differs"], moved)
+    assert differences(a, 0, b, 0) == (["notes.txt differs"] + moved, [])
+    assert differences(a, 0, b, 4, rtol=1e-12) == (["exit 0 vs 4", "notes.txt differs"],
+                                                   moved)
+    assert differences(a, 0, b, 0, rtol=1e-17) == (["notes.txt differs"] + moved, [])
 
 
 # A stand-in tree: set-up writes model.json (its text given per tree) and a
@@ -199,8 +203,49 @@ def test_ops_cycle_and_are_timed(tool, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:4] == ["toy op %d: same (exit 0, 1 files)" % i for i in range(4)]
     assert len(lines) == 5
-    assert lines[4].startswith("toy: 4 ops, median time ratio change/parent ")
-    assert "ru_minflt per op: parent " in lines[4]
+    assert re.fullmatch(r"toy: 4 ops, median time ratio change/parent \d+\.\d{3} "
+                        r"\(quartiles \d+\.\d{3}-\d+\.\d{3}\), change faster on [0-4]",
+                        lines[4])
+
+
+def test_each_op_compares_its_outputs_once(tool, tmp_path, capsys, monkeypatch):
+    """One _compare of the set-up files, then one per op serves both the
+    op's differences and its within-rtol notes."""
+    calls = []
+
+    def spy(dir_a, dir_b, rtol=0.0):
+        calls.append(os.path.relpath(dir_a, tmp_path))
+        return compare_files(dir_a, dir_b, rtol)
+
+    compare_files = tool._compare
+    monkeypatch.setattr(tool, "_compare", spy)
+    trees = {"parent": toy_tree(tmp_path / "p", '{"p": 0.1}'),
+             "change": toy_tree(tmp_path / "c", '{"p": 0.10000000000000002}')}
+    assert tool.compare(trees, "toy", 0, 3, str(tmp_path / "r"), rtol=1e-12) == 1
+    assert calls == [os.path.join("r", "setup", "parent")] + [
+        os.path.join("r", "out", "parent", str(i)) for i in range(3)]
+    assert capsys.readouterr().out.splitlines()[1:4] == [
+        "toy op %d: same (exit 0, 1 files; report.json max relative difference "
+        "1.4e-16)" % i for i in range(3)]
+
+
+class UsageError(Exception):
+    exit_code = 2  # as click's own errors carry theirs
+
+
+def test_run_op_gives_seconds_and_exit_code(tool, capsys):
+    """A CLI call's return value, sys.exit code or error's exit_code is its
+    exit code, 1 for any other error; its output is swallowed."""
+    def usage_error():
+        raise UsageError()
+
+    for action, code in [(lambda: print("p_hat"), 0), (lambda: 3, 3),
+                         (lambda: sys.exit(4), 4), (lambda: sys.exit("no"), 1),
+                         (usage_error, 2), (lambda: 1 / 0, 1)]:
+        cli = SimpleNamespace(main=lambda args, standalone_mode: action())
+        seconds, exit_code = tool.run_op(cli, ["run"])
+        assert exit_code == code and 0 <= seconds < 1
+    assert capsys.readouterr().out == ""
 
 
 def test_median_and_quartiles_of_the_paired_ratios(summarize):
@@ -208,21 +253,19 @@ def test_median_and_quartiles_of_the_paired_ratios(summarize):
     change = [9.0, 11.0, 10.0, 8.0, 4.0]
     # ratios 0.9, 1.1, 0.5, 1.0, 0.8; the ratio of the medians would read 0.9
     # too, so op 2's halving must not reach the median
-    s = summarize(parent, change, [700, 690, 710, 0, 0], [40, 50, 60, 0, 0])
-    assert (s["ratio"], s["q1"], s["q3"]) == (0.9, 0.8, 1.0)
-    assert s["ops"] == 5
-    assert s["won"] == 3  # the tie at op 3 counts for neither side
-    assert s["minflt"] == {"parent": 420.0, "change": 30.0}
+    s = summarize(parent, change)
+    assert s == {"ops": 5, "ratio": 0.9, "q1": 0.8, "q3": 1.0,
+                 "won": 3}  # the tie at op 3 counts for neither side
 
 
 def test_ratios_pair_ops_not_medians(summarize):
     # each side's median is 2.0, but every op of the change is twice as slow
-    s = summarize([1.0, 2.0, 4.0], [2.0, 4.0, 8.0], [0, 0, 0], [0, 0, 0])
+    s = summarize([1.0, 2.0, 4.0], [2.0, 4.0, 8.0])
     assert (s["ratio"], s["q1"], s["q3"], s["won"]) == (2.0, 2.0, 2.0, 0)
 
 
 def test_needs_two_paired_ops(summarize):
     with pytest.raises(ValueError):
-        summarize([1.0], [1.0], [0], [0])
+        summarize([1.0], [1.0])
     with pytest.raises(ValueError):
-        summarize([1.0, 2.0], [1.0], [0, 0], [0])
+        summarize([1.0, 2.0], [1.0])

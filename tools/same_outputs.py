@@ -28,13 +28,10 @@ other text is identical; such a file is named in the op's line with its
 largest relative difference. One line is printed per set-up difference and
 per op, and the exit status is 1 if anything differs in any workload.
 
-Each call is timed with ``perf_counter``, and its minor page faults are
-counted with ``getrusage`` (``ru_minflt``). With ``--ops`` at least 2, a
-last line per workload gives the median over ops of the paired ratio change
-time / parent time, its quartiles, the number of ops the change ran faster
-and each side's mean ``ru_minflt`` per op. Both trees share one heap, so
-page faults that either tree takes alone in a fresh process can vanish
-here; and the timing is no substitute for ``tools/bench_pairs.py``, whose
+Each call is timed with ``perf_counter``. With ``--ops`` at least 2, a last
+line per workload gives the median over ops of the paired ratio change
+time / parent time, its quartiles and the number of ops the change ran
+faster. The timing is no substitute for ``tools/bench_pairs.py``, whose
 runs are what the benchmark gates.
 """
 
@@ -48,7 +45,6 @@ import importlib.util
 import io
 import os
 import re
-import resource
 import shutil
 import statistics
 import sys
@@ -94,10 +90,9 @@ def _load(tree):
 
 
 def run_op(cli, args):
-    """(seconds, minor page faults, exit code) of one in-process CLI call."""
+    """(seconds, exit code) of one in-process CLI call."""
     sink = io.StringIO()
     code = 0
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -107,26 +102,21 @@ def run_op(cli, args):
         code = err.code if isinstance(err.code, int) else 1
     except Exception as err:  # click's own errors carry an exit code
         code = getattr(err, "exit_code", 1)
-    seconds = time.perf_counter() - t0
-    return (seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults,
-            code)
+    return time.perf_counter() - t0, code
 
 
-def summarize(parent_s, change_s, parent_minflt, change_minflt):
-    """The paired figures of per-op times and page-fault counts.
+def summarize(parent_s, change_s):
+    """The paired figures of per-op times.
 
     ratio: the median, and the quartiles, of change_s[i] / parent_s[i].
     won: the ops whose change time is strictly below the parent's.
-    minflt: each side's mean page faults per op.
     """
     if len(parent_s) != len(change_s) or len(parent_s) < 2:
         raise ValueError("want at least 2 ops with a time on each side")
     ratios = [c / p for p, c in zip(parent_s, change_s)]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     return {"ops": len(ratios), "ratio": median, "q1": q1, "q3": q3,
-            "won": sum(c < p for p, c in zip(parent_s, change_s)),
-            "minflt": {"parent": statistics.fmean(parent_minflt),
-                       "change": statistics.fmean(change_minflt)}}
+            "won": sum(c < p for p, c in zip(parent_s, change_s))}
 
 
 def _files(root):
@@ -179,11 +169,13 @@ def _compare(dir_a, dir_b, rtol=0.0):
 
 
 def differences(dir_a, exit_a, dir_b, exit_b, rtol=0.0):
-    """What differs between two runs of one op: exit codes and output files
-    (numbers in .json and .csv files by more than rtol relative)."""
+    """(what differs, what moved within rtol) between two runs of one op:
+    exit codes and output files, whose .json and .csv numbers may move by
+    at most rtol relative; one _compare of the two directories serves both."""
     out = [] if exit_a == exit_b else ["exit %d vs %d" % (exit_a, exit_b)]
-    return out + ["%s %s" % (name, how) for name, how, close
-                  in _compare(dir_a, dir_b, rtol) if not close]
+    found = _compare(dir_a, dir_b, rtol)
+    return (out + ["%s %s" % (name, how) for name, how, close in found if not close],
+            ["%s %s" % (name, how) for name, how, close in found if close])
 
 
 def setup_differences(dir_a, dir_b):
@@ -267,35 +259,31 @@ def compare(trees, workload, seed, n_ops, tmp, rtol=0.0):
     different = len(setup)
     for side in SIDES:  # warm-up, untimed
         run_op(clis[side], _args(ops[side][0], os.path.join(tmp, "warm", side)))
-    seconds, faults = {side: [] for side in SIDES}, {side: [] for side in SIDES}
+    seconds = {side: [] for side in SIDES}
     for i in range(n_ops):
         dirs = {side: os.path.join(tmp, "out", side, str(i)) for side in SIDES}
         args, codes = {}, {}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             op = ops[side][i % len(ops[side])]
             args[side] = [a.replace(works[side], "") for a in op.args]
-            s, f, codes[side] = run_op(clis[side], _args(op, dirs[side]))
+            s, codes[side] = run_op(clis[side], _args(op, dirs[side]))
             seconds[side].append(s)
-            faults[side].append(f)
-        diff = [] if args["parent"] == args["change"] else ["args differ"]
-        diff += differences(dirs["parent"], codes["parent"], dirs["change"],
-                            codes["change"], rtol)
+        diff, close = differences(dirs["parent"], codes["parent"],
+                                  dirs["change"], codes["change"], rtol)
+        if args["parent"] != args["change"]:
+            diff.insert(0, "args differ")
         different += bool(diff)
-        close = ["%s %s" % (name, how) for name, how, ok
-                 in _compare(dirs["parent"], dirs["change"], rtol) if ok]
         print("%s op %d: %s" % (workload, i, "; ".join(diff) if diff else
                                 "same (exit %d, %d files%s)"
                                 % (codes["parent"], len(_files(dirs["parent"])),
                                    "".join("; " + c for c in close))),
               flush=True)
     if n_ops >= 2:
-        s = summarize(seconds["parent"], seconds["change"], faults["parent"],
-                      faults["change"])
+        s = summarize(seconds["parent"], seconds["change"])
         print("%s: %d ops, median time ratio change/parent %.3f (quartiles "
-              "%.3f-%.3f), change faster on %d; ru_minflt per op: parent %.1f, "
-              "change %.1f" % (workload, s["ops"], s["ratio"], s["q1"], s["q3"],
-                               s["won"], s["minflt"]["parent"],
-                               s["minflt"]["change"]), flush=True)
+              "%.3f-%.3f), change faster on %d" % (workload, s["ops"], s["ratio"],
+                                                   s["q1"], s["q3"], s["won"]),
+              flush=True)
     return different
 
 
