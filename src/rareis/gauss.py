@@ -78,7 +78,7 @@ def _floats(value, name):
     try:
         return np.asarray(value, dtype=float)
     except OverflowError:
-        raise ValueError("%s holds an integer too large for a float" % name)
+        raise ValueError("%s holds an integer too large for a float" % name) from None
 
 
 class Rect:

@@ -44,6 +44,12 @@ def data_csv(tmp_path):
     return str(path)
 
 
+# JSON that once ended in a traceback: an integer past the float range
+# (OverflowError), and arrays nested past the recursion limit (RecursionError)
+BIG_INT = "9" * 401
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def run_outputs(out_dir):
     return sorted(os.listdir(out_dir))
 
@@ -420,7 +426,10 @@ class TestRun:
     @pytest.mark.parametrize("params", ['[1]', '{"w": [[1.0]], "gamma": 3}',
                                         '{"w": [1.0], "gamma": NaN}',
                                         '{"w": [true], "gamma": 3}',
-                                        '{"w": [1.0], "gamma": "3"}'])
+                                        '{"w": [1.0], "gamma": "3"}',
+                                        pytest.param('{"w": [1.0], "gamma": %s}'
+                                                     % BIG_INT, id="big_int"),
+                                        pytest.param(DEEP, id="deep")])
     def test_malformed_analytic_params_exit_2(self, runner, model_1d,
                                               tmp_path, params):
         r = runner.invoke(main, ["run", model_1d, "--analytic", "halfspace",
@@ -500,7 +509,9 @@ class TestRun:
                      json.dumps(dict(doc_2d, standardizer={"shift": [0.0],
                                                            "scale": [1.0]})),
                      json.dumps(dict(doc_2d, standardizer={
-                         "shift": [0.0] * 3, "scale": [1.0] * 3}))]:
+                         "shift": [0.0] * 3, "scale": [1.0] * 3})),
+                     json.dumps(dict(doc, components=[dict(comp, mean=[int(BIG_INT)])])),
+                     DEEP]:
             path.write_text(text)
             for command in ("run", "crude"):
                 r = runner.invoke(main, [command, str(path), "--analytic",
@@ -532,52 +543,6 @@ class TestRun:
                             "precision matrix overflow\n" % path)
         assert not (tmp_path / "out").exists()
 
-    # a JSON integer past the float range, and arrays nested past Python's
-    # recursion limit, once ended in an OverflowError or a RecursionError
-    BIG = "9" * 401
-    DEEP = "[" * 100_000 + "]" * 100_000
-
-    @pytest.mark.parametrize("command", ["run", "crude"])
-    @pytest.mark.parametrize("model, option, value, message", [
-        ("big_mean", "--analytic-params", '{"gamma": 3.0}',
-         "cannot load model {model}: mean holds an integer too large for a float"),
-        ("deep", "--analytic-params", '{"gamma": 3.0}',
-         "cannot load model {model}: maximum recursion depth exceeded"),
-        ("model", "--analytic-params", '{"gamma": %s}' % BIG,
-         "bad analytic scenario: gamma must be a finite number"),
-        ("model", "--analytic-params", "[" * 20_000 + "]" * 20_000,
-         "bad analytic scenario: maximum recursion depth exceeded"),
-        ("model_3d", "--scenario-config", '{"dt": %s}' % BIG,
-         "cannot load scenario config: AVConfig.dt must be finite"),
-        ("model_3d", "--scenario-config", DEEP,
-         "cannot load scenario config: maximum recursion depth exceeded")],
-        ids=["model_big_int", "model_deep", "params_big_int", "params_deep",
-             "config_big_int", "config_deep"])
-    def test_json_past_float_range_or_nesting_exit_2(self, runner, model_1d, tmp_path,
-                                                     command, model, option, value,
-                                                     message):
-        doc = json.loads(open(model_1d).read())
-        texts = {"model": json.dumps(doc), "deep": self.DEEP,
-                 "big_mean": json.dumps(dict(doc, components=[dict(
-                     doc["components"][0], mean=[int(self.BIG)])])),
-                 "model_3d": tgmm.model_to_json(TruncatedGMM(
-                     [1.0], [GaussComponent([20.0, 0.3, 0.2],
-                                            np.diag([4.0, 0.01, 0.01]))],
-                     Rect.unbounded(3)))}
-        path = tmp_path / "model.json"
-        path.write_text(texts[model])
-        args = [command, str(path), "--n", "100", "--out", str(tmp_path / "out")]
-        if option == "--scenario-config":
-            (tmp_path / "av.json").write_text(value)
-            args += [option, str(tmp_path / "av.json")]
-        else:
-            args += ["--analytic", "mixture-tail", option, value]
-        r = runner.invoke(main, args)
-        assert r.exit_code == cli.EXIT_INPUT and isinstance(r.exception, SystemExit)
-        assert len(r.output.splitlines()) == 1
-        assert r.output.startswith("error: " + message.format(model=path))
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("command", ["run", "crude"])
     def test_indicator_input_error_exit_2(self, runner, tmp_path, command):
         """Proposals with 1/ttc <= 0 end in exit 2 with a message."""
@@ -596,7 +561,9 @@ class TestRun:
         assert "Traceback" not in r.output
 
     @pytest.mark.parametrize("config", ['{"horizon": Infinity}', '{"dt": NaN}',
-                                        '{"dt": 1e-300, "horizon": 1e10}'])
+                                        '{"dt": 1e-300, "horizon": 1e10}',
+                                        pytest.param('{"dt": %s}' % BIG_INT,
+                                                     id="big_int")])
     def test_non_finite_scenario_config_exit_2(self, runner, tmp_path, config):
         gmm = TruncatedGMM([1.0], [GaussComponent([20.0, 0.3, 0.2],
                                                   np.diag([4.0, 0.01, 0.01]))],
@@ -622,7 +589,9 @@ class TestRun:
         ('{"dt": true}', "AVConfig.dt must be a number, not bool"),
         ('{"horizon": "15"}', "AVConfig.horizon must be a number, not str"),
         ('{"aeb_decel": null}', "AVConfig.aeb_decel must be a number, not NoneType"),
-        ('{"max_decel": [8.0]}', "AVConfig.max_decel must be a number, not list")])
+        ('{"max_decel": [8.0]}', "AVConfig.max_decel must be a number, not list"),
+        pytest.param(DEEP, "maximum recursion depth exceeded while decoding a JSON "
+                     "array from a unicode string", id="deep")])
     def test_malformed_scenario_config_exit_2(self, runner, tmp_path, command,
                                               config, message):
         model = tmp_path / "model.json"

@@ -95,16 +95,11 @@ class TestInsert:
         (rows((1, 1)), [[1]]),
         (np.ones(2), [1, 1]),
         (rows((1, 1)), [2]),
-    ], ids=["short-hits", "2-d-hits", "1-d-points", "outcome-2"])
+        (np.array([[2.0], [0.5]]), [1, 0]),  # once broadcast to (2, 2) rows
+    ], ids=["short-hits", "2-d-hits", "1-d-points", "outcome-2", "narrow-rows"])
     def test_rejects_bad_shapes_and_outcomes(self, X, hits):
         with pytest.raises(ValueError):
             insert(store2d(), X, hits)
-
-    def test_rejects_rows_of_another_width(self):
-        """A (2, 1) batch into a 3-D store once broadcast to the rows
-        [2, 2, 2] and [0.5, 0.5, 0.5]."""
-        with pytest.raises(ValueError, match=r"^want \(n, 3\) rows; got shape \(2, 1\)$"):
-            insert(FrontierStore(DirectionMask([1.0, 1.0, 1.0])), [[2.0], [0.5]], [1, 0])
 
     def test_frontier_never_grows_on_dominated_insert(self):
         s = store2d()
